@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -376,23 +376,21 @@ def run(config: RunConfig) -> RunRecord:
             abort_reasons.append(reason)
     rows.sort(key=lambda r: (r.seed, r.epoch, r.step))
 
-    finals: dict[int, float] = {}
-    bests: dict[int, float] = {}
-    for row in rows:
-        finals[row.seed] = row.loss
-        bests[row.seed] = min(bests.get(row.seed, np.inf), row.loss)
-    final_loss = float(np.mean(list(finals.values()))) if finals else float("nan")
-    best_loss = float(np.mean(list(bests.values()))) if bests else float("nan")
-
-    return RunRecord(
+    record = RunRecord(
         config_hash=config.config_hash(),
         problem_id=config.problem_id(),
         optimizer_id=config.optimizer,
         config=tuple(config.canonical_items()),
         rows=tuple(rows),
+        summary=None,
+    )
+    finals = list(record.per_seed_final().values())
+    bests = list(record.per_seed_best().values())
+    return replace(
+        record,
         summary=RunSummary(
-            final_loss=final_loss,
-            best_loss=best_loss,
+            final_loss=float(np.mean(finals)) if finals else float("nan"),
+            best_loss=float(np.mean(bests)) if bests else float("nan"),
             wall_time_s=time.perf_counter() - started,
             aborted=bool(abort_reasons),
             abort_reason="; ".join(abort_reasons),
@@ -483,7 +481,9 @@ class ComparisonTable:
 def compare(records) -> ComparisonTable:
     """Aggregate records over seeds into one table row each; lowest means get marked.
 
-    All records must describe the same problem.
+    All records must describe the same problem over the same seeds, and none
+    may be aborted: a partial record's losses are not comparable with a
+    finished one's.
     """
     records = list(records)
     if not records:
@@ -491,6 +491,12 @@ def compare(records) -> ComparisonTable:
     problem_ids = {r.problem_id for r in records}
     if len(problem_ids) != 1:
         raise ConfigError(f"records describe different problems: {sorted(problem_ids)}")
+    aborted = [r.optimizer_id for r in records if r.summary.aborted]
+    if aborted:
+        raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
+    seed_sets = {dict(r.config)["seeds"] for r in records}
+    if len(seed_sets) != 1:
+        raise ConfigError(f"records use different seed sets: {sorted(seed_sets)}")
 
     rows = []
     for record in records:

@@ -177,7 +177,7 @@ def _reduction_adaplus_adamw(rng) -> bool:
     params = ParamVector(theta0)
     state = OptimizerState(params.dim)
     left = [
-        adaplus_step(state, params, g, hp, lr, suppress_recursion_eps=True)
+        adaplus_step(state, params, g, hp, lr, suppress_recursion_eps=True, transcript=True)
         for g, lr in zip(stream, lrs)
     ]
     right = drive_stream("adamw", stream, theta0, HyperParams(), lrs)

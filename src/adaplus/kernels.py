@@ -9,11 +9,24 @@ Six update rules from one adaptive family:
   two of those ingredients.
 - ``sgdm_step``: classical momentum, with an optional Nesterov form.
 
-Each step call validates its inputs, computes every intermediate, and only
-then commits the new state, parameters, and step counter; a failed call
-leaves everything untouched.  The returned ``StepTranscript`` records all
-intermediates so trajectories can be diffed against the independent scalar
-reference in ``adaplus.oracle``.
+All six run through one core.  A step call validates its inputs once,
+computes into scratch buffers owned by its ``OptimizerState``, checks that
+the new parameters and second moment are finite, and only then commits and
+increments ``t``.  A call that raises leaves ``t``, the moments and the
+parameters untouched.  The commit copies the new parameters into
+``params.values`` in place, so that array keeps its identity and a caller may
+hold it across steps.  The moments are not copied: ``state.m`` and
+``state.second_moment`` are rebound to the buffers the step computed into,
+and the arrays they named before become scratch for the next step.  Read
+them from the state after each step instead of holding them.
+
+Transcripts are opt-in.  By default a step returns ``None`` and allocates
+nothing.  With ``transcript=True`` it returns a ``StepTranscript`` whose
+fields are copied out of the same buffers as the core computes them, for
+diffing trajectories against the independent scalar reference in
+``adaplus.oracle``.  A non-finite result is attributed to the earliest
+stage that produced it by running the core once more with capture on, from
+the untouched state.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(lr, b1, b2, eps, wd)`` and scheduled rate ``lr_t``::
@@ -33,7 +46,9 @@ without the in-recursion ``eps``, and kernels without decoupled decay skip
 the first parameter line.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +94,8 @@ class OptimizerState:
 
     ``second_moment`` holds the belief EMA or the squared-gradient EMA
     depending on the kernel driving the state.  States are independent; one
-    state must only ever be fed to one kernel.
+    state must only ever be fed to one kernel.  Each step rebinds ``m`` and
+    ``second_moment`` to new arrays and reuses the previous ones as scratch.
     """
 
     def __init__(self, dim: int):
@@ -89,6 +105,7 @@ class OptimizerState:
         self.t = 0
         self.m = np.zeros(self.dim)
         self.second_moment = np.zeros(self.dim)
+        self._scratch = None
 
 
 class ParamVector:
@@ -144,89 +161,170 @@ def lr_at(schedule: LrSchedule, base_lr: float, epoch: int) -> float:
     return base_lr * schedule.decay_factor**passed
 
 
-def _checked_gradient(state: OptimizerState, params: ParamVector, grads, lr_t: float) -> np.ndarray:
-    g = np.array(grads, dtype=np.float64)
-    if g.ndim != 1 or g.size != params.dim:
-        raise DimensionMismatch("gradient", params.dim, g.size)
-    if state.dim != params.dim:
-        raise DimensionMismatch("state", params.dim, state.dim)
-    if not np.isfinite(g).all():
-        index = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise NonFiniteValue("gradient", index=index, step=state.t + 1)
-    if not (np.isfinite(lr_t) and lr_t > 0):
-        raise ValueError(f"lr_t must be a positive finite real, got {lr_t}")
-    return g
+class _Rule(NamedTuple):
+    """Which ingredients one kernel step uses; ``momentum`` selects the ``sgdm`` update."""
+
+    momentum: bool
+    apply_decay: bool
+    use_belief: bool
+    recursion_eps: float
+    use_nesterov: bool
 
 
-def _checked_transcript(t: int, **arrays) -> StepTranscript:
-    # a non-finite second moment is the only failure the final parameter can
-    # hide (inf denominator turns the update into -0), so checking these two
-    # covers every field; the slow path then attributes the earliest stage
-    if not (np.isfinite(arrays["theta_after"]).all() and np.isfinite(arrays["second_moment"]).all()):
-        for name in FIELD_ORDER:
-            bad = np.flatnonzero(~np.isfinite(arrays[name]))
-            if bad.size:
-                raise NonFiniteValue(name, index=int(bad[0]), step=t)
-    return StepTranscript(t=t, **arrays)
+def _scratch(state: OptimizerState) -> tuple[np.ndarray, ...]:
+    # four dim-length buffers per state, made on its first step: the next m
+    # and second moment (each trades places with the state's array at a
+    # commit), the next theta and one temporary.  One set per state keeps
+    # replicas stepped on different threads apart.
+    if state._scratch is None:
+        state._scratch = tuple(np.empty((4, state.dim)))
+    return state._scratch
 
 
-def _adam_family_step(
-    state: OptimizerState,
-    params: ParamVector,
-    grads,
-    hp: HyperParams,
-    lr_t: float,
-    *,
-    apply_decay: bool,
-    use_belief: bool,
-    recursion_eps: float,
-    use_nesterov: bool,
-) -> StepTranscript:
-    g = _checked_gradient(state, params, grads, lr_t)
-    t = state.t + 1
+def _all_finite(x: np.ndarray) -> bool:
+    # a sum is finite only if every term is; a sum of finite terms that
+    # overflows falls through to the exact test
+    return math.isfinite(np.add.reduce(x)) or bool(np.isfinite(x).all())
+
+
+def _earliest_non_finite(fields: dict, t: int) -> NonFiniteValue:
+    for name in FIELD_ORDER:
+        bad = np.flatnonzero(~np.isfinite(fields[name]))
+        if bad.size:
+            return NonFiniteValue(name, index=int(bad[0]), step=t)
+    raise AssertionError("no non-finite transcript field")
+
+
+def _core(state, theta, g, hp, lr_t, t, rule, capture):
+    """Compute one step into ``state``'s scratch buffers; nothing else is written.
+
+    Returns the buffers holding the new ``(theta, m, second_moment)``, the
+    last ``None`` for momentum.  When ``capture`` is a dict, every transcript
+    field is copied into it as soon as its buffer holds it.  The ufunc
+    sequence is the same either way and keeps the order of operations of
+    the elementwise update rules in the module docstring.
+    """
+    new_m, new_s, new_theta, a = _scratch(state)
+    b1 = hp.beta1
+    if rule.momentum:
+        if rule.use_nesterov:
+            np.multiply(g, lr_t, out=a)
+            np.multiply(state.m, b1, out=new_m)
+            new_m += a  # m = mu * m + lr_t * g
+            np.multiply(new_m, b1, out=new_theta)  # new_theta is a temporary until the update
+            a += new_theta  # m_bar = mu * m + lr_t * g, the applied step
+            m_bar = a
+        else:
+            np.multiply(state.m, b1, out=new_m)
+            new_m += g  # m = mu * m + g
+            m_bar = new_m
+            np.multiply(new_m, lr_t, out=a)  # lr_t * m, the applied step
+        np.subtract(theta, a, out=new_theta)
+        if capture is not None:
+            capture.update(
+                m=new_m.copy(),
+                second_moment=np.zeros_like(theta),
+                m_bar=m_bar.copy(),
+                m_hat=m_bar.copy(),
+                s_hat=np.zeros_like(theta),
+                decay_applied=np.zeros_like(theta),
+                delta_theta=np.negative(a),
+                theta_after=new_theta.copy(),
+            )
+        return new_theta, new_m, None
+
+    # sums and products are formed as ``x += y`` where the rule reads
+    # ``y + x``: IEEE addition and multiplication commute exactly
+    b2 = hp.beta2
+    np.multiply(g, 1.0 - b1, out=a)  # (1 - b1) * g, shared by m and m_bar
+    np.multiply(state.m, b1, out=new_m)
+    new_m += a  # m = b1 * m + (1 - b1) * g
+    if rule.use_nesterov:
+        np.multiply(new_m, b1, out=new_theta)  # new_theta is a temporary until the update
+        a += new_theta  # m_bar = b1 * m + (1 - b1) * g
+        m_bar = a
+    else:
+        m_bar = new_m
+    if rule.use_belief:
+        np.subtract(g, new_m, out=new_theta)  # residual r = g - m
+        np.multiply(new_theta, 1.0 - b2, out=new_s)
+        new_s *= new_theta  # ((1 - b2) * r) * r
+    else:
+        np.multiply(g, 1.0 - b2, out=new_s)
+        new_s *= g  # ((1 - b2) * g) * g
+    np.multiply(state.second_moment, b2, out=new_theta)
+    new_s += new_theta  # s = b2 * s + the term above
+    if rule.recursion_eps:
+        new_s += rule.recursion_eps
+    if capture is not None:
+        capture.update(m=new_m.copy(), second_moment=new_s.copy(), m_bar=m_bar.copy())
+    np.divide(m_bar, 1.0 - b1**t, out=a)  # m_hat
+    np.divide(new_s, 1.0 - b2**t, out=new_theta)  # s_hat
+    if capture is not None:
+        capture.update(m_hat=a.copy(), s_hat=new_theta.copy())
+    a *= lr_t
+    np.sqrt(new_theta, out=new_theta)
+    new_theta += hp.eps
+    a /= new_theta  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
+    if rule.apply_decay:
+        np.multiply(theta, 1.0 - lr_t * hp.weight_decay, out=new_theta)
+        new_theta -= a
+    else:
+        np.subtract(theta, a, out=new_theta)
+    if capture is not None:
+        capture.update(
+            decay_applied=(lr_t * hp.weight_decay) * theta if rule.apply_decay else np.zeros_like(theta),
+            delta_theta=np.negative(a),
+            theta_after=new_theta.copy(),
+        )
+    return new_theta, new_m, new_s
+
+
+def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
+          rule: _Rule, transcript: bool) -> StepTranscript | None:
+    """Validate once, run the core, check, then commit."""
+    # the transcript keeps g, so it gets its own copy; otherwise a float64
+    # gradient is read where it lies
+    g = np.array(grads, dtype=np.float64) if transcript else np.asarray(grads, dtype=np.float64)
     theta = params.values
+    if g.ndim != 1 or g.size != theta.size:
+        raise DimensionMismatch("gradient", theta.size, g.size)
+    if state.dim != theta.size:
+        raise DimensionMismatch("state", theta.size, state.dim)
+    if not (math.isfinite(lr_t) and lr_t > 0):
+        raise ValueError(f"lr_t must be a positive finite real, got {lr_t}")
+    t = state.t + 1
 
-    # non-finite intermediates are detected below and raised as structured
-    # errors; numpy's own warnings would only duplicate that
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if apply_decay:
-            decay_applied = (lr_t * hp.weight_decay) * theta
-            theta = theta * (1.0 - lr_t * hp.weight_decay)
-        else:
-            decay_applied = np.zeros_like(theta)
+    # non-finite values are raised as structured errors below; numpy's own
+    # warnings would only duplicate that
+    with np.errstate(all="ignore"):
+        capture = {"g": g} if transcript else None
+        new_theta, new_m, new_s = _core(state, theta, g, hp, lr_t, t, rule, capture)
+        # every non-finite value, the gradient's included, reaches the new
+        # parameter or the second moment (an inf denominator turns the update
+        # into -0, so the parameter alone can hide one), so these two checks
+        # cover every stage; the gradient is named first when it is the cause
+        if not (_all_finite(new_theta) and (new_s is None or _all_finite(new_s))):
+            bad = np.flatnonzero(~np.isfinite(g))
+            if bad.size:
+                raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
+            if capture is None:
+                capture = {"g": g}
+                _core(state, theta, g, hp, lr_t, t, rule, capture)
+            raise _earliest_non_finite(capture, t)
 
-        m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
-        if use_belief:
-            residual = g - m
-            second_moment = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * residual * residual
-        else:
-            second_moment = hp.beta2 * state.second_moment + (1.0 - hp.beta2) * g * g
-        if recursion_eps:
-            second_moment = second_moment + recursion_eps
-
-        m_bar = hp.beta1 * m + (1.0 - hp.beta1) * g if use_nesterov else m
-        m_hat = m_bar / (1.0 - hp.beta1**t)
-        s_hat = second_moment / (1.0 - hp.beta2**t)
-        delta_theta = -(lr_t * m_hat) / (np.sqrt(s_hat) + hp.eps)
-        theta_after = theta + delta_theta
-
-    transcript = _checked_transcript(
-        t,
-        g=g,
-        m=m,
-        second_moment=second_moment,
-        m_bar=m_bar,
-        m_hat=m_hat,
-        s_hat=s_hat,
-        decay_applied=decay_applied,
-        delta_theta=delta_theta,
-        theta_after=theta_after,
-    )
+    # the parameters are updated in place; the moments trade places with
+    # their scratch buffers, which costs no copy
+    np.copyto(theta, new_theta)
+    scratch = state._scratch
+    if new_s is None:
+        state._scratch = (state.m,) + scratch[1:]
+        state.m = new_m
+    else:
+        state._scratch = (state.m, state.second_moment) + scratch[2:]
+        state.m, state.second_moment = new_m, new_s
     state.t = t
-    state.m = m.copy()
-    state.second_moment = second_moment.copy()
-    params.values = theta_after
-    return transcript
+    return StepTranscript(t=t, **capture) if transcript else None
 
 
 def adaplus_step(
@@ -237,61 +335,46 @@ def adaplus_step(
     lr_t: float,
     *,
     suppress_recursion_eps: bool = False,
-) -> StepTranscript:
+    transcript: bool = False,
+) -> StepTranscript | None:
     """Full kernel: decoupled decay, belief denominator, Nesterov numerator.
 
     ``hp.use_belief`` and ``hp.use_nesterov`` toggle the respective
     ingredients for reduction checks against the baselines.
     ``suppress_recursion_eps`` is a test-only switch that drops the ``eps``
     added inside the second-moment recursion, enabling exact equality with
-    the variance-denominator baselines.
+    the variance-denominator baselines.  Returns the step's
+    ``StepTranscript`` when ``transcript`` is set, else ``None``; the same
+    holds for every ``*_step`` function.
     """
-    return _adam_family_step(
-        state,
-        params,
-        grads,
-        hp,
-        lr_t,
-        apply_decay=True,
-        use_belief=hp.use_belief,
-        recursion_eps=0.0 if suppress_recursion_eps else hp.eps,
-        use_nesterov=hp.use_nesterov,
-    )
+    recursion_eps = 0.0 if suppress_recursion_eps else hp.eps
+    rule = _Rule(False, True, hp.use_belief, recursion_eps, hp.use_nesterov)
+    return _step(state, params, grads, hp, lr_t, rule, transcript)
 
 
-def adam_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscript:
+def adam_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Classical adaptive baseline: variance denominator, no decay."""
-    return _adam_family_step(
-        state, params, grads, hp, lr_t,
-        apply_decay=False, use_belief=False, recursion_eps=0.0, use_nesterov=False,
-    )
+    return _step(state, params, grads, hp, lr_t, _Rule(False, False, False, 0.0, False), transcript)
 
 
-def adamw_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscript:
+def adamw_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Adam preceded by decoupled weight decay ``theta *= 1 - lr_t * weight_decay``."""
-    return _adam_family_step(
-        state, params, grads, hp, lr_t,
-        apply_decay=True, use_belief=False, recursion_eps=0.0, use_nesterov=False,
-    )
+    return _step(state, params, grads, hp, lr_t, _Rule(False, True, False, 0.0, False), transcript)
 
 
-def nadam_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscript:
+def nadam_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Adam with the Nesterov-readjusted numerator (toggled by ``hp.use_nesterov``)."""
-    return _adam_family_step(
-        state, params, grads, hp, lr_t,
-        apply_decay=False, use_belief=False, recursion_eps=0.0, use_nesterov=hp.use_nesterov,
-    )
+    rule = _Rule(False, False, False, 0.0, hp.use_nesterov)
+    return _step(state, params, grads, hp, lr_t, rule, transcript)
 
 
-def adabelief_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscript:
+def adabelief_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Belief denominator with the classical numerator; decay only if ``hp.decoupled_decay``."""
-    return _adam_family_step(
-        state, params, grads, hp, lr_t,
-        apply_decay=hp.decoupled_decay, use_belief=True, recursion_eps=hp.eps, use_nesterov=False,
-    )
+    rule = _Rule(False, hp.decoupled_decay, True, hp.eps, False)
+    return _step(state, params, grads, hp, lr_t, rule, transcript)
 
 
-def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscript:
+def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Momentum baseline; ``hp.beta1`` doubles as the momentum coefficient.
 
     Classical form::
@@ -309,37 +392,7 @@ def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float) -> StepTranscr
     second-moment fields are zero and ``m_bar``/``m_hat`` hold the applied
     update direction.
     """
-    g = _checked_gradient(state, params, grads, lr_t)
-    t = state.t + 1
-    theta = params.values
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        if hp.use_nesterov:
-            m = hp.beta1 * state.m + lr_t * g
-            m_bar = hp.beta1 * m + lr_t * g
-            delta_theta = -m_bar
-        else:
-            m = hp.beta1 * state.m + g
-            m_bar = m
-            delta_theta = -(lr_t * m_bar)
-        theta_after = theta + delta_theta
-
-    transcript = _checked_transcript(
-        t,
-        g=g,
-        m=m,
-        second_moment=np.zeros_like(theta),
-        m_bar=m_bar,
-        m_hat=m_bar.copy(),
-        s_hat=np.zeros_like(theta),
-        decay_applied=np.zeros_like(theta),
-        delta_theta=delta_theta,
-        theta_after=theta_after,
-    )
-    state.t = t
-    state.m = m.copy()
-    params.values = theta_after
-    return transcript
+    return _step(state, params, grads, hp, lr_t, _Rule(True, False, False, 0.0, hp.use_nesterov), transcript)
 
 
 # Kernel registry used by the bench harness and the oracle dispatcher.
@@ -368,4 +421,4 @@ def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[S
     params = ParamVector(theta0)
     state = OptimizerState(params.dim)
     step = KERNEL_STEPS[kernel_id]
-    return [step(state, params, g, hp, lr) for g, lr in zip(stream, lrs)]
+    return [step(state, params, g, hp, lr, transcript=True) for g, lr in zip(stream, lrs)]

@@ -56,27 +56,19 @@ def _validated(kernel_id, stream, theta0, lrs):
     return stream, theta0, [float(lr) for lr in lrs]
 
 
-def _pack(t, g, m, second_moment, m_bar, m_hat, s_hat, decay_applied, delta_theta, theta_after):
-    columns = {
-        "g": g,
-        "m": m,
-        "second_moment": second_moment,
-        "m_bar": m_bar,
-        "m_hat": m_hat,
-        "s_hat": s_hat,
-        "decay_applied": decay_applied,
-        "delta_theta": delta_theta,
-        "theta_after": theta_after,
-    }
-    # extended-precision values beyond float64 range cast to inf here and are
-    # reported below as structured errors
+def _pack(t, *columns):
+    # the columns come in StepTranscript's field order and are cast to one
+    # float64 block; extended-precision values beyond float64 range cast to
+    # inf here and are reported below as structured errors
     with np.errstate(over="ignore"):
-        arrays = {name: np.array(col, dtype=np.float64) for name, col in columns.items()}
-    for name in FIELD_ORDER:
-        bad = np.flatnonzero(~np.isfinite(arrays[name]))
-        if bad.size:
-            raise NonFiniteValue(name, index=int(bad[0]), step=t)
-    return StepTranscript(t=t, **arrays)
+        block = np.array(columns, dtype=np.float64)
+    transcript = StepTranscript(t, *block)
+    if not np.isfinite(block).all():
+        for name in FIELD_ORDER:
+            bad = np.flatnonzero(~np.isfinite(getattr(transcript, name)))
+            if bad.size:
+                raise NonFiniteValue(name, index=int(bad[0]), step=t)
+    return transcript
 
 
 def _replay_adaplus(stream, theta0, hp, lrs):

@@ -43,21 +43,35 @@ class NoiseSpec:
 
 
 class Problem:
-    """Objective with an exact gradient; immutable after construction."""
+    """Objective with an exact gradient; immutable after construction.
 
-    def __init__(self, name, dim, loss_and_grad, optimum_value=None):
+    ``gradient_fn`` computes the gradient alone, for training steps that do
+    not need the loss; it must return what ``loss_and_grad`` returns as its
+    gradient, bit for bit.  Without it the gradient is taken from
+    ``loss_and_grad``.
+    """
+
+    def __init__(self, name, dim, loss_and_grad, optimum_value=None, gradient_fn=None):
         self.name = name
         self.dim = int(dim)
         self._loss_and_grad = loss_and_grad
+        self._gradient = gradient_fn if gradient_fn is not None else (lambda theta: loss_and_grad(theta)[1])
         self.optimum_value = optimum_value
 
-    def evaluate(self, theta):
-        """Return ``(loss, gradient)`` at ``theta``."""
+    def _checked(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim != 1 or theta.size != self.dim:
             raise ValueError(f"{self.name}: theta must have shape ({self.dim},), got {theta.shape}")
-        loss, grad = self._loss_and_grad(theta)
+        return theta
+
+    def evaluate(self, theta):
+        """Return ``(loss, gradient)`` at ``theta``."""
+        loss, grad = self._loss_and_grad(self._checked(theta))
         return float(loss), np.asarray(grad, dtype=np.float64)
+
+    def gradient(self, theta):
+        """Return the gradient at ``theta``, equal to ``evaluate(theta)[1]``, without the loss."""
+        return np.asarray(self._gradient(self._checked(theta)), dtype=np.float64)
 
     def __repr__(self):
         return f"Problem({self.name!r}, dim={self.dim})"
@@ -75,13 +89,17 @@ class LogisticProblem(Problem):
         self.features = features
         self.labels = labels
         self.n_samples = features.shape[0]
-        super().__init__(name, features.shape[1], self._full_loss_and_grad, optimum_value=None)
+        super().__init__(
+            name,
+            features.shape[1],
+            self._full_loss_and_grad,
+            optimum_value=None,
+            gradient_fn=self._full_gradient,
+        )
 
     @staticmethod
-    def _loss_grad_on(features, labels, theta):
+    def _margins_grad_on(features, labels, theta):
         margins = labels * (features @ theta)
-        # log(1 + exp(-m)) via logaddexp for overflow safety
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
         # sigmoid(-m), evaluated on the non-overflowing branch per sign
         sig = np.empty_like(margins)
         pos = margins >= 0
@@ -89,16 +107,21 @@ class LogisticProblem(Problem):
         sig[pos] = e / (1.0 + e)
         sig[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
         grad = -(labels[:, None] * features * sig[:, None]).mean(axis=0)
-        return loss, grad
+        return margins, grad
+
+    def _full_gradient(self, theta):
+        return self._margins_grad_on(self.features, self.labels, theta)[1]
 
     def _full_loss_and_grad(self, theta):
-        return self._loss_grad_on(self.features, self.labels, theta)
+        margins, grad = self._margins_grad_on(self.features, self.labels, theta)
+        # log(1 + exp(-m)) via logaddexp for overflow safety
+        return float(np.mean(np.logaddexp(0.0, -margins))), grad
 
     def minibatch_gradient(self, theta, indices):
         """Exact mean gradient over the sample subset ``indices``."""
         theta = np.asarray(theta, dtype=np.float64)
         idx = np.asarray(indices, dtype=np.intp)
-        _, grad = self._loss_grad_on(self.features[idx], self.labels[idx], theta)
+        _, grad = self._margins_grad_on(self.features[idx], self.labels[idx], theta)
         return grad
 
     def accuracy(self, theta) -> float:
@@ -128,10 +151,16 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
         raise ValueError(f"condition_number must be >= 1, got {condition_number}")
     eigs = np.logspace(0.0, np.log10(condition_number), dim)
 
-    def loss_and_grad(theta):
-        return 0.5 * float(theta @ (eigs * theta)), eigs * theta
+    def gradient(theta):
+        return eigs * theta
 
-    return Problem(f"quadratic(dim={dim},cond={condition_number:g})", dim, loss_and_grad, optimum_value=0.0)
+    def loss_and_grad(theta):
+        grad = gradient(theta)
+        return 0.5 * float(theta @ grad), grad
+
+    return Problem(
+        f"quadratic(dim={dim},cond={condition_number:g})", dim, loss_and_grad, optimum_value=0.0, gradient_fn=gradient
+    )
 
 
 def rosenbrock(dim: int) -> Problem:
@@ -139,17 +168,20 @@ def rosenbrock(dim: int) -> Problem:
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dim must be a positive even integer >= 2, got {dim}")
 
-    def loss_and_grad(theta):
+    def gradient(theta):
         x = theta[0::2]
-        y = theta[1::2]
-        gap = y - x * x
-        loss = float(np.sum((1.0 - x) ** 2 + 100.0 * gap**2))
+        gap = theta[1::2] - x * x
         grad = np.empty_like(theta)
         grad[0::2] = -2.0 * (1.0 - x) - 400.0 * x * gap
         grad[1::2] = 200.0 * gap
-        return loss, grad
+        return grad
 
-    return Problem(f"rosenbrock(dim={dim})", dim, loss_and_grad, optimum_value=0.0)
+    def loss_and_grad(theta):
+        x = theta[0::2]
+        gap = theta[1::2] - x * x
+        return float(np.sum((1.0 - x) ** 2 + 100.0 * gap**2)), gradient(theta)
+
+    return Problem(f"rosenbrock(dim={dim})", dim, loss_and_grad, optimum_value=0.0, gradient_fn=gradient)
 
 
 def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
@@ -165,9 +197,12 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
     if curvature <= 0:
         raise ValueError(f"curvature must be positive, got {curvature}")
 
+    def gradient(theta):
+        return np.array([g_mag + curvature * theta[0]])
+
     def loss_and_grad(theta):
         x = theta[0]
-        return g_mag * x + 0.5 * curvature * x * x, np.array([g_mag + curvature * x])
+        return g_mag * x + 0.5 * curvature * x * x, gradient(theta)
 
     optimum = -g_mag * g_mag / (2.0 * curvature)
     return Problem(
@@ -175,6 +210,7 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
         1,
         loss_and_grad,
         optimum_value=optimum,
+        gradient_fn=gradient,
     )
 
 
@@ -242,10 +278,8 @@ class GradientSource:
     def gradient(self, theta) -> np.ndarray:
         """Training gradient for one step; advances the noise stream when active."""
         if self.noise is None:
-            _, grad = self.problem.evaluate(theta)
-            return grad
+            return self.problem.gradient(theta)
         if self.noise.kind == "gaussian_additive":
-            _, grad = self.problem.evaluate(theta)
-            return grad + self.noise.scale * self._rng.standard_normal(self.problem.dim)
+            return self.problem.gradient(theta) + self.noise.scale * self._rng.standard_normal(self.problem.dim)
         indices = self._rng.choice(self.problem.n_samples, size=self._batch, replace=False)
         return self.problem.minibatch_gradient(theta, indices)

@@ -74,15 +74,6 @@ class StepTranscript:
         )
 
 
-def trajectory_scales(transcripts) -> dict[str, float]:
-    """Largest absolute value each field reaches over a transcript sequence."""
-    scales = {}
-    for field in ALL_FIELDS:
-        stacked = np.stack([getattr(tr, field) for tr in transcripts])
-        scales[field] = float(np.abs(stacked).max(initial=0.0))
-    return scales
-
-
 def scaled_deviation(got, want) -> float:
     """Worst per-element deviation between two transcript sequences.
 

@@ -96,7 +96,7 @@ class TestReductionSuite:
             params = ParamVector(theta0)
             state = OptimizerState(params.dim)
             left = [
-                adaplus_step(state, params, g, hp_var, lr, suppress_recursion_eps=True)
+                adaplus_step(state, params, g, hp_var, lr, suppress_recursion_eps=True, transcript=True)
                 for g, lr in zip(stream, lrs)
             ]
             pairs.append((left, drive_stream("adamw", stream, theta0, HyperParams(), lrs)))
@@ -149,7 +149,7 @@ class TestClosedFormSuite:
             params = ParamVector([0.0])
             hp = HyperParams(weight_decay=0.0)
             for t in range(1, 1001):
-                tr = adaplus_step(state, params, [c_float], hp, 1e-3)
+                tr = adaplus_step(state, params, [c_float], hp, 1e-3, transcript=True)
                 np.testing.assert_allclose(tr.m, [(1.0 - b1f**t) * c_float], rtol=CLOSED_FORM_TOL)
                 np.testing.assert_allclose(
                     tr.m_hat,
@@ -183,7 +183,7 @@ class TestStepsizeAdaptationProperty:
             transcripts = []
             for _ in range(50):
                 _, grad = problem.evaluate(params.values)
-                transcripts.append(step(state, params, grad, hp, 1e-3))
+                transcripts.append(step(state, params, grad, hp, 1e-3, transcript=True))
             trajectories[kernel] = transcripts
 
         ap = trajectories["adaplus"]

@@ -44,6 +44,10 @@ theta0 = zeros
 """
 
 
+# momentum at lr = 5 on the unit quadratic grows geometrically: the loss
+# overflows at step 200, after three finite log rows
+DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
+
 class TestParseConfig:
     def test_parses_full_config(self):
         config = parse_config(QUAD_CONFIG)
@@ -250,6 +254,21 @@ class TestCompare:
         with pytest.raises(ConfigError, match="different problems"):
             compare([a, b])
 
+    def test_aborted_record_rejected(self):
+        finished = run(parse_config(QUAD_CONFIG))
+        aborted = run(parse_config(DIVERGING_SGDM_CONFIG))
+        assert aborted.summary.aborted and aborted.rows
+        with pytest.raises(ConfigError, match="aborted"):
+            compare([finished, aborted])
+        with pytest.raises(ConfigError, match="aborted"):
+            compare([aborted])
+
+    def test_different_seed_sets_rejected(self):
+        a = run(parse_config(QUAD_CONFIG))
+        b = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")))
+        with pytest.raises(ConfigError, match="seed sets"):
+            compare([a, b])
+
     def test_belief_kernel_beats_variance_kernel_on_ramp(self):
         records = [
             run(parse_config(LGSC_TEMPLATE.format(optimizer=opt)))
@@ -345,6 +364,27 @@ log_every = 1
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_compare_aborted_record_exits_one(self, tmp_path, capsys):
+        cfg_ok = self.write_config(tmp_path, QUAD_CONFIG, name="ok.cfg")
+        cfg_bad = self.write_config(tmp_path, DIVERGING_SGDM_CONFIG, name="bad.cfg")
+        assert cli.main(["run", "--config", str(cfg_ok), "--out", str(tmp_path), "--format", "json"]) == 0
+        assert cli.main(["run", "--config", str(cfg_bad), "--out", str(tmp_path), "--format", "json"]) == 2
+        capsys.readouterr()
+        code = cli.main(["compare", "--inputs", str(tmp_path / "ok.json"), str(tmp_path / "bad.aborted.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "aborted" in captured.err
+        assert captured.out == ""
+
+    def test_compare_different_seed_sets_exits_one(self, tmp_path, capsys):
+        cfg_a = self.write_config(tmp_path, QUAD_CONFIG, name="a.cfg")
+        cfg_b = self.write_config(tmp_path, QUAD_CONFIG.replace("seeds = 1", "seeds = 2"), name="b.cfg")
+        for cfg in (cfg_a, cfg_b):
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+        code = cli.main(["compare", "--inputs", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == 1
+        assert "seed sets" in capsys.readouterr().err
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -6,6 +6,7 @@ import pytest
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import (
     KERNEL_IDS,
+    KERNEL_STEPS,
     HyperParams,
     LrSchedule,
     OptimizerState,
@@ -62,7 +63,7 @@ class TestHyperParams:
     def test_degenerate_betas_allowed(self):
         hp = HyperParams(beta1=0.0, beta2=0.0)
         state, params = fresh([0.0])
-        tr = adaplus_step(state, params, [2.0], hp, 1e-3)
+        tr = adaplus_step(state, params, [2.0], hp, 1e-3, transcript=True)
         # beta1 = 0: m = g, mbar = g, bias correction 1 - 0^1 = 1
         np.testing.assert_array_equal(tr.m, [2.0])
         np.testing.assert_array_equal(tr.m_hat, [2.0])
@@ -93,7 +94,7 @@ class TestStateAndParams:
     def test_t_increments_once_per_step(self):
         state, params = fresh([0.5, -0.5])
         for expected_t in (1, 2, 3):
-            tr = adaplus_step(state, params, [0.1, 0.2], HyperParams(), 1e-3)
+            tr = adaplus_step(state, params, [0.1, 0.2], HyperParams(), 1e-3, transcript=True)
             assert state.t == expected_t
             assert tr.t == expected_t
 
@@ -128,7 +129,7 @@ class TestAdaPlusStep:
     def test_zero_gradient_zero_decay_freezes_theta(self):
         state, params = fresh([1.0])
         hp = HyperParams(weight_decay=0.0)
-        tr = adaplus_step(state, params, [0.0], hp, 1e-3)
+        tr = adaplus_step(state, params, [0.0], hp, 1e-3, transcript=True)
         # m = 0, so the numerator vanishes and only eps enters the belief EMA
         np.testing.assert_array_equal(tr.m, [0.0])
         np.testing.assert_array_equal(tr.second_moment, [1e-8])
@@ -137,14 +138,14 @@ class TestAdaPlusStep:
 
     def test_decay_only_path(self):
         state, params = fresh([1.0])
-        tr = adaplus_step(state, params, [0.0], HyperParams(weight_decay=1e-2), 1e-3)
+        tr = adaplus_step(state, params, [0.0], HyperParams(weight_decay=1e-2), 1e-3, transcript=True)
         # theta * (1 - lr * wd) = 1 * (1 - 1e-5)
         np.testing.assert_array_equal(params.values, [0.99999])
         np.testing.assert_allclose(tr.decay_applied, [1e-5], rtol=1e-15)
 
     def test_first_step_worked_example(self):
         state, params = fresh([0.0])
-        tr = adaplus_step(state, params, [1.0], HyperParams(weight_decay=0.0), 1e-3)
+        tr = adaplus_step(state, params, [1.0], HyperParams(weight_decay=0.0), 1e-3, transcript=True)
         np.testing.assert_allclose(tr.m, [0.1], rtol=1e-12)
         np.testing.assert_allclose(tr.second_moment, [8.1001e-4], rtol=1e-12)
         np.testing.assert_allclose(tr.m_bar, [0.19], rtol=1e-12)
@@ -159,7 +160,7 @@ class TestAdaPlusStep:
         hp = HyperParams(weight_decay=0.0)
         b1 = hp.beta1
         for t in range(1, 1001):
-            tr = adaplus_step(state, params, [1.0], hp, 1e-3)
+            tr = adaplus_step(state, params, [1.0], hp, 1e-3, transcript=True)
             expected = (1.0 - b1 ** (t + 1)) / (1.0 - b1**t)
             np.testing.assert_allclose(tr.m_hat, [expected], rtol=1e-12)
 
@@ -195,13 +196,13 @@ class TestAdaPlusStep:
 class TestAdamStep:
     def test_zero_gradient_freezes_theta(self):
         state, params = fresh([5.0])
-        tr = adam_step(state, params, [0.0], HyperParams(), 1e-3)
+        tr = adam_step(state, params, [0.0], HyperParams(), 1e-3, transcript=True)
         np.testing.assert_array_equal(params.values, [5.0])
         np.testing.assert_array_equal(tr.delta_theta, [0.0])
 
     def test_first_step_unit_gradient(self):
         state, params = fresh([0.0])
-        tr = adam_step(state, params, [1.0], HyperParams(), 1e-3)
+        tr = adam_step(state, params, [1.0], HyperParams(), 1e-3, transcript=True)
         # mhat = vhat = 1 after bias correction, so the step magnitude is ~lr
         np.testing.assert_allclose(tr.m_hat, [1.0], rtol=1e-12)
         np.testing.assert_allclose(tr.s_hat, [1.0], rtol=1e-12)
@@ -209,7 +210,7 @@ class TestAdamStep:
 
     def test_second_moment_has_no_eps(self):
         state, params = fresh([0.0])
-        tr = adam_step(state, params, [1.0], HyperParams(), 1e-3)
+        tr = adam_step(state, params, [1.0], HyperParams(), 1e-3, transcript=True)
         np.testing.assert_allclose(tr.second_moment, [1e-3], rtol=1e-12)
 
 
@@ -222,8 +223,8 @@ class TestAdamWStep:
     def test_zero_theta_makes_decay_a_noop(self):
         sa, pa = fresh([0.0])
         sw, pw = fresh([0.0])
-        tr_adam = adam_step(sa, pa, [1.0], HyperParams(), 1e-3)
-        tr_adamw = adamw_step(sw, pw, [1.0], HyperParams(weight_decay=1e-2), 1e-3)
+        tr_adam = adam_step(sa, pa, [1.0], HyperParams(), 1e-3, transcript=True)
+        tr_adamw = adamw_step(sw, pw, [1.0], HyperParams(weight_decay=1e-2), 1e-3, transcript=True)
         np.testing.assert_array_equal(tr_adam.delta_theta, tr_adamw.delta_theta)
         np.testing.assert_array_equal(pa.values, pw.values)
 
@@ -236,7 +237,7 @@ class TestNadamStep:
 
     def test_first_step_readjusted_numerator(self):
         state, params = fresh([0.0])
-        tr = nadam_step(state, params, [1.0], HyperParams(), 1e-3)
+        tr = nadam_step(state, params, [1.0], HyperParams(), 1e-3, transcript=True)
         np.testing.assert_allclose(tr.m_bar, [0.19], rtol=1e-12)
         np.testing.assert_allclose(tr.m_hat, [1.9], rtol=1e-12)
         np.testing.assert_allclose(tr.s_hat, [1.0], rtol=1e-12)
@@ -251,14 +252,14 @@ class TestAdaBeliefStep:
 
     def test_first_step_belief_denominator(self):
         state, params = fresh([0.0])
-        tr = adabelief_step(state, params, [1.0], HyperParams(), 1e-3)
+        tr = adabelief_step(state, params, [1.0], HyperParams(), 1e-3, transcript=True)
         np.testing.assert_allclose(tr.m_hat, [1.0], rtol=1e-12)
         np.testing.assert_allclose(tr.s_hat, [0.81001], rtol=1e-12)
         np.testing.assert_allclose(tr.delta_theta, [-0.0011111042401185281], rtol=1e-12)
 
     def test_no_decay_by_default(self):
         state, params = fresh([1.0])
-        tr = adabelief_step(state, params, [0.0], HyperParams(weight_decay=1e-2), 1e-3)
+        tr = adabelief_step(state, params, [0.0], HyperParams(weight_decay=1e-2), 1e-3, transcript=True)
         np.testing.assert_array_equal(params.values, [1.0])
         np.testing.assert_array_equal(tr.decay_applied, [0.0])
 
@@ -273,7 +274,7 @@ class TestSgdmStep:
     def test_zero_momentum_is_plain_sgd(self):
         state, params = fresh([3.0])
         hp = HyperParams(beta1=0.0, use_nesterov=False)
-        tr = sgdm_step(state, params, [6.0], hp, 0.1)
+        tr = sgdm_step(state, params, [6.0], hp, 0.1, transcript=True)
         np.testing.assert_allclose(tr.delta_theta, [-0.6], rtol=1e-15)
         np.testing.assert_allclose(params.values, [2.4], rtol=1e-15)
 
@@ -283,7 +284,7 @@ class TestSgdmStep:
         hp = HyperParams(beta1=0.9, use_nesterov=False)
         reference = 0.0
         for t in range(1, 101):
-            tr = sgdm_step(state, params, [1.0], hp, 0.1)
+            tr = sgdm_step(state, params, [1.0], hp, 0.1, transcript=True)
             reference = 0.9 * reference + 1.0
             np.testing.assert_allclose(tr.m, [reference], rtol=1e-13)
             np.testing.assert_allclose(tr.m, [(1.0 - 0.9**t) / 0.1], rtol=1e-12)
@@ -291,7 +292,7 @@ class TestSgdmStep:
     def test_nesterov_single_step_hand_computed(self):
         state, params = fresh([3.0])
         hp = HyperParams(beta1=0.9, use_nesterov=True)
-        tr = sgdm_step(state, params, [6.0], hp, 0.1)
+        tr = sgdm_step(state, params, [6.0], hp, 0.1, transcript=True)
         # m = 0.9*0 + 0.1*6 = 0.6; delta = -(0.9*0.6 + 0.1*6) = -1.14
         np.testing.assert_allclose(tr.m, [0.6], rtol=1e-15)
         np.testing.assert_allclose(params.values, [1.86], rtol=1e-15)
@@ -340,7 +341,7 @@ class TestReductionLattice:
             params = ParamVector(theta0)
             state = OptimizerState(params.dim)
             left = [
-                adaplus_step(state, params, g, hp, lr, suppress_recursion_eps=True)
+                adaplus_step(state, params, g, hp, lr, suppress_recursion_eps=True, transcript=True)
                 for g, lr in zip(stream, lrs)
             ]
             right = drive_stream("adamw", stream, theta0, HyperParams(), lrs)
@@ -415,3 +416,133 @@ class TestKernelProperties:
             for tr in drive_stream(kernel, stream, theta0, HyperParams(), lrs):
                 for field in ALL_FIELDS:
                     assert getattr(tr, field).shape == (7,)
+
+
+def snapshot(state, params):
+    return (state.t, params.values.tobytes(), state.m.tobytes(), state.second_moment.tobytes())
+
+
+def attempt(step, state, params, g, hp, lr, **kwargs):
+    """Run one step; the raised ``NonFiniteValue`` as (stage, step, index), or None."""
+    try:
+        step(state, params, g, hp, lr, **kwargs)
+    except NonFiniteValue as exc:
+        return exc.stage, exc.step, exc.index
+    return None
+
+
+class TestLeanAndTranscriptPaths:
+    """The default step and ``transcript=True`` run one core: same bits, same errors, atomic raises."""
+
+    BETAS = ((0.0, 0.0), (0.9, 0.999), (1.0 - 1e-12, 1.0 - 1e-12), (0.0, 1.0 - 1e-12))
+    GRAD_EXPONENTS = (-300, -150, 0, 150, 300)
+
+    def cases(self, rng):
+        for dim in (1, 2, 5, 17, 64):
+            for beta1, beta2 in self.BETAS:
+                for exponent in self.GRAD_EXPONENTS:
+                    for eps in (1e-8, 0.0):
+                        hp = HyperParams(beta1=beta1, beta2=beta2, eps=eps, decoupled_decay=True)
+                        theta0 = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                        stream = []
+                        for _ in range(6):
+                            g = rng.standard_normal(dim) * 10.0**exponent
+                            g[rng.random(dim) < 0.2] = 0.0
+                            if rng.random() < 0.02:
+                                g[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+                            stream.append(g)
+                        lrs = [float(rng.choice([1e-3, 1.0, 1e10])) for _ in stream]
+                        yield hp, theta0, stream, lrs
+
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_paths_agree_bit_for_bit_and_raise_atomically(self, kernel):
+        step = KERNEL_STEPS[kernel]
+        rng = np.random.default_rng(KERNEL_IDS.index(kernel))
+        finished = raised = 0
+        for hp, theta0, stream, lrs in self.cases(rng):
+            lean, full = fresh(theta0), fresh(theta0)
+            for g, lr in zip(stream, lrs):
+                before = snapshot(*lean)
+                lean_error = attempt(step, *lean, g, hp, lr)
+                full_error = attempt(step, *full, g, hp, lr, transcript=True)
+                assert lean_error == full_error
+                assert snapshot(*lean) == snapshot(*full)
+                if lean_error is not None:
+                    assert snapshot(*lean) == before
+                    raised += 1
+                    break
+            else:
+                finished += 1
+        # the grid must reach both outcomes, or one half of the test is vacuous
+        assert finished and raised, (finished, raised)
+
+    def test_transcript_copies_the_committed_values(self):
+        rng = np.random.default_rng(3)
+        stream, theta0, lrs = random_stream(rng, 9, 20)
+        for kernel in KERNEL_IDS:
+            state, params = fresh(theta0)
+            for g, lr in zip(stream, lrs):
+                tr = KERNEL_STEPS[kernel](state, params, g, HyperParams(), lr, transcript=True)
+                assert tr.t == state.t
+                assert tr.theta_after.tobytes() == params.values.tobytes()
+                assert tr.m.tobytes() == state.m.tobytes()
+                if kernel != "sgdm":
+                    assert tr.second_moment.tobytes() == state.second_moment.tobytes()
+
+    def test_default_step_returns_none(self):
+        for kernel in KERNEL_IDS:
+            state, params = fresh([0.5, -0.5])
+            assert KERNEL_STEPS[kernel](state, params, [0.1, 0.2], HyperParams(), 1e-3) is None
+            assert state.t == 1
+
+
+class TestHeldArrays:
+    """Which arrays a caller may hold across a step: ``params.values`` yes, ``state.m`` no."""
+
+    def test_params_values_is_updated_in_place(self):
+        state, params = fresh([1.0, -2.0, 0.5])
+        theta = params.values
+        g = np.array([0.3, -0.1, 0.2])
+        first = adaplus_step(state, params, g, HyperParams(), 1e-3, transcript=True)
+        assert params.values is theta
+        np.testing.assert_array_equal(theta, first.theta_after)
+        # a transcript owns its arrays: later steps leave them alone
+        kept = first.theta_after.copy()
+        adaplus_step(state, params, g, HyperParams(), 1e-3)
+        assert params.values is theta
+        np.testing.assert_array_equal(first.theta_after, kept)
+        assert not np.array_equal(theta, kept)
+        # a failed step leaves the held array as it was
+        held = theta.copy()
+        with pytest.raises(NonFiniteValue):
+            adaplus_step(state, params, [np.nan, 0.0, 0.0], HyperParams(), 1e-3)
+        np.testing.assert_array_equal(theta, held)
+
+    def test_state_moments_are_rebound_and_their_old_arrays_reused(self):
+        state, params = fresh([1.0, -2.0, 0.5])
+        g = np.array([0.3, -0.1, 0.2])
+        adaplus_step(state, params, g, HyperParams(), 1e-3)
+        held_m, held_s = state.m, state.second_moment
+        values = held_m.copy(), held_s.copy()
+        tr = adaplus_step(state, params, g, HyperParams(), 1e-3, transcript=True)
+        # the step rebinds the moments; the state holds the committed values
+        assert state.m is not held_m and state.second_moment is not held_s
+        np.testing.assert_array_equal(state.m, tr.m)
+        np.testing.assert_array_equal(state.second_moment, tr.second_moment)
+        # the arrays held from before are the step's scratch from now on
+        adaplus_step(state, params, g, HyperParams(), 1e-3)
+        assert state.m is held_m and state.second_moment is held_s
+        assert not np.array_equal(held_m, values[0])
+        # a failed step rebinds nothing
+        before = state.m, state.second_moment
+        with pytest.raises(NonFiniteValue):
+            adaplus_step(state, params, [np.inf, 0.0, 0.0], HyperParams(), 1e-3)
+        assert state.m is before[0] and state.second_moment is before[1]
+
+    def test_gradient_may_alias_params_values(self):
+        # the core reads the gradient before anything is written back
+        aliased, copied = fresh([0.7, -1.2]), fresh([0.7, -1.2])
+        for _ in range(5):
+            adaplus_step(*aliased, aliased[1].values, HyperParams(), 1e-2)
+            adaplus_step(*copied, copied[1].values.copy(), HyperParams(), 1e-2)
+        assert snapshot(*aliased) == snapshot(*copied)

@@ -7,6 +7,7 @@ from adaplus.errors import ConfigError
 from adaplus.problems import (
     GradientSource,
     NoiseSpec,
+    Problem,
     check_gradient,
     large_grad_small_curvature,
     logistic_regression_synthetic,
@@ -144,6 +145,45 @@ class TestLogisticRegressionSynthetic:
         assert len(first) == 4
         np.testing.assert_allclose(float(first[0]), p.features[0, 0], rtol=0, atol=0)
         assert first[3] in ("-1", "1")
+
+
+class TestGradientOnly:
+    PROBLEMS = (
+        quadratic(7, 50.0),
+        rosenbrock(6),
+        large_grad_small_curvature(10.0, 1e-3),
+        logistic_regression_synthetic(80, 5, 0.5, seed=3),
+    )
+
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: p.name.split("(")[0])
+    def test_gradient_equals_evaluate_bit_for_bit(self, problem):
+        rng = np.random.default_rng(41)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(5):
+                theta = rng.standard_normal(problem.dim) * scale
+                got = problem.gradient(theta)
+                _, want = problem.evaluate(theta)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_gradient_falls_back_to_loss_and_grad(self):
+        p = Problem("ramp", 1, lambda th: (float(2.0 * th[0]), [2.0]))
+        np.testing.assert_array_equal(p.gradient([0.5]), [2.0])
+        with pytest.raises(ValueError):
+            p.gradient([0.5, 1.0])
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(kind="gaussian_additive", scale=0.5, seed=2)])
+    def test_source_does_not_evaluate_the_loss(self, noise, monkeypatch):
+        p = quadratic(4, 10.0)
+        theta = np.linspace(-1.0, 1.0, 4)
+        want = GradientSource(p, noise, replica_seed=3).gradient(theta)
+
+        def no_loss(self, theta):
+            raise AssertionError("training gradient evaluated the loss")
+
+        monkeypatch.setattr(Problem, "evaluate", no_loss)
+        got = GradientSource(p, noise, replica_seed=3).gradient(theta)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCheckGradient:
