@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -410,6 +410,10 @@ def record_to_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the top-level keys of a JSON record
+_RECORD_KEYS = ("config_hash", "problem_id", "optimizer_id", "config", "rows", "summary")
+
+
 def record_to_json(record: RunRecord) -> str:
     doc = {
         "config_hash": record.config_hash,
@@ -435,9 +439,31 @@ def emit(record: RunRecord, format: str, path) -> None:
 
 
 def load_record(path) -> RunRecord:
-    """Read back a JSON record emitted by :func:`emit`."""
+    """Read back a JSON record emitted by :func:`emit`.
+
+    A record without one of the top-level keys, with a row that is not seven
+    numbers, or with summary keys other than ``RunSummary``'s raises
+    ``ConfigError`` naming the file and the field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a record must be a JSON object")
+    for key in _RECORD_KEYS:
+        if key not in doc:
+            raise ConfigError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["config"], dict):
+        raise ConfigError(f"{path}: field 'config' must be an object")
+    if not isinstance(doc["rows"], list):
+        raise ConfigError(f"{path}: field 'rows' must be a list")
+    for i, r in enumerate(doc["rows"]):
+        # JSON's true and false load as bool, a subclass of int
+        numbers = isinstance(r, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in r)
+        if not (numbers and len(r) == len(fields(LogRow))):
+            raise ConfigError(f"{path}: field 'rows[{i}]' must be {len(fields(LogRow))} numbers, got {r!r}")
+    summary_keys = [f.name for f in fields(RunSummary)]
+    if not (isinstance(doc["summary"], dict) and set(doc["summary"]) == set(summary_keys)):
+        raise ConfigError(f"{path}: field 'summary' must have exactly the keys {summary_keys}")
     return RunRecord(
         config_hash=doc["config_hash"],
         problem_id=doc["problem_id"],
@@ -481,9 +507,9 @@ class ComparisonTable:
 def compare(records) -> ComparisonTable:
     """Aggregate records over seeds into one table row each; lowest means get marked.
 
-    All records must describe the same problem over the same seeds, and none
-    may be aborted: a partial record's losses are not comparable with a
-    finished one's.
+    All records must describe the same problem over the same seeds and the
+    same step budget, and none may be aborted: a partial record's losses are
+    not comparable with a finished one's.
     """
     records = list(records)
     if not records:
@@ -494,9 +520,13 @@ def compare(records) -> ComparisonTable:
     aborted = [r.optimizer_id for r in records if r.summary.aborted]
     if aborted:
         raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
-    seed_sets = {dict(r.config)["seeds"] for r in records}
+    configs = [dict(r.config) for r in records]
+    seed_sets = {c["seeds"] for c in configs}
     if len(seed_sets) != 1:
         raise ConfigError(f"records use different seed sets: {sorted(seed_sets)}")
+    budgets = {(c["epochs"], c["steps_per_epoch"]) for c in configs}
+    if len(budgets) != 1:
+        raise ConfigError(f"records use different step budgets (epochs, steps_per_epoch): {sorted(budgets)}")
 
     rows = []
     for record in records:

@@ -12,7 +12,30 @@ Six update rules from one adaptive family:
 All six run through one core.  A step call validates its inputs once,
 computes into scratch buffers owned by its ``OptimizerState``, checks that
 the new parameters and second moment are finite, and only then commits and
-increments ``t``.  A call that raises leaves ``t``, the moments and the
+increments ``t``.
+
+At small dims a step's cost is the number of numpy calls, so the core keeps
+each call cheap.  Every scalar operand (``b1``, ``1 - b1``, ``b2``,
+``1 - b2``, the recursion ``eps``, ``eps``, ``1 - b1^t``, ``1 - b2^t``,
+``lr_t`` and ``1 - lr_t * wd``) is written each step into a ten-element
+float64 array owned by the state and passed to the ufuncs as a 0-d view,
+which numpy takes faster than a Python float; each value is the same Python
+expression as before, so no bit changes.  Every ufunc gets its output as a
+positional argument.  The finiteness check is one dot product: an inf or
+NaN in the new parameters or second moment (the parameters with themselves
+for ``sgdm``) makes ``new_theta . new_s`` non-finite, and only then, since
+finite terms can overflow, are the two arrays scanned exactly.
+
+Above ``CHUNK`` (16384) elements the same core runs over consecutive blocks
+of that many elements, so its ~20 elementwise passes find their operands in
+L2 instead of streaming whole vectors through memory, and the temporary
+shrinks to one block.  One block of the eight vectors the core touches is
+1 MiB, half of a 2 MiB per-core L2; on such a host a step at dim 2^20 costs
+about the same with blocks of 16 Ki to 64 Ki elements, more with 256 Ki and
+up (out of L2) and more with 8 Ki and down (per-call overhead).  Each
+element sees the same operations in the same order, so the bits are those of
+one whole-vector call.  The transcript path and the re-run that attributes a
+failure use the same core over the whole vector as one block.  A call that raises leaves ``t``, the moments and the
 parameters untouched.  The commit copies the new parameters into
 ``params.values`` in place, so that array keeps its identity and a caller may
 hold it across steps.  The moments are not copied: ``state.m`` and
@@ -171,20 +194,30 @@ class _Rule(NamedTuple):
     use_nesterov: bool
 
 
-def _scratch(state: OptimizerState) -> tuple[np.ndarray, ...]:
-    # four dim-length buffers per state, made on its first step: the next m
-    # and second moment (each trades places with the state's array at a
-    # commit), the next theta and one temporary.  One set per state keeps
+# elements per block of the sweep over a long vector (module docstring)
+CHUNK = 16384
+
+
+def _scratch(state: OptimizerState) -> tuple:
+    # made on a state's first step: buffers for the next m, second moment and
+    # theta (m and the second moment trade places with the state's arrays at
+    # a commit), one temporary of one block's length, and the array of the
+    # ten step coefficients with a 0-d view of each.  One set per state keeps
     # replicas stepped on different threads apart.
     if state._scratch is None:
-        state._scratch = tuple(np.empty((4, state.dim)))
+        coefficients = np.empty(10)
+        views = tuple(coefficients[i, ...] for i in range(10))
+        state._scratch = (*np.empty((3, state.dim)), np.empty(min(state.dim, CHUNK)), coefficients, views)
     return state._scratch
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    # a sum is finite only if every term is; a sum of finite terms that
-    # overflows falls through to the exact test
-    return math.isfinite(np.add.reduce(x)) or bool(np.isfinite(x).all())
+def _all_finite(new_theta: np.ndarray, new_s: np.ndarray | None) -> bool:
+    # an inf or NaN in either operand makes the dot product non-finite; an
+    # overflow among finite terms can too, and falls through to the exact test
+    other = new_theta if new_s is None else new_s
+    if math.isfinite(np.dot(new_theta, other)):
+        return True
+    return bool(np.isfinite(new_theta).all()) and (new_s is None or bool(np.isfinite(new_s).all()))
 
 
 def _earliest_non_finite(fields: dict, t: int) -> NonFiniteValue:
@@ -195,31 +228,33 @@ def _earliest_non_finite(fields: dict, t: int) -> NonFiniteValue:
     raise AssertionError("no non-finite transcript field")
 
 
-def _core(state, theta, g, hp, lr_t, t, rule, capture):
-    """Compute one step into ``state``'s scratch buffers; nothing else is written.
+def _core(theta, g, m, s, out, k, rule, capture):
+    """Compute one step of ``theta, g, m, s`` into the ``out`` buffers; nothing else is written.
 
-    Returns the buffers holding the new ``(theta, m, second_moment)``, the
-    last ``None`` for momentum.  When ``capture`` is a dict, every transcript
-    field is copied into it as soon as its buffer holds it.  The ufunc
-    sequence is the same either way and keeps the order of operations of
-    the elementwise update rules in the module docstring.
+    ``out`` is ``(new_m, new_s, new_theta, a)`` with ``a`` a temporary; the
+    new second moment is not written for momentum.  ``k`` holds the step
+    coefficients as 0-d arrays, in the order ``_step`` writes them.  When
+    ``capture`` is a dict, every transcript field but ``decay_applied`` is
+    copied into it as soon as its buffer holds it.  The ufunc sequence is
+    the same either way and keeps the order of operations of the elementwise
+    update rules in the module docstring.
     """
-    new_m, new_s, new_theta, a = _scratch(state)
-    b1 = hp.beta1
+    new_m, new_s, new_theta, a = out
+    b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     if rule.momentum:
         if rule.use_nesterov:
-            np.multiply(g, lr_t, out=a)
-            np.multiply(state.m, b1, out=new_m)
-            new_m += a  # m = mu * m + lr_t * g
-            np.multiply(new_m, b1, out=new_theta)  # new_theta is a temporary until the update
-            a += new_theta  # m_bar = mu * m + lr_t * g, the applied step
+            np.multiply(g, lr, a)
+            np.multiply(m, b1, new_m)
+            np.add(new_m, a, new_m)  # m = mu * m + lr_t * g
+            np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
+            np.add(a, new_theta, a)  # m_bar = mu * m + lr_t * g, the applied step
             m_bar = a
         else:
-            np.multiply(state.m, b1, out=new_m)
-            new_m += g  # m = mu * m + g
+            np.multiply(m, b1, new_m)
+            np.add(new_m, g, new_m)  # m = mu * m + g
             m_bar = new_m
-            np.multiply(new_m, lr_t, out=a)  # lr_t * m, the applied step
-        np.subtract(theta, a, out=new_theta)
+            np.multiply(new_m, lr, a)  # lr_t * m, the applied step
+        np.subtract(theta, a, new_theta)
         if capture is not None:
             capture.update(
                 m=new_m.copy(),
@@ -227,57 +262,61 @@ def _core(state, theta, g, hp, lr_t, t, rule, capture):
                 m_bar=m_bar.copy(),
                 m_hat=m_bar.copy(),
                 s_hat=np.zeros_like(theta),
-                decay_applied=np.zeros_like(theta),
                 delta_theta=np.negative(a),
                 theta_after=new_theta.copy(),
             )
-        return new_theta, new_m, None
+        return
 
-    # sums and products are formed as ``x += y`` where the rule reads
+    # sums and products are formed as ``x + y`` where the rule reads
     # ``y + x``: IEEE addition and multiplication commute exactly
-    b2 = hp.beta2
-    np.multiply(g, 1.0 - b1, out=a)  # (1 - b1) * g, shared by m and m_bar
-    np.multiply(state.m, b1, out=new_m)
-    new_m += a  # m = b1 * m + (1 - b1) * g
+    np.multiply(g, c1, a)  # (1 - b1) * g, shared by m and m_bar
+    np.multiply(m, b1, new_m)
+    np.add(new_m, a, new_m)  # m = b1 * m + (1 - b1) * g
     if rule.use_nesterov:
-        np.multiply(new_m, b1, out=new_theta)  # new_theta is a temporary until the update
-        a += new_theta  # m_bar = b1 * m + (1 - b1) * g
+        np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
+        np.add(a, new_theta, a)  # m_bar = b1 * m + (1 - b1) * g
         m_bar = a
     else:
         m_bar = new_m
     if rule.use_belief:
-        np.subtract(g, new_m, out=new_theta)  # residual r = g - m
-        np.multiply(new_theta, 1.0 - b2, out=new_s)
-        new_s *= new_theta  # ((1 - b2) * r) * r
+        np.subtract(g, new_m, new_theta)  # residual r = g - m
+        np.multiply(new_theta, c2, new_s)
+        np.multiply(new_s, new_theta, new_s)  # ((1 - b2) * r) * r
     else:
-        np.multiply(g, 1.0 - b2, out=new_s)
-        new_s *= g  # ((1 - b2) * g) * g
-    np.multiply(state.second_moment, b2, out=new_theta)
-    new_s += new_theta  # s = b2 * s + the term above
+        np.multiply(g, c2, new_s)
+        np.multiply(new_s, g, new_s)  # ((1 - b2) * g) * g
+    np.multiply(s, b2, new_theta)
+    np.add(new_s, new_theta, new_s)  # s = b2 * s + the term above
     if rule.recursion_eps:
-        new_s += rule.recursion_eps
+        np.add(new_s, recursion_eps, new_s)
     if capture is not None:
         capture.update(m=new_m.copy(), second_moment=new_s.copy(), m_bar=m_bar.copy())
-    np.divide(m_bar, 1.0 - b1**t, out=a)  # m_hat
-    np.divide(new_s, 1.0 - b2**t, out=new_theta)  # s_hat
+    np.divide(m_bar, bc1, a)  # m_hat
+    np.divide(new_s, bc2, new_theta)  # s_hat
     if capture is not None:
         capture.update(m_hat=a.copy(), s_hat=new_theta.copy())
-    a *= lr_t
-    np.sqrt(new_theta, out=new_theta)
-    new_theta += hp.eps
-    a /= new_theta  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
+    np.multiply(a, lr, a)
+    np.sqrt(new_theta, new_theta)
+    np.add(new_theta, eps, new_theta)
+    np.divide(a, new_theta, a)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
     if rule.apply_decay:
-        np.multiply(theta, 1.0 - lr_t * hp.weight_decay, out=new_theta)
-        new_theta -= a
+        np.multiply(theta, decay, new_theta)
+        np.subtract(new_theta, a, new_theta)
     else:
-        np.subtract(theta, a, out=new_theta)
+        np.subtract(theta, a, new_theta)
     if capture is not None:
-        capture.update(
-            decay_applied=(lr_t * hp.weight_decay) * theta if rule.apply_decay else np.zeros_like(theta),
-            delta_theta=np.negative(a),
-            theta_after=new_theta.copy(),
-        )
-    return new_theta, new_m, new_s
+        capture.update(delta_theta=np.negative(a), theta_after=new_theta.copy())
+
+
+def _captured(state, theta, g, hp, lr_t, rule, out, k) -> dict:
+    """Run the core over the whole vector with capture on; the transcript fields."""
+    new_m, new_s, new_theta, a = out
+    if a.size != theta.size:
+        a = np.empty_like(theta)
+    capture = {"g": g}
+    _core(theta, g, state.m, state.second_moment, (new_m, new_s, new_theta, a), k, rule, capture)
+    capture["decay_applied"] = (lr_t * hp.weight_decay) * theta if rule.apply_decay else np.zeros_like(theta)
+    return capture
 
 
 def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
@@ -287,30 +326,49 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # gradient is read where it lies
     g = np.array(grads, dtype=np.float64) if transcript else np.asarray(grads, dtype=np.float64)
     theta = params.values
-    if g.ndim != 1 or g.size != theta.size:
-        raise DimensionMismatch("gradient", theta.size, g.size)
-    if state.dim != theta.size:
-        raise DimensionMismatch("state", theta.size, state.dim)
+    dim = theta.size
+    if g.ndim != 1 or g.size != dim:
+        raise DimensionMismatch("gradient", dim, g.size)
+    if state.dim != dim:
+        raise DimensionMismatch("state", dim, state.dim)
     if not (math.isfinite(lr_t) and lr_t > 0):
         raise ValueError(f"lr_t must be a positive finite real, got {lr_t}")
     t = state.t + 1
 
+    new_m, new_s, new_theta, a, coefficients, k = _scratch(state)
+    out = new_m, new_s, new_theta, a
+    # each coefficient is computed in Python floats and stored exactly, so
+    # the ufuncs see the operand values of the update rules
+    b1, b2 = hp.beta1, hp.beta2
+    coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t, 1.0 - b2**t,
+                         lr_t, 1.0 - lr_t * hp.weight_decay)
+    m, s = state.m, state.second_moment
     # non-finite values are raised as structured errors below; numpy's own
     # warnings would only duplicate that
     with np.errstate(all="ignore"):
-        capture = {"g": g} if transcript else None
-        new_theta, new_m, new_s = _core(state, theta, g, hp, lr_t, t, rule, capture)
+        capture = None
+        if transcript:
+            capture = _captured(state, theta, g, hp, lr_t, rule, out, k)
+        elif dim <= CHUNK:
+            # no slicing: at small dims it would cost more than the arithmetic
+            _core(theta, g, m, s, out, k, rule, None)
+        else:
+            for lo in range(0, dim, CHUNK):
+                hi = min(lo + CHUNK, dim)
+                block = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
+                _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], block, k, rule, None)
+        if rule.momentum:
+            new_s = None
         # every non-finite value, the gradient's included, reaches the new
         # parameter or the second moment (an inf denominator turns the update
-        # into -0, so the parameter alone can hide one), so these two checks
-        # cover every stage; the gradient is named first when it is the cause
-        if not (_all_finite(new_theta) and (new_s is None or _all_finite(new_s))):
+        # into -0, so the parameter alone can hide one), so this check covers
+        # every stage; the gradient is named first when it is the cause
+        if not _all_finite(new_theta, new_s):
             bad = np.flatnonzero(~np.isfinite(g))
             if bad.size:
                 raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
             if capture is None:
-                capture = {"g": g}
-                _core(state, theta, g, hp, lr_t, t, rule, capture)
+                capture = _captured(state, theta, g, hp, lr_t, rule, out, k)
             raise _earliest_non_finite(capture, t)
 
     # the parameters are updated in place; the moments trade places with
@@ -318,10 +376,10 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     np.copyto(theta, new_theta)
     scratch = state._scratch
     if new_s is None:
-        state._scratch = (state.m,) + scratch[1:]
+        state._scratch = (m,) + scratch[1:]
         state.m = new_m
     else:
-        state._scratch = (state.m, state.second_moment) + scratch[2:]
+        state._scratch = (m, s) + scratch[2:]
         state.m, state.second_moment = new_m, new_s
     state.t = t
     return StepTranscript(t=t, **capture) if transcript else None

@@ -60,8 +60,7 @@ def _pack(t, *columns):
     # the columns come in StepTranscript's field order and are cast to one
     # float64 block; extended-precision values beyond float64 range cast to
     # inf here and are reported below as structured errors
-    with np.errstate(over="ignore"):
-        block = np.array(columns, dtype=np.float64)
+    block = np.array(columns, dtype=np.float64)
     transcript = StepTranscript(t, *block)
     if not np.isfinite(block).all():
         for name in FIELD_ORDER:
@@ -360,4 +359,8 @@ def replay(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[StepTra
     bit-identical transcripts.
     """
     stream, theta0, lrs = _validated(kernel_id, stream, theta0, lrs)
-    return _REPLAYS[kernel_id](stream, theta0, hp, lrs)
+    # a division by zero, an invalid operation or an overflow is raised as a
+    # structured ``NonFiniteValue`` once its stage is packed; numpy's own
+    # warnings would only come before it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _REPLAYS[kernel_id](stream, theta0, hp, lrs)

@@ -230,6 +230,54 @@ class TestEmit:
             emit(self.make_record([]), "yaml", tmp_path / "x.yaml")
 
 
+class TestLoadRecord:
+    """A malformed JSON record raises ConfigError naming the file and the field."""
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        path = tmp_path / "record.json"
+        emit(run(parse_config(QUAD_CONFIG)), "json", path)
+        return json.loads(path.read_text())
+
+    def load(self, tmp_path, doc):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return load_record(path)
+
+    @pytest.mark.parametrize("key", ["config_hash", "problem_id", "optimizer_id", "config", "rows", "summary"])
+    def test_missing_top_level_key(self, tmp_path, doc, key):
+        del doc[key]
+        with pytest.raises(ConfigError, match=rf"edited\.json.*{key}"):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "row",
+        [1, [1, 0, 1, 1e-3, 1.0, 0.1], [1, 0, 1, 1e-3, 1.0, 0.1, 2.0, 3.0], [1, 0, 1, 1e-3, "1.0", 0.1, 2.0],
+         [1, 0, 1, 1e-3, True, 0.1, 2.0], [1, 0, 1, 1e-3, None, 0.1, 2.0]],
+    )
+    def test_row_that_is_not_seven_numbers(self, tmp_path, doc, row):
+        doc["rows"][1] = row
+        with pytest.raises(ConfigError, match=r"edited\.json.*rows\[1\]"):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize("edit", ["drop", "add", "replace"])
+    def test_summary_keys_must_match_run_summary(self, tmp_path, doc, edit):
+        if edit != "add":
+            del doc["summary"]["wall_time_s"]
+        if edit != "drop":
+            doc["summary"]["elapsed_s"] = 0.1
+        with pytest.raises(ConfigError, match=r"edited\.json.*summary"):
+            self.load(tmp_path, doc)
+
+    def test_non_object_fields(self, tmp_path, doc):
+        for key, value in (("rows", {"a": 1}), ("config", [1]), ("summary", [1])):
+            edited = dict(doc, **{key: value})
+            with pytest.raises(ConfigError, match=rf"edited\.json.*{key}"):
+                self.load(tmp_path, edited)
+        with pytest.raises(ConfigError, match=r"edited\.json"):
+            self.load(tmp_path, [doc])
+
+
 class TestCompare:
     def test_single_record_table_equals_summary(self):
         record = run(parse_config(QUAD_CONFIG))
@@ -268,6 +316,15 @@ class TestCompare:
         b = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")))
         with pytest.raises(ConfigError, match="seed sets"):
             compare([a, b])
+
+    def test_different_step_budgets_rejected(self):
+        a = run(parse_config(QUAD_CONFIG))
+        for budget in ("epochs = 2", "steps_per_epoch = 400"):
+            key = budget.split(" =")[0]
+            line = next(line for line in QUAD_CONFIG.splitlines() if line.startswith(key))
+            b = run(parse_config(QUAD_CONFIG.replace(line, budget)))
+            with pytest.raises(ConfigError, match="step budgets"):
+                compare([a, b])
 
     def test_belief_kernel_beats_variance_kernel_on_ramp(self):
         records = [
@@ -385,6 +442,26 @@ log_every = 1
         code = cli.main(["compare", "--inputs", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
         assert code == 1
         assert "seed sets" in capsys.readouterr().err
+
+    def test_compare_different_step_budgets_exits_one(self, tmp_path, capsys):
+        cfg_a = self.write_config(tmp_path, QUAD_CONFIG, name="a.cfg")
+        cfg_b = self.write_config(tmp_path, QUAD_CONFIG.replace("epochs = 1", "epochs = 2"), name="b.cfg")
+        for cfg in (cfg_a, cfg_b):
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+        code = cli.main(["compare", "--inputs", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == 1
+        assert "step budgets" in capsys.readouterr().err
+
+    def test_compare_malformed_record_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, QUAD_CONFIG)
+        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["rows"] = [1]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["compare", "--inputs", str(tmp_path / "bad.json")]) == 1
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "rows[0]" in err
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -1,10 +1,15 @@
 """Unit tests for the optimizer kernels and the learning-rate schedule."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import (
+    CHUNK,
     KERNEL_IDS,
     KERNEL_STEPS,
     HyperParams,
@@ -546,3 +551,101 @@ class TestHeldArrays:
             adaplus_step(*aliased, aliased[1].values, HyperParams(), 1e-2)
             adaplus_step(*copied, copied[1].values.copy(), HyperParams(), 1e-2)
         assert snapshot(*aliased) == snapshot(*copied)
+
+
+class TestOverflowingCheck:
+    def test_finite_step_whose_check_product_overflows_commits(self):
+        # theta * s (theta * theta for sgdm) overflows although every value
+        # is finite; the exact test must let the step through
+        for kernel in KERNEL_IDS:
+            state, params = fresh([1e200, -1e200])
+            assert attempt(KERNEL_STEPS[kernel], state, params, [1e150, 1e150], HyperParams(), 1e-3) is None
+            assert state.t == 1 and np.isfinite(params.values).all()
+
+
+BLOCK_DIMS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+def toggled(kernel):
+    """Every combination of the switches a kernel reads, as (hp keyword arguments, step keyword arguments)."""
+    for nesterov, belief, decay in itertools.product((True, False), repeat=3):
+        yield {"use_nesterov": nesterov, "use_belief": belief, "decoupled_decay": decay}, {}
+    if kernel == "adaplus":
+        yield {}, {"suppress_recursion_eps": True}
+
+
+def blocks(dim):
+    return [slice(lo, lo + CHUNK) for lo in range(0, dim, CHUNK)]
+
+
+class TestBlockedSweep:
+    """Above ``CHUNK`` elements a step runs block by block, with the same bits and errors as whole."""
+
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_blocks_match_each_block_stepped_alone(self, kernel):
+        step = KERNEL_STEPS[kernel]
+        rng = np.random.default_rng(KERNEL_IDS.index(kernel))
+        for dim in BLOCK_DIMS:
+            for hp_kwargs, kwargs in toggled(kernel):
+                hp = HyperParams(**hp_kwargs)
+                theta0 = rng.standard_normal(dim)
+                whole, full = fresh(theta0), fresh(theta0)
+                pieces = [fresh(theta0[b]) for b in blocks(dim)]
+                for lr in (1e-3, 1e-1, 1e-2):
+                    g = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3)
+                    step(*whole, g, hp, lr, **kwargs)
+                    # a transcript runs the whole vector as one block
+                    step(*full, g, hp, lr, transcript=True, **kwargs)
+                    for piece, b in zip(pieces, blocks(dim)):
+                        step(*piece, g[b], hp, lr, **kwargs)
+                joined = (
+                    pieces[0][0].t,
+                    b"".join(p.values.tobytes() for _, p in pieces),
+                    b"".join(s.m.tobytes() for s, _ in pieces),
+                    b"".join(s.second_moment.tobytes() for s, _ in pieces),
+                )
+                assert snapshot(*whole) == joined
+                assert snapshot(*full) == joined
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kernel=st.sampled_from(KERNEL_IDS), dim=st.sampled_from(BLOCK_DIMS), data=st.data())
+    def test_non_finite_gradient_in_last_block(self, kernel, dim, data):
+        step = KERNEL_STEPS[kernel]
+        hp_kwargs, kwargs = data.draw(st.sampled_from(list(toggled(kernel))), label="toggles")
+        last = blocks(dim)[-1].start
+        index = data.draw(st.integers(last, dim - 1), label="index")
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="bad")
+        at_step = data.draw(st.integers(1, 3), label="at_step")
+        rng = np.random.default_rng(index)
+        state, params = fresh(rng.standard_normal(dim))
+        for t in range(1, at_step + 1):
+            g = rng.standard_normal(dim)
+            if t == at_step:
+                # an overflow in the first block does not take the blame from the gradient
+                g[0] = 1e200
+                g[index] = bad
+            before = snapshot(state, params)
+            error = attempt(step, state, params, g, HyperParams(**hp_kwargs), 1e-3, **kwargs)
+        assert error == ("gradient", at_step, index)
+        assert snapshot(state, params) == before
+
+    @pytest.mark.parametrize("kernel", [k for k in KERNEL_IDS if k != "sgdm"])
+    def test_zero_over_zero_in_last_block(self, kernel):
+        # with eps = 0 a zero gradient element makes its update 0/0; the
+        # error names the stage and the global index, as stepping that
+        # block alone does with the local one
+        step = KERNEL_STEPS[kernel]
+        rng = np.random.default_rng(5)
+        for dim, (hp_kwargs, kwargs) in itertools.product(BLOCK_DIMS, toggled(kernel)):
+            hp = HyperParams(eps=0.0, **hp_kwargs)
+            last = blocks(dim)[-1]
+            index = int(rng.integers(last.start, dim))
+            g = rng.standard_normal(dim)
+            g[index] = 0.0
+            theta0 = rng.standard_normal(dim)
+            whole, alone = fresh(theta0), fresh(theta0[last])
+            before = snapshot(*whole)
+            error = attempt(step, *whole, g, hp, 1e-3, **kwargs)
+            stage, t, local = attempt(step, *alone, g[last], hp, 1e-3, **kwargs)
+            assert error == (stage, t, last.start + local) == ("delta_theta", 1, index)
+            assert snapshot(*whole) == before

@@ -1,5 +1,6 @@
 """Tests for the scalar replay oracle, its fixtures, and kernel/oracle agreement."""
 
+import warnings
 from decimal import Decimal, getcontext
 from pathlib import Path
 
@@ -176,6 +177,16 @@ class TestReplayValidation:
         with pytest.raises(NonFiniteValue) as exc:
             replay("adam", [[1e200]], [0.0], HyperParams(), [1e-3])
         assert exc.value.stage == "second_moment"
+        assert exc.value.step == 1
+
+    def test_zero_denominator_raises_only_the_structured_error(self):
+        # with eps = 0 a zero gradient gives 0/0 in the update; numpy must
+        # not warn about it before the NonFiniteValue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                replay("adaplus", [[1e-300, 0.0]] * 3, [0.5, 0.5], HyperParams(eps=0.0), [1e-3] * 3)
+        assert exc.value.stage == "delta_theta"
         assert exc.value.step == 1
 
 
