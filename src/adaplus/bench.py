@@ -80,6 +80,14 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
+        # numpy's generators take no negative seed
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        if self.noise.seed < 0:
+            raise ConfigError(f"noise.seed must be non-negative, got {self.noise.seed}")
+        problem_seed = dict(self.problem_params).get("seed", 0)
+        if problem_seed < 0:
+            raise ConfigError(f"problem.seed must be non-negative, got {problem_seed}")
         if self.theta0 not in _THETA0_MODES:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
 
@@ -153,7 +161,7 @@ def parse_config(text: str) -> RunConfig:
       ``use_nesterov``, ``use_belief``, ``decoupled_decay``
     - ``epochs``, ``steps_per_epoch``, ``log_every``
     - ``milestones`` (comma-separated epochs, may be empty), ``decay_factor``
-    - ``seeds`` (comma-separated, unique), ``theta0`` (``seeded`` or ``zeros``)
+    - ``seeds`` (comma-separated, unique, non-negative), ``theta0`` (``seeded`` or ``zeros``)
     - ``noise`` (``none``, ``gaussian_additive``, ``minibatch_subset``),
       ``noise.scale``, ``noise.seed``
 

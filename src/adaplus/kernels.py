@@ -35,21 +35,27 @@ about the same with blocks of 16 Ki to 64 Ki elements, more with 256 Ki and
 up (out of L2) and more with 8 Ki and down (per-call overhead).  Each
 element sees the same operations in the same order, so the bits are those of
 one whole-vector call.  The transcript path and the re-run that attributes a
-failure use the same core over the whole vector as one block.  A call that raises leaves ``t``, the moments and the
-parameters untouched.  The commit copies the new parameters into
-``params.values`` in place, so that array keeps its identity and a caller may
-hold it across steps.  The moments are not copied: ``state.m`` and
+failure use the same core over the whole vector as one block.  A call that
+raises leaves ``t``, the moments and the parameters untouched.  The commit
+copies the new parameters into ``params.values`` in place, so that array
+keeps its identity and a caller may hold it across steps.  The moments are not copied: ``state.m`` and
 ``state.second_moment`` are rebound to the buffers the step computed into,
 and the arrays they named before become scratch for the next step.  Read
 them from the state after each step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None`` and allocates
-nothing.  With ``transcript=True`` it returns a ``StepTranscript`` whose
-fields are copied out of the same buffers as the core computes them, for
+nothing.  With ``transcript=True`` it returns a ``StepTranscript``, for
 diffing trajectories against the independent scalar reference in
-``adaplus.oracle``.  A non-finite result is attributed to the earliest
-stage that produced it by running the core once more with capture on, from
-the untouched state.
+``adaplus.oracle``.  The core takes a destination for every quantity it
+computes: the lean step lets them share its four scratch buffers, while a
+transcript passes the rows of one ``(9, dim)`` block, so each field is
+computed in place in its row and nothing is copied out; only the rows that
+restate another row or a constant (``m_bar`` without Nesterov, the
+momentum kernel's ``m_hat`` and zero second moment, ``decay_applied``) are
+filled after the core, and the state commits copies of the new moments.  A
+non-finite result is attributed to the earliest stage that produced it by
+reading those rows, which the lean step first fills by running the core
+once more into a block, from the untouched state.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(lr, b1, b2, eps, wd)`` and scheduled rate ``lr_t``::
@@ -76,7 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .transcript import FIELD_ORDER, StepTranscript
+from .transcript import StepTranscript
 
 
 @dataclass(frozen=True)
@@ -220,62 +226,48 @@ def _all_finite(new_theta: np.ndarray, new_s: np.ndarray | None) -> bool:
     return bool(np.isfinite(new_theta).all()) and (new_s is None or bool(np.isfinite(new_s).all()))
 
 
-def _earliest_non_finite(fields: dict, t: int) -> NonFiniteValue:
-    for name in FIELD_ORDER:
-        bad = np.flatnonzero(~np.isfinite(fields[name]))
-        if bad.size:
-            return NonFiniteValue(name, index=int(bad[0]), step=t)
-    raise AssertionError("no non-finite transcript field")
-
-
-def _core(theta, g, m, s, out, k, rule, capture):
+def _core(theta, g, m, s, out, k, rule):
     """Compute one step of ``theta, g, m, s`` into the ``out`` buffers; nothing else is written.
 
-    ``out`` is ``(new_m, new_s, new_theta, a)`` with ``a`` a temporary; the
-    new second moment is not written for momentum.  ``k`` holds the step
-    coefficients as 0-d arrays, in the order ``_step`` writes them.  When
-    ``capture`` is a dict, every transcript field but ``decay_applied`` is
-    copied into it as soon as its buffer holds it.  The ufunc sequence is
-    the same either way and keeps the order of operations of the elementwise
-    update rules in the module docstring.
+    ``out`` is ``(new_m, new_s, m_bar, m_hat, s_hat, step, new_theta)``, a
+    destination for each quantity the core computes, ``step`` being the
+    negated update ``-delta_theta``.  Destinations may share a buffer where
+    a quantity is dead once the next one is formed: the lean step passes its
+    four scratch buffers as ``(new_m, new_s, a, a, new_theta, a, new_theta)``,
+    the transcript a row of its block for each.  ``step`` and ``new_theta``
+    also serve as temporaries before they get their values.  The new second
+    moment and ``m_hat`` are not written for momentum, nor ``m_bar`` where
+    it equals ``new_m`` (no Nesterov readjustment).  ``k`` holds the step
+    coefficients as 0-d arrays, in the order ``_step`` writes them.  Returns
+    the buffer holding the negated update.  The ufunc sequence keeps the
+    order of operations of the elementwise update rules in the module
+    docstring.
     """
-    new_m, new_s, new_theta, a = out
+    new_m, new_s, m_bar, m_hat, s_hat, step, new_theta = out
     b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     if rule.momentum:
         if rule.use_nesterov:
-            np.multiply(g, lr, a)
+            np.multiply(g, lr, step)
             np.multiply(m, b1, new_m)
-            np.add(new_m, a, new_m)  # m = mu * m + lr_t * g
+            np.add(new_m, step, new_m)  # m = mu * m + lr_t * g
             np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-            np.add(a, new_theta, a)  # m_bar = mu * m + lr_t * g, the applied step
-            m_bar = a
+            np.add(step, new_theta, m_bar)  # m_bar = mu * m + lr_t * g, the applied step
+            step = m_bar
         else:
             np.multiply(m, b1, new_m)
             np.add(new_m, g, new_m)  # m = mu * m + g
-            m_bar = new_m
-            np.multiply(new_m, lr, a)  # lr_t * m, the applied step
-        np.subtract(theta, a, new_theta)
-        if capture is not None:
-            capture.update(
-                m=new_m.copy(),
-                second_moment=np.zeros_like(theta),
-                m_bar=m_bar.copy(),
-                m_hat=m_bar.copy(),
-                s_hat=np.zeros_like(theta),
-                delta_theta=np.negative(a),
-                theta_after=new_theta.copy(),
-            )
-        return
+            np.multiply(new_m, lr, step)  # lr_t * m, the applied step
+        np.subtract(theta, step, new_theta)
+        return step
 
     # sums and products are formed as ``x + y`` where the rule reads
     # ``y + x``: IEEE addition and multiplication commute exactly
-    np.multiply(g, c1, a)  # (1 - b1) * g, shared by m and m_bar
+    np.multiply(g, c1, step)  # (1 - b1) * g, shared by m and m_bar
     np.multiply(m, b1, new_m)
-    np.add(new_m, a, new_m)  # m = b1 * m + (1 - b1) * g
+    np.add(new_m, step, new_m)  # m = b1 * m + (1 - b1) * g
     if rule.use_nesterov:
         np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-        np.add(a, new_theta, a)  # m_bar = b1 * m + (1 - b1) * g
-        m_bar = a
+        np.add(step, new_theta, m_bar)  # m_bar = b1 * m + (1 - b1) * g
     else:
         m_bar = new_m
     if rule.use_belief:
@@ -289,42 +281,47 @@ def _core(theta, g, m, s, out, k, rule, capture):
     np.add(new_s, new_theta, new_s)  # s = b2 * s + the term above
     if rule.recursion_eps:
         np.add(new_s, recursion_eps, new_s)
-    if capture is not None:
-        capture.update(m=new_m.copy(), second_moment=new_s.copy(), m_bar=m_bar.copy())
-    np.divide(m_bar, bc1, a)  # m_hat
-    np.divide(new_s, bc2, new_theta)  # s_hat
-    if capture is not None:
-        capture.update(m_hat=a.copy(), s_hat=new_theta.copy())
-    np.multiply(a, lr, a)
-    np.sqrt(new_theta, new_theta)
+    np.divide(m_bar, bc1, m_hat)
+    np.divide(new_s, bc2, s_hat)
+    np.multiply(m_hat, lr, step)
+    np.sqrt(s_hat, new_theta)
     np.add(new_theta, eps, new_theta)
-    np.divide(a, new_theta, a)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
+    np.divide(step, new_theta, step)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
     if rule.apply_decay:
         np.multiply(theta, decay, new_theta)
-        np.subtract(new_theta, a, new_theta)
+        np.subtract(new_theta, step, new_theta)
     else:
-        np.subtract(theta, a, new_theta)
-    if capture is not None:
-        capture.update(delta_theta=np.negative(a), theta_after=new_theta.copy())
+        np.subtract(theta, step, new_theta)
+    return step
 
 
-def _captured(state, theta, g, hp, lr_t, rule, out, k) -> dict:
-    """Run the core over the whole vector with capture on; the transcript fields."""
-    new_m, new_s, new_theta, a = out
-    if a.size != theta.size:
-        a = np.empty_like(theta)
-    capture = {"g": g}
-    _core(theta, g, state.m, state.second_moment, (new_m, new_s, new_theta, a), k, rule, capture)
-    capture["decay_applied"] = (lr_t * hp.weight_decay) * theta if rule.apply_decay else np.zeros_like(theta)
-    return capture
+def _transcribe(theta, g, m, s, k, rule, decay_rate) -> tuple:
+    """Run the core over the whole vector into the rows of one ``(9, dim)``
+    block, fill the rows that restate another row or a constant, and return
+    the rows in ``StepTranscript`` field order."""
+    g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta = np.empty((9, g.size))
+    # copies are slice assignments, which at small dims cost a third of np.copyto
+    g_row[...] = g
+    step = _core(theta, g, m, s, (new_m, new_s, m_bar, m_hat, s_hat, delta, new_theta), k, rule)
+    np.negative(step, delta)
+    if not rule.use_nesterov:
+        m_bar[...] = new_m
+    if rule.momentum:
+        m_hat[...] = m_bar
+        new_s.fill(0.0)
+        s_hat.fill(0.0)
+    if rule.apply_decay:
+        np.multiply(theta, decay_rate, decay)
+    else:
+        decay.fill(0.0)
+    return g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta
 
 
 def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
           rule: _Rule, transcript: bool) -> StepTranscript | None:
     """Validate once, run the core, check, then commit."""
-    # the transcript keeps g, so it gets its own copy; otherwise a float64
-    # gradient is read where it lies
-    g = np.array(grads, dtype=np.float64) if transcript else np.asarray(grads, dtype=np.float64)
+    # a float64 gradient is read where it lies; a transcript copies it
+    g = np.asarray(grads, dtype=np.float64)
     theta = params.values
     dim = theta.size
     if g.ndim != 1 or g.size != dim:
@@ -336,7 +333,6 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     t = state.t + 1
 
     new_m, new_s, new_theta, a, coefficients, k = _scratch(state)
-    out = new_m, new_s, new_theta, a
     # each coefficient is computed in Python floats and stored exactly, so
     # the ufuncs see the operand values of the update rules
     b1, b2 = hp.beta1, hp.beta2
@@ -346,17 +342,21 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # non-finite values are raised as structured errors below; numpy's own
     # warnings would only duplicate that
     with np.errstate(all="ignore"):
-        capture = None
+        rows = None
         if transcript:
-            capture = _captured(state, theta, g, hp, lr_t, rule, out, k)
+            rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
+            # the rows are the caller's: the state commits copies of them
+            new_m[...] = rows[1]
+            new_s[...] = rows[2]
+            new_theta = rows[8]
         elif dim <= CHUNK:
             # no slicing: at small dims it would cost more than the arithmetic
-            _core(theta, g, m, s, out, k, rule, None)
+            _core(theta, g, m, s, (new_m, new_s, a, a, new_theta, a, new_theta), k, rule)
         else:
             for lo in range(0, dim, CHUNK):
                 hi = min(lo + CHUNK, dim)
-                block = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
-                _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], block, k, rule, None)
+                bm, bs, bt, ba = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
+                _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bt, ba, bt), k, rule)
         if rule.momentum:
             new_s = None
         # every non-finite value, the gradient's included, reaches the new
@@ -367,9 +367,9 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
             bad = np.flatnonzero(~np.isfinite(g))
             if bad.size:
                 raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
-            if capture is None:
-                capture = _captured(state, theta, g, hp, lr_t, rule, out, k)
-            raise _earliest_non_finite(capture, t)
+            if rows is None:
+                rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
+            raise StepTranscript(t, *rows).first_non_finite()
 
     # the parameters are updated in place; the moments trade places with
     # their scratch buffers, which costs no copy
@@ -382,7 +382,7 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         state._scratch = (m, s) + scratch[2:]
         state.m, state.second_moment = new_m, new_s
     state.t = t
-    return StepTranscript(t=t, **capture) if transcript else None
+    return StepTranscript(t, *rows) if transcript else None
 
 
 def adaplus_step(

@@ -8,17 +8,21 @@ sharing a parameterized core: this module must stay an independent
 restatement of the update rules, not a second client of
 ``adaplus.kernels``.
 
-Transcripts are rounded to float64 on assembly.  The vectorized kernels are
-expected to reproduce every transcript field within 1e-12 (scaled relative
-deviation, see ``transcript.scaled_deviation``); they may reassociate
-arithmetic, the oracle must not.
+Transcripts are rounded to float64 on assembly: a step's nine columns form
+one extended-precision block that is cast to float64 in a single call,
+which rounds each element exactly as converting it alone would.  The
+vectorized kernels are expected to reproduce every transcript field within
+1e-12 (scaled relative deviation, see ``transcript.scaled_deviation``); they
+may reassociate arithmetic, the oracle must not.  Inputs are validated with
+one finiteness scan over the whole gradient stream and one over the rates;
+only a failing scan is repeated step by step, to name the first bad step.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .kernels import HyperParams
-from .transcript import FIELD_ORDER, StepTranscript
+from .transcript import StepTranscript
 
 # Replay rejects larger vectors: the oracle is a correctness tool, not a
 # production path.
@@ -44,29 +48,35 @@ def _validated(kernel_id, stream, theta0, lrs):
         raise ValueError(f"replay supports dim <= {MAX_DIM}, got {dim}")
     if len(lrs) != len(stream):
         raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
-    for step, g in enumerate(stream, start=1):
-        if g.ndim != 1 or g.size != dim:
-            raise DimensionMismatch(f"gradient at step {step}", dim, g.size)
-        bad = np.flatnonzero(~np.isfinite(g))
-        if bad.size:
-            raise NonFiniteValue("gradient", index=int(bad[0]), step=step)
-    for step, lr in enumerate(lrs, start=1):
-        if not (np.isfinite(lr) and lr > 0):
-            raise ValueError(f"lr at step {step} must be a positive finite real, got {lr}")
+    # one scan of the whole stream and one of the rates; only when either
+    # fails are they scanned step by step, to name the first failure
+    if not (all(g.shape == (dim,) for g in stream) and np.isfinite(stream).all()):
+        for step, g in enumerate(stream, start=1):
+            if g.ndim != 1 or g.size != dim:
+                raise DimensionMismatch(f"gradient at step {step}", dim, g.size)
+            bad = np.flatnonzero(~np.isfinite(g))
+            if bad.size:
+                raise NonFiniteValue("gradient", index=int(bad[0]), step=step)
+    rates = np.asarray(lrs)
+    # rates that numpy does not read as floats are judged one by one
+    if not (rates.dtype.kind == "f" and np.isfinite(rates).all() and (rates > 0).all()):
+        for step, lr in enumerate(lrs, start=1):
+            if not (np.isfinite(lr) and lr > 0):
+                raise ValueError(f"lr at step {step} must be a positive finite real, got {lr}")
     return stream, theta0, [float(lr) for lr in lrs]
 
 
 def _pack(t, *columns):
-    # the columns come in StepTranscript's field order and are cast to one
-    # float64 block; extended-precision values beyond float64 range cast to
-    # inf here and are reported below as structured errors
-    block = np.array(columns, dtype=np.float64)
+    # the columns come in StepTranscript's field order; they become one
+    # extended-precision block, cast to float64 in one call (each element
+    # rounds as it would alone); values beyond float64 range cast to inf
+    # here and are reported below as structured errors
+    block = np.array(columns, dtype=_LD).astype(np.float64)
     transcript = StepTranscript(t, *block)
     if not np.isfinite(block).all():
-        for name in FIELD_ORDER:
-            bad = np.flatnonzero(~np.isfinite(getattr(transcript, name)))
-            if bad.size:
-                raise NonFiniteValue(name, index=int(bad[0]), step=t)
+        error = transcript.first_non_finite()
+        if error is not None:  # decay_applied is not a stage of its own
+            raise error
     return transcript
 
 

@@ -3,12 +3,23 @@
 A transcript records every quantity an update rule computes on the way from
 ``theta_{t-1}`` to ``theta_t``, one value per parameter element.  Both the
 vectorized kernels and the scalar oracle emit the same record type so that
-trajectories can be diffed field by field.
+trajectories can be diffed field by field.  Both build a step's fields as
+the rows of one ``(9, dim)`` float64 block, in the field order of
+``StepTranscript``.
+
+``scaled_deviation`` compares two trajectories in one pass: each side
+becomes one ``(steps, 9, dim)`` array, the per-field scales come from one
+maximum over it, and the scaled differences are formed once over the whole
+array, in place in those two arrays.
 """
 
+import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import NonFiniteValue
 
 # Pipeline order of the computed fields; used both for serialization and for
 # reporting the earliest stage at which a non-finite value appeared.
@@ -73,6 +84,19 @@ class StepTranscript:
             if f.name != "t"
         )
 
+    def first_non_finite(self) -> NonFiniteValue | None:
+        """The error naming the earliest stage in ``FIELD_ORDER`` that holds a
+        non-finite value, and its first such element; ``None`` if there is none."""
+        for name in FIELD_ORDER:
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                return NonFiniteValue(name, index=int(bad[0]), step=self.t)
+        return None
+
+
+# a transcript's nine per-element fields as a tuple
+_ROWS = operator.attrgetter(*ALL_FIELDS)
+
 
 def scaled_deviation(got, want) -> float:
     """Worst per-element deviation between two transcript sequences.
@@ -81,26 +105,40 @@ def scaled_deviation(got, want) -> float:
     the field reaches over the reference trajectory.  For elements of
     ordinary size this is the relative error up to a factor of two; elements
     passing through zero are measured against the field's working scale,
-    which is the finest comparison float64 arithmetic supports there.
-    Returns ``inf`` on mismatched lengths, steps, or shapes.
+    which is the finest comparison float64 arithmetic supports there.  A
+    field whose reference is zero throughout has no scale: any difference
+    in it counts as ``inf``.  Returns ``inf`` on mismatched lengths, steps,
+    or shapes, when either side holds a NaN or an infinity, and when a
+    difference and its denominator both overflow: none of these may read as
+    agreement.  Two empty sequences agree (``0.0``).
     """
     got, want = list(got), list(want)
     if len(got) != len(want):
-        return float("inf")
+        return math.inf
     if any(a.t != b.t or a.dim != b.dim for a, b in zip(got, want)):
-        return float("inf")
-    worst = 0.0
-    for field in ALL_FIELDS:
-        x = np.stack([getattr(tr, field) for tr in got])
-        y = np.stack([getattr(tr, field) for tr in want])
-        scale = float(np.abs(y).max(initial=0.0))
-        diff = np.abs(x - y)
-        if scale == 0.0:
-            if diff.any():
-                return float("inf")
-            continue
-        worst = max(worst, float((diff / (np.abs(y) + scale)).max()))
-    return worst
+        return math.inf
+    if not got:
+        return 0.0
+    # (steps, 9, dim) per side; every later array is formed in place in one
+    # of these two
+    x = np.array([_ROWS(tr) for tr in got], dtype=np.float64)
+    y = np.array([_ROWS(tr) for tr in want], dtype=np.float64)
+    # a NaN or an infinity on either side, like a difference and a
+    # denominator that both overflow, leaves a NaN or an inf in the maximum
+    # below (a NaN scale is not zero), so no separate scan is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(np.subtract(x, y, out=x), out=x)
+        size = np.abs(y, out=y)
+        # over the steps, then over the elements: much faster than one call over both axes
+        scale = size.max(axis=0).max(axis=1)
+        zero = scale == 0.0
+        if zero.any():
+            if diff[:, zero].any():
+                return math.inf
+            # those fields agree exactly; any positive scale measures them as 0
+            scale[zero] = 1.0
+        worst = np.divide(diff, np.add(size, scale[:, None], out=size), out=diff).max()
+    return math.inf if math.isnan(worst) else float(worst)
 
 
 def format_transcripts(transcripts) -> str:

@@ -44,6 +44,25 @@ theta0 = zeros
 """
 
 
+LOGISTIC_CONFIG = """
+problem = logistic_regression_synthetic
+problem.n_samples = 40
+problem.dim = 3
+problem.margin = 0.5
+problem.seed = 5
+optimizer = adaplus
+epochs = 1
+steps_per_epoch = 5
+seeds = 1
+"""
+
+# numpy's generators refuse each of these seeds once a run starts
+NEGATIVE_SEED_CONFIGS = {
+    "seeds": QUAD_CONFIG.replace("seeds = 1", "seeds = 2,-1"),
+    "noise.seed": QUAD_CONFIG + "noise = gaussian_additive\nnoise.scale = 0.1\nnoise.seed = -3\n",
+    "problem.seed": LOGISTIC_CONFIG.replace("problem.seed = 5", "problem.seed = -2"),
+}
+
 # momentum at lr = 5 on the unit quadratic grows geometrically: the loss
 # overflows at step 200, after three finite log rows
 DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
@@ -91,6 +110,11 @@ class TestParseConfig:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError, match="unique"):
             parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 3,3"))
+
+    @pytest.mark.parametrize("key", NEGATIVE_SEED_CONFIGS)
+    def test_negative_seed_rejected_by_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative"):
+            parse_config(NEGATIVE_SEED_CONFIGS[key])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
@@ -373,6 +397,13 @@ class TestCli:
         cfg = self.write_config(tmp_path, QUAD_CONFIG + "\nbogus = 1\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", NEGATIVE_SEED_CONFIGS)
+    def test_negative_seed_exits_one_naming_the_key(self, tmp_path, capsys, key):
+        cfg = self.write_config(tmp_path, NEGATIVE_SEED_CONFIGS[key])
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {key} must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1

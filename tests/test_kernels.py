@@ -494,6 +494,24 @@ class TestLeanAndTranscriptPaths:
                 if kernel != "sgdm":
                     assert tr.second_moment.tobytes() == state.second_moment.tobytes()
 
+    @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(use_nesterov=False, decoupled_decay=True)])
+    def test_transcript_owns_every_field(self, hp):
+        # the fields are computed in place in one block per step: no later
+        # step, lean or not, and no change to the caller's gradient touches them
+        rng = np.random.default_rng(4)
+        stream, theta0, lrs = random_stream(rng, 6, 8)
+        for kernel in KERNEL_IDS:
+            state, params = fresh(theta0)
+            g = stream[0].copy()
+            tr = KERNEL_STEPS[kernel](state, params, g, hp, lrs[0], transcript=True)
+            kept = {field: getattr(tr, field).copy() for field in ALL_FIELDS}
+            np.testing.assert_array_equal(tr.g, stream[0])
+            g[:] = 7.0
+            for i, (g_next, lr) in enumerate(zip(stream[1:], lrs[1:])):
+                KERNEL_STEPS[kernel](state, params, g_next, hp, lr, transcript=bool(i % 2))
+            for field in ALL_FIELDS:
+                assert getattr(tr, field).tobytes() == kept[field].tobytes(), (kernel, field)
+
     def test_default_step_returns_none(self):
         for kernel in KERNEL_IDS:
             state, params = fresh([0.5, -0.5])

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaplus.errors import NonFiniteValue
+from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import KERNEL_IDS, HyperParams, drive_stream
-from adaplus.oracle import MAX_DIM, replay
+from adaplus.oracle import MAX_DIM, _pack, replay
 from adaplus.transcript import (
+    ALL_FIELDS,
     FIELD_ORDER,
     format_transcripts,
     parse_transcripts,
@@ -172,6 +173,30 @@ class TestReplayValidation:
         assert exc.value.step == 2
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("tail", [[], [[1.0]]], ids=["same-length", "short-step-4"])
+    def test_first_bad_gradient_is_named_before_any_arithmetic(self, tail):
+        # the stage is "gradient", not the transcript's "g": nothing was computed
+        stream = [[1.0, 1.0], [1.0, np.inf], [np.nan, 1.0]] + tail
+        with pytest.raises(NonFiniteValue) as exc:
+            replay("adam", stream, [0.0, 0.0], HyperParams(), [1e-3] * len(stream))
+        assert (exc.value.stage, exc.value.step, exc.value.index) == ("gradient", 2, 1)
+
+    def test_wrong_length_before_a_non_finite_gradient_is_named_first(self):
+        stream = [[1.0, 1.0], [1.0], [np.nan, 1.0]]
+        with pytest.raises(DimensionMismatch, match="step 2"):
+            replay("adam", stream, [0.0, 0.0], HyperParams(), [1e-3] * 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_first_bad_rate_is_named_by_step(self, bad):
+        with pytest.raises(ValueError, match="lr at step 3 must be a positive finite real"):
+            replay("adam", [[1.0]] * 4, [0.0], HyperParams(), [1e-3, 1e-3, bad, -1.0])
+
+    def test_rates_of_any_real_type_are_accepted(self):
+        stream = [[0.5, -0.5]] * 3
+        want = replay("adam", stream, [0.0, 0.0], HyperParams(), [1.0, 2.0, 1.0])
+        for lrs in ([1, 2, 1], [np.float32(1), 2, True], np.array([1.0, 2.0, 1.0])):
+            assert replay("adam", stream, [0.0, 0.0], HyperParams(), lrs) == want
+
     def test_non_finite_intermediate_reports_stage(self):
         # a gradient of 1e200 overflows the squared-gradient EMA
         with pytest.raises(NonFiniteValue) as exc:
@@ -188,6 +213,64 @@ class TestReplayValidation:
                 replay("adaplus", [[1e-300, 0.0]] * 3, [0.5, 0.5], HyperParams(eps=0.0), [1e-3] * 3)
         assert exc.value.stage == "delta_theta"
         assert exc.value.step == 1
+
+
+class TestPack:
+    """A step's extended-precision columns become float64 in one cast, element for element as ``float``."""
+
+    # positional field order of StepTranscript, the order _pack takes its columns in
+    COLUMNS = ("g", "m", "second_moment", "m_bar", "m_hat", "s_hat", "decay_applied", "delta_theta", "theta_after")
+
+    def columns(self, rng, dim):
+        ld = np.longdouble
+        cols = []
+        for _ in range(9):
+            # float64 values with bits below float64 precision added, across the range
+            base = rng.standard_normal(dim) * 10.0 ** rng.uniform(-300, 300, size=dim)
+            cols.append([ld(b) * (ld(1) + ld(e) * ld(2) ** -60) for b, e in zip(base, rng.standard_normal(dim))])
+        specials = [ld(2) ** -1075, ld(2) ** -1074 * ld(1.5), ld(2) ** -1060 / ld(3), ld(-0.0), ld(5e-324), ld(1.7976931348623157e308)]
+        n = min(dim, len(specials))
+        cols[0][:n] = specials[:n]
+        return cols
+
+    def test_same_bits_as_float_element_by_element(self):
+        rng = np.random.default_rng(21)
+        assert set(self.COLUMNS) == set(ALL_FIELDS)
+        for dim in (1, 6, 64):
+            cols = self.columns(rng, dim)
+            tr = _pack(5, *cols)
+            assert tr.t == 5
+            for name, col in zip(self.COLUMNS, cols):
+                want = np.array([float(x) for x in col])
+                assert getattr(tr, name).tobytes() == want.tobytes(), name
+
+    def test_beyond_float64_range_raises_at_the_earliest_stage(self):
+        rng = np.random.default_rng(22)
+        cols = self.columns(rng, 6)
+        cols[self.COLUMNS.index("theta_after")][0] = np.longdouble("1e400")
+        cols[self.COLUMNS.index("m_hat")][4] = np.longdouble("-1e400")
+        cols[self.COLUMNS.index("m_hat")][5] = np.longdouble("1e400")
+        # replay runs _pack with overflow warnings off
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue) as exc:
+            _pack(3, *cols)
+        assert (exc.value.stage, exc.value.index, exc.value.step) == ("m_hat", 4, 3)
+
+    def test_nan_raises_at_its_stage(self):
+        rng = np.random.default_rng(23)
+        cols = self.columns(rng, 3)
+        cols[self.COLUMNS.index("delta_theta")][2] = np.longdouble("nan")
+        with pytest.raises(NonFiniteValue) as exc:
+            _pack(7, *cols)
+        assert (exc.value.stage, exc.value.index, exc.value.step) == ("delta_theta", 2, 7)
+
+    def test_overflow_in_decay_alone_is_not_a_stage(self):
+        # decay_applied is not in FIELD_ORDER: it is carried, not reported
+        rng = np.random.default_rng(24)
+        cols = self.columns(rng, 2)
+        cols[self.COLUMNS.index("decay_applied")][1] = np.longdouble("1e400")
+        with np.errstate(over="ignore"):
+            tr = _pack(1, *cols)
+        assert tr.decay_applied[1] == np.inf
 
 
 class TestFixtureFormat:
