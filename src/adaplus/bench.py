@@ -8,45 +8,27 @@ output.
 """
 
 import hashlib
+import inspect
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValue
 from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, LrSchedule, OptimizerState, ParamVector, lr_at
-from .problems import (
-    GradientSource,
-    NoiseSpec,
-    Problem,
-    large_grad_small_curvature,
-    logistic_regression_synthetic,
-    quadratic,
-    rosenbrock,
-)
-
-# Environment variable overriding how many seed replicas run concurrently.
-PARALLELISM_ENV = "ADAPLUS_BENCH_PARALLEL"
+from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
 CSV_HEADER = "seed,epoch,step,lr,loss,grad_norm,param_norm"
 
-_REQUIRED = object()
+_REQUIRED = inspect.Parameter.empty
 
-# problem identifier -> (param key -> (converter, default)); _REQUIRED means mandatory
-_PROBLEM_PARAMS = {
-    "quadratic": {"dim": (int, _REQUIRED), "condition_number": (float, 1.0)},
-    "rosenbrock": {"dim": (int, _REQUIRED)},
-    "large_grad_small_curvature": {"g_mag": (float, _REQUIRED), "curvature": (float, _REQUIRED)},
-    "logistic_regression_synthetic": {
-        "n_samples": (int, _REQUIRED),
-        "dim": (int, _REQUIRED),
-        "margin": (float, _REQUIRED),
-        "seed": (int, 0),
-    },
-}
+
+def _problem_keys(problem: str) -> list:
+    """``(key, converter, default)`` of each ``problem.*`` key: the parameters
+    of the problem's constructor, in order; a required key's default is ``_REQUIRED``."""
+    return [(p.name, p.annotation, p.default) for p in inspect.signature(PROBLEMS[problem]).parameters.values()]
+
 
 _THETA0_MODES = ("seeded", "zeros")
 
@@ -66,8 +48,12 @@ class RunConfig:
     theta0: str = "seeded"
 
     def __post_init__(self):
-        if self.problem not in _PROBLEM_PARAMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; expected one of {tuple(_PROBLEM_PARAMS)}")
+        if self.problem not in PROBLEMS:
+            raise ConfigError(f"unknown problem {self.problem!r}; expected one of {tuple(PROBLEMS)}")
+        keys = tuple(key for key, _ in self.problem_params)
+        expected = tuple(key for key, _, _ in _problem_keys(self.problem))
+        if keys != expected:
+            raise ConfigError(f"problem {self.problem} takes the parameters {expected}, got {keys}")
         if self.optimizer not in KERNEL_IDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {KERNEL_IDS}")
         if self.epochs < 1:
@@ -151,12 +137,9 @@ def parse_config(text: str) -> RunConfig:
 
     Blank lines and ``#`` comments are ignored.  Recognized keys:
 
-    - ``problem`` plus its ``problem.*`` parameters (``quadratic``:
-      ``dim``, ``condition_number``; ``rosenbrock``: ``dim``;
-      ``large_grad_small_curvature``: ``g_mag``, ``curvature``;
-      ``logistic_regression_synthetic``: ``n_samples``, ``dim``,
-      ``margin``, ``seed``)
-    - ``optimizer`` (one of ``adaplus adam adamw nadam adabelief sgdm``)
+    - ``problem`` (a key of ``problems.PROBLEMS``) plus its ``problem.*``
+      parameters, which are those of the problem's constructor
+    - ``optimizer`` (one of ``kernels.KERNEL_IDS``)
     - ``lr``, ``beta1``, ``beta2``, ``eps``, ``weight_decay``,
       ``use_nesterov``, ``use_belief``, ``decoupled_decay``
     - ``epochs``, ``steps_per_epoch``, ``log_every``
@@ -194,11 +177,9 @@ def parse_config(text: str) -> RunConfig:
         return default
 
     problem = take("problem", str)
-    if problem not in _PROBLEM_PARAMS:
-        raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(_PROBLEM_PARAMS)}")
-    problem_params = []
-    for pkey, (conv, default) in _PROBLEM_PARAMS[problem].items():
-        problem_params.append((pkey, take(f"problem.{pkey}", conv, default)))
+    if problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
+    problem_params = [(pkey, take(f"problem.{pkey}", conv, default)) for pkey, conv, default in _problem_keys(problem)]
 
     optimizer = take("optimizer", str)
     try:
@@ -242,8 +223,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Read and parse a run-config file; a file that is not UTF-8 text raises ``ConfigError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_config(text)
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -252,16 +238,11 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def build_problem(config: RunConfig) -> Problem:
-    params = dict(config.problem_params)
-    if config.problem == "quadratic":
-        return quadratic(params["dim"], params["condition_number"])
-    if config.problem == "rosenbrock":
-        return rosenbrock(params["dim"])
-    if config.problem == "large_grad_small_curvature":
-        return large_grad_small_curvature(params["g_mag"], params["curvature"])
-    return logistic_regression_synthetic(
-        params["n_samples"], params["dim"], params["margin"], params["seed"]
-    )
+    """The config's problem; a parameter value its constructor rejects raises ``ConfigError``."""
+    try:
+        return PROBLEMS[config.problem](**dict(config.problem_params))
+    except ValueError as exc:
+        raise ConfigError(f"problem {config.problem}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -304,15 +285,6 @@ class RunRecord:
         for row in self.rows:
             bests[row.seed] = min(bests.get(row.seed, np.inf), row.loss)
         return bests
-
-
-def _parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{PARALLELISM_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, workers)
 
 
 def _run_replica(config: RunConfig, problem: Problem, seed: int):
@@ -361,24 +333,17 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
 
 
 def run(config: RunConfig) -> RunRecord:
-    """Execute every seed replica and assemble the record.
+    """Execute every seed replica, one after another, and assemble the record.
 
-    Replicas are independent; with ``ADAPLUS_BENCH_PARALLEL > 1`` they run on
-    a thread pool.  Row order and content are identical either way.  A
-    non-finite loss or parameter aborts the run and flags the partial record.
+    A non-finite loss or parameter aborts its replica and flags the partial
+    record.  A problem parameter the problem rejects raises ``ConfigError``.
     """
     started = time.perf_counter()
     problem = build_problem(config)
-    workers = min(_parallelism(), len(config.seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda seed: _run_replica(config, problem, seed), config.seeds))
-    else:
-        results = [_run_replica(config, problem, seed) for seed in config.seeds]
-
     rows: list[LogRow] = []
     abort_reasons = []
-    for replica_rows, reason in results:
+    for seed in config.seeds:
+        replica_rows, reason = _run_replica(config, problem, seed)
         rows.extend(replica_rows)
         if reason is not None:
             abort_reasons.append(reason)

@@ -6,12 +6,11 @@ Subcommands:
   config and write the record.
 - ``compare --inputs <json files...> [--out <file>]``: align records for one
   problem into a comparison table.
-- ``selftest``: drive every kernel against the scalar oracle and check the
-  reduction equivalences.
+- ``selftest``: drive every kernel against the scalar oracle and check each
+  reduction of ``kernels.REDUCTIONS``.
 
 Exit codes: 0 success, 1 configuration or verification error, 2 numerical
-abort.  ``ADAPLUS_BENCH_PARALLEL`` overrides how many seed replicas run
-concurrently.
+abort.
 """
 
 import argparse
@@ -22,14 +21,7 @@ import numpy as np
 
 from . import bench
 from .errors import ConfigError
-from .kernels import (
-    KERNEL_IDS,
-    HyperParams,
-    OptimizerState,
-    ParamVector,
-    adaplus_step,
-    drive_stream,
-)
+from .kernels import KERNEL_IDS, REDUCTIONS, HyperParams, drive_stream
 from .oracle import replay
 from .transcript import scaled_deviation
 
@@ -66,11 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         config = bench.load_config(args.config)
+        record = bench.run(config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    record = bench.run(config)
     out_dir = Path(args.out)
     stem = Path(args.config).stem
     try:
@@ -136,66 +128,19 @@ def _cmd_selftest(args) -> int:
         failures += 0 if ok else 1
         print(f"selftest differential[{kernel}]: {'PASS' if ok else 'FAIL'} (worst deviation {worst:.2e})")
 
-    reductions = (
-        ("adaplus(no nesterov, wd=0) == adabelief", _reduction_adaplus_adabelief),
-        ("adaplus(variance, no nesterov, eps-suppressed) == adamw", _reduction_adaplus_adamw),
-        ("adamw(wd=0) == adam", _reduction_adamw_adam),
-        ("nadam(no nesterov) == adam", _reduction_nadam_adam),
-    )
-    for label, check in reductions:
-        ok = check(np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    stream = [rng.standard_normal(4) for _ in range(60)]
+    theta0 = rng.standard_normal(4)
+    lrs = [1e-3] * 60
+    for label, *sides in REDUCTIONS:
+        left, right = (drive_stream(k, stream, theta0, HyperParams(**overrides), lrs) for k, overrides in sides)
+        # transcripts are equal when ``t`` and all nine fields are
+        ok = left == right
         print(f"selftest reduction[{label}]: {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
 
     print("selftest:", "OK" if failures == 0 else f"{failures} FAILURES")
     return 0 if failures == 0 else 1
-
-
-def _random_stream(rng, dim=4, steps=60):
-    stream = [rng.standard_normal(dim) for _ in range(steps)]
-    theta0 = rng.standard_normal(dim)
-    lrs = [1e-3] * steps
-    return stream, theta0, lrs
-
-
-def _equal_trajectories(a, b) -> bool:
-    return len(a) == len(b) and all(
-        np.array_equal(x.theta_after, y.theta_after) for x, y in zip(a, b)
-    )
-
-
-def _reduction_adaplus_adabelief(rng) -> bool:
-    stream, theta0, lrs = _random_stream(rng)
-    left = drive_stream("adaplus", stream, theta0, HyperParams(weight_decay=0.0, use_nesterov=False), lrs)
-    right = drive_stream("adabelief", stream, theta0, HyperParams(), lrs)
-    return _equal_trajectories(left, right)
-
-
-def _reduction_adaplus_adamw(rng) -> bool:
-    stream, theta0, lrs = _random_stream(rng)
-    hp = HyperParams(use_nesterov=False, use_belief=False)
-    params = ParamVector(theta0)
-    state = OptimizerState(params.dim)
-    left = [
-        adaplus_step(state, params, g, hp, lr, suppress_recursion_eps=True, transcript=True)
-        for g, lr in zip(stream, lrs)
-    ]
-    right = drive_stream("adamw", stream, theta0, HyperParams(), lrs)
-    return _equal_trajectories(left, right)
-
-
-def _reduction_adamw_adam(rng) -> bool:
-    stream, theta0, lrs = _random_stream(rng)
-    left = drive_stream("adamw", stream, theta0, HyperParams(weight_decay=0.0), lrs)
-    right = drive_stream("adam", stream, theta0, HyperParams(), lrs)
-    return _equal_trajectories(left, right)
-
-
-def _reduction_nadam_adam(rng) -> bool:
-    stream, theta0, lrs = _random_stream(rng)
-    left = drive_stream("nadam", stream, theta0, HyperParams(use_nesterov=False), lrs)
-    right = drive_stream("adam", stream, theta0, HyperParams(), lrs)
-    return _equal_trajectories(left, right)
 
 
 def main(argv=None) -> int:

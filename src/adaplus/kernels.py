@@ -72,7 +72,9 @@ One step of the full kernel, elementwise, with hyper-parameters
 The baselines drop or swap individual lines: the classical numerator uses
 ``m`` instead of ``mbar``, the variance denominator uses the EMA of ``g^2``
 without the in-recursion ``eps``, and kernels without decoupled decay skip
-the first parameter line.
+the first parameter line.  ``KERNEL_STEPS`` maps each kernel id to its step
+function, and ``REDUCTIONS`` lists the settings under which one kernel
+equals another bit for bit.
 """
 
 import math
@@ -208,8 +210,7 @@ def _scratch(state: OptimizerState) -> tuple:
     # made on a state's first step: buffers for the next m, second moment and
     # theta (m and the second moment trade places with the state's arrays at
     # a commit), one temporary of one block's length, and the array of the
-    # ten step coefficients with a 0-d view of each.  One set per state keeps
-    # replicas stepped on different threads apart.
+    # ten step coefficients with a 0-d view of each.
     if state._scratch is None:
         coefficients = np.empty(10)
         views = tuple(coefficients[i, ...] for i in range(10))
@@ -392,21 +393,18 @@ def adaplus_step(
     hp: HyperParams,
     lr_t: float,
     *,
-    suppress_recursion_eps: bool = False,
     transcript: bool = False,
 ) -> StepTranscript | None:
     """Full kernel: decoupled decay, belief denominator, Nesterov numerator.
 
     ``hp.use_belief`` and ``hp.use_nesterov`` toggle the respective
-    ingredients for reduction checks against the baselines.
-    ``suppress_recursion_eps`` is a test-only switch that drops the ``eps``
-    added inside the second-moment recursion, enabling exact equality with
-    the variance-denominator baselines.  Returns the step's
-    ``StepTranscript`` when ``transcript`` is set, else ``None``; the same
-    holds for every ``*_step`` function.
+    ingredients (see ``REDUCTIONS``).  The ``eps`` added inside the
+    second-moment recursion stays with the variance denominator too, so
+    this kernel equals ``adamw_step`` only at ``eps = 0``.  Returns the
+    step's ``StepTranscript`` when ``transcript`` is set, else ``None``; the
+    same holds for every ``*_step`` function.
     """
-    recursion_eps = 0.0 if suppress_recursion_eps else hp.eps
-    rule = _Rule(False, True, hp.use_belief, recursion_eps, hp.use_nesterov)
+    rule = _Rule(False, True, hp.use_belief, hp.eps, hp.use_nesterov)
     return _step(state, params, grads, hp, lr_t, rule, transcript)
 
 
@@ -453,9 +451,7 @@ def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript:
     return _step(state, params, grads, hp, lr_t, _Rule(True, False, False, 0.0, hp.use_nesterov), transcript)
 
 
-# Kernel registry used by the bench harness and the oracle dispatcher.
-KERNEL_IDS = ("adaplus", "adam", "adamw", "nadam", "adabelief", "sgdm")
-
+# The kernel table: kernel id -> public step function.
 KERNEL_STEPS = {
     "adaplus": adaplus_step,
     "adam": adam_step,
@@ -464,6 +460,20 @@ KERNEL_STEPS = {
     "adabelief": adabelief_step,
     "sgdm": sgdm_step,
 }
+
+KERNEL_IDS = tuple(KERNEL_STEPS)
+
+# The exact reductions of the family, as ``(label, left, right)`` with each
+# side a ``(kernel id, HyperParams overrides)`` pair: driven over the same
+# stream, the two sides give equal transcripts, every field and ``t``.
+REDUCTIONS = (
+    ("adaplus(no nesterov, wd=0) == adabelief",
+     ("adaplus", {"use_nesterov": False, "weight_decay": 0.0}), ("adabelief", {})),
+    ("adaplus(variance, no nesterov, eps=0) == adamw(eps=0)",
+     ("adaplus", {"use_belief": False, "use_nesterov": False, "eps": 0.0}), ("adamw", {"eps": 0.0})),
+    ("adamw(wd=0) == adam", ("adamw", {"weight_decay": 0.0}), ("adam", {})),
+    ("nadam(no nesterov) == adam", ("nadam", {"use_nesterov": False}), ("adam", {})),
+)
 
 
 def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[StepTranscript]:

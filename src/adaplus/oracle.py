@@ -33,10 +33,8 @@ _sqrt = np.sqrt
 
 
 def _validated(kernel_id, stream, theta0, lrs):
-    from .kernels import KERNEL_IDS
-
-    if kernel_id not in KERNEL_IDS:
-        raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {KERNEL_IDS}")
+    if kernel_id not in _REPLAYS:
+        raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {tuple(_REPLAYS)}")
     stream = [np.asarray(g, dtype=np.float64) for g in stream]
     if not stream:
         raise ValueError("gradient stream must be non-empty")

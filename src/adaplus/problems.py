@@ -239,6 +239,17 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
     return LogisticProblem(name, features, labels)
 
 
+# The problem table: name -> constructor.  A run config's ``problem.*`` keys
+# are the constructor's parameters, in order, converted by their annotations
+# and defaulting to their defaults; a value it rejects raises ``ValueError``.
+PROBLEMS = {
+    "quadratic": quadratic,
+    "rosenbrock": rosenbrock,
+    "large_grad_small_curvature": large_grad_small_curvature,
+    "logistic_regression_synthetic": logistic_regression_synthetic,
+}
+
+
 def check_gradient(problem: Problem, theta, h: float = 1e-6) -> float:
     """Max absolute deviation of the analytic gradient from central differences."""
     theta = np.asarray(theta, dtype=np.float64)

@@ -15,7 +15,7 @@ array, in place in those two arrays.
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ FIELD_ORDER = (
 # Every per-element field, including the decay amount (which the fixture
 # format does not carry).
 ALL_FIELDS = FIELD_ORDER + ("decay_applied",)
-
-# Column names of the fixture format, aligned with FIELD_ORDER.
-_FIXTURE_COLUMNS = ("g", "m", "s", "mbar", "mhat", "shat", "dtheta", "theta")
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,8 @@ class StepTranscript:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepTranscript):
             return NotImplemented
-        if self.t != other.t:
-            return False
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-            if f.name != "t"
-        )
+        # each side's nine fields compared as one (9, dim) array
+        return self.t == other.t and np.array_equal(_ROWS(self), _ROWS(other))
 
     def first_non_finite(self) -> NonFiniteValue | None:
         """The error naming the earliest stage in ``FIELD_ORDER`` that holds a

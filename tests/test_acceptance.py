@@ -15,6 +15,7 @@ from adaplus.bench import parse_config, record_to_csv, run
 from adaplus.kernels import (
     KERNEL_IDS,
     KERNEL_STEPS,
+    REDUCTIONS,
     HyperParams,
     LrSchedule,
     OptimizerState,
@@ -87,30 +88,11 @@ class TestReductionSuite:
             theta0 = rng.standard_normal(dim)
             lrs = list(rng.uniform(5e-4, 5e-3, size=steps))
 
-            pairs = []
-            pairs.append((
-                drive_stream("adaplus", stream, theta0, HyperParams(weight_decay=0.0, use_nesterov=False), lrs),
-                drive_stream("adabelief", stream, theta0, HyperParams(), lrs),
-            ))
-            hp_var = HyperParams(use_nesterov=False, use_belief=False)
-            params = ParamVector(theta0)
-            state = OptimizerState(params.dim)
-            left = [
-                adaplus_step(state, params, g, hp_var, lr, suppress_recursion_eps=True, transcript=True)
-                for g, lr in zip(stream, lrs)
-            ]
-            pairs.append((left, drive_stream("adamw", stream, theta0, HyperParams(), lrs)))
-            pairs.append((
-                drive_stream("adamw", stream, theta0, HyperParams(weight_decay=0.0), lrs),
-                drive_stream("adam", stream, theta0, HyperParams(), lrs),
-            ))
-            pairs.append((
-                drive_stream("nadam", stream, theta0, HyperParams(use_nesterov=False), lrs),
-                drive_stream("adam", stream, theta0, HyperParams(), lrs),
-            ))
-
-            for a_seq, b_seq in pairs:
+            for _, *sides in REDUCTIONS:
+                a_seq, b_seq = (drive_stream(k, stream, theta0, HyperParams(**hp), lrs) for k, hp in sides)
+                assert len(a_seq) == len(b_seq)
                 for a, b in zip(a_seq, b_seq):
+                    assert a.t == b.t
                     for field in ALL_FIELDS:
                         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
                 checked += 1

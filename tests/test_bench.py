@@ -1,6 +1,9 @@
 """Tests for config parsing, the experiment runner, record emission, compare, and the CLI."""
 
+import inspect
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from adaplus.bench import (
     run,
 )
 from adaplus.errors import ConfigError
+from adaplus.problems import PROBLEMS
 
 QUAD_CONFIG = """
 # one-dimensional convex sanity run
@@ -62,6 +66,41 @@ NEGATIVE_SEED_CONFIGS = {
     "noise.seed": QUAD_CONFIG + "noise = gaussian_additive\nnoise.scale = 0.1\nnoise.seed = -3\n",
     "problem.seed": LOGISTIC_CONFIG.replace("problem.seed = 5", "problem.seed = -2"),
 }
+
+# configs that parse but that the run rejects before its first step: problem
+# parameters the problem's constructor rejects, and minibatch noise on a
+# problem without samples; with the error each must report
+RUN_REJECTED_CONFIGS = {
+    "zero_dim": (QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 0"), "problem quadratic: dim"),
+    "odd_rosenbrock_dim": (
+        QUAD_CONFIG.replace("problem = quadratic\nproblem.dim = 1", "problem = rosenbrock\nproblem.dim = 3"),
+        "problem rosenbrock: dim",
+    ),
+    "condition_number_below_1": (
+        QUAD_CONFIG + "problem.condition_number = 0.5\n",
+        "problem quadratic: condition_number",
+    ),
+    "minibatch_noise_on_quadratic": (
+        QUAD_CONFIG + "noise = minibatch_subset\nnoise.scale = 0.5\n",
+        "minibatch_subset noise needs a finite-sample problem",
+    ),
+}
+
+# each problem's problem.* keys in order, as key -> (converter, default);
+# a default of None marks a required key
+PROBLEM_KEYS = {
+    "quadratic": {"dim": (int, None), "condition_number": (float, 1.0)},
+    "rosenbrock": {"dim": (int, None)},
+    "large_grad_small_curvature": {"g_mag": (float, None), "curvature": (float, None)},
+    "logistic_regression_synthetic": {
+        "n_samples": (int, None),
+        "dim": (int, None),
+        "margin": (float, None),
+        "seed": (int, 0),
+    },
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # momentum at lr = 5 on the unit quadratic grows geometrically: the loss
 # overflows at step 200, after three finite log rows
@@ -136,6 +175,57 @@ class TestParseConfig:
         assert a.config_hash() != b.config_hash()
 
 
+class TestProblemTable:
+    """``problems.PROBLEMS`` defines each problem's config keys through its constructor."""
+
+    def test_problems_in_order(self):
+        assert tuple(PROBLEMS) == tuple(PROBLEM_KEYS)
+
+    @pytest.mark.parametrize("problem", PROBLEM_KEYS)
+    def test_keys_converters_defaults_and_required_keys(self, problem):
+        keys = PROBLEM_KEYS[problem]
+        head = f"problem = {problem}\noptimizer = adam\nepochs = 1\nsteps_per_epoch = 1\nseeds = 1\n"
+        required = {key: f"problem.{key} = 2\n" for key, (_, default) in keys.items() if default is None}
+        config = parse_config(head + "".join(required.values()))
+        got = [(key, type(value), value) for key, value in config.problem_params]
+        assert got == [(key, conv, conv(2) if default is None else default) for key, (conv, default) in keys.items()]
+        for key, (conv, default) in keys.items():
+            if default is None:
+                lines = "".join(line for other, line in required.items() if other != key)
+                with pytest.raises(ConfigError, match=f"missing required key 'problem.{key}'"):
+                    parse_config(head + lines)
+            else:
+                config = parse_config(head + "".join(required.values()) + f"problem.{key} = 3\n")
+                value = dict(config.problem_params)[key]
+                assert type(value) is conv and value == 3
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (("dim", 1), ("margin", 0.5)),  # a key of another problem
+            (("dim", 1),),  # a defaulted key left out
+            (("condition_number", 1.0), ("dim", 1)),  # out of order
+        ],
+    )
+    def test_run_config_rejects_keys_other_than_the_constructor_parameters(self, params):
+        with pytest.raises(ConfigError, match="problem quadratic takes the parameters"):
+            replace(parse_config(QUAD_CONFIG), problem_params=params)
+
+    def test_readme_key_table_names_every_problem_and_parameter(self):
+        rows = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if cells[0] in ("`problem`", "`problem.*`"):
+                rows[cells[0]] = cells
+        for name, constructor in PROBLEMS.items():
+            assert f"`{name}`" in rows["`problem`"][1]
+            parameters = inspect.signature(constructor).parameters.values()
+            assert f"`{name}`: " + ", ".join(f"`{p.name}`" for p in parameters) in rows["`problem.*`"][1]
+            for p in parameters:
+                if p.default is not p.empty:
+                    assert f"`{p.name}` (`{p.default!r}`)" in rows["`problem.*`"][2]
+
+
 class TestRun:
     def test_one_dimensional_quadratic_converges(self):
         record = run(parse_config(QUAD_CONFIG))
@@ -167,13 +257,6 @@ class TestRun:
         for epoch in range(10):
             expected = 1e-3 if epoch < 5 else 1e-4
             assert lrs[epoch] == pytest.approx(expected, rel=1e-15)
-
-    def test_parallel_replicas_match_sequential(self, monkeypatch):
-        config = parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2,3,4"))
-        sequential = run(config)
-        monkeypatch.setenv(bench.PARALLELISM_ENV, "4")
-        parallel = run(config)
-        assert sequential.rows == parallel.rows
 
     def test_aborting_run_is_flagged_with_partial_rows(self):
         # a huge rate on the banana function overflows within a few steps
@@ -408,6 +491,22 @@ class TestCli:
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("case", RUN_REJECTED_CONFIGS)
+    def test_config_the_run_rejects_exits_one(self, tmp_path, capsys, case):
+        text, message = RUN_REJECTED_CONFIGS[case]
+        cfg = self.write_config(tmp_path, text)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8_exits_one_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(QUAD_CONFIG.replace("# one-dimensional", "# caf\xe9 one-dimensional").encode("latin-1"))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_abort_exits_two_and_flags_output(self, tmp_path, capsys):
         text = """
 problem = rosenbrock
@@ -499,6 +598,15 @@ log_every = 1
         out = capsys.readouterr().out
         assert "selftest: OK" in out
         assert out.count("PASS") >= 10
+
+    def test_selftest_fails_a_wrong_reduction(self, capsys, monkeypatch):
+        # adaplus keeps its Nesterov numerator here, so it is not adabelief
+        wrong = ("adaplus(wd=0) == adabelief", ("adaplus", {"weight_decay": 0.0}), ("adabelief", {}))
+        monkeypatch.setattr(cli, "REDUCTIONS", cli.REDUCTIONS + (wrong,))
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "selftest reduction[adaplus(wd=0) == adabelief]: FAIL" in out
+        assert out.endswith("selftest: 1 FAILURES\n")
 
     def test_usage_errors_exit_one(self, tmp_path, capsys):
         # exit code 2 is reserved for numerical aborts

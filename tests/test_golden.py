@@ -25,8 +25,7 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
-def test_shipped_config_csv_matches_golden_digest(name, monkeypatch):
-    monkeypatch.delenv("ADAPLUS_BENCH_PARALLEL", raising=False)
+def test_shipped_config_csv_matches_golden_digest(name):
     record = run(load_config(CONFIGS / name))
     assert not record.summary.aborted
     digest = hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest()

@@ -9,7 +9,7 @@ import pytest
 
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import KERNEL_IDS, HyperParams, drive_stream
-from adaplus.oracle import MAX_DIM, _pack, replay
+from adaplus.oracle import _REPLAYS, MAX_DIM, _pack, replay
 from adaplus.transcript import (
     ALL_FIELDS,
     FIELD_ORDER,
@@ -150,6 +150,9 @@ class TestReplayBasics:
 
 
 class TestReplayValidation:
+    def test_replays_cover_the_kernel_table_in_order(self):
+        assert tuple(_REPLAYS) == KERNEL_IDS
+
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             replay("sgd", [[1.0]], [0.0], HyperParams(), [1e-3])

@@ -1,4 +1,4 @@
-"""Tests for ``scaled_deviation``: the one-pass measure against a per-field reference loop."""
+"""Tests for ``scaled_deviation``, the one-pass measure, against a per-field reference loop, and for transcript equality."""
 
 import math
 
@@ -110,3 +110,36 @@ class TestScaledDeviation:
 
     def test_empty_sequences_agree(self):
         assert scaled_deviation([], []) == 0.0
+
+
+class TestEquality:
+    """Two transcripts are equal when ``t`` and every field are, element by element as ``==`` reads floats."""
+
+    values = np.random.default_rng(3).standard_normal((9, 3))
+
+    def test_identical_fields_and_step_are_equal(self):
+        assert transcripts([self.values])[0] == transcripts([self.values.copy()])[0]
+
+    def test_other_step_is_unequal(self):
+        assert transcripts([self.values])[0] != transcripts([self.values], first_t=2)[0]
+
+    @pytest.mark.parametrize("field", range(9))
+    def test_one_ulp_in_any_field_is_unequal(self, field):
+        other = self.values.copy()
+        other[field, 1] = np.nextafter(other[field, 1], np.inf)
+        assert transcripts([self.values])[0] != transcripts([other])[0]
+
+    def test_signed_zeros_are_equal(self):
+        a, b = transcripts([np.zeros((9, 2))])[0], transcripts([-np.zeros((9, 2))])[0]
+        assert a == b
+
+    def test_nan_is_unequal_to_itself(self):
+        values = np.ones((9, 2))
+        values[4, 0] = np.nan
+        a = transcripts([values])[0]
+        assert a != a
+
+    def test_other_dim_is_unequal(self):
+        a, b = transcripts([np.ones((9, 2))])[0], transcripts([np.ones((9, 3))])[0]
+        assert a != b
+        assert a != "not a transcript"
