@@ -1,12 +1,13 @@
 """Deterministic experiment runner: seeded multi-replica trainings with step-decay schedules.
 
 A run is described by a flat ``key = value`` config file (see ``parse_config``
-for the key set), executed identically for every seed in the config, and
+for the keys), executed identically for every seed in the config, and
 recorded as per-step log rows plus a summary.  Everything except wall time is
 a pure function of the config: identical configs produce byte-identical CSV
 output.
 """
 
+import functools
 import hashlib
 import inspect
 import json
@@ -21,13 +22,48 @@ from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
 CSV_HEADER = "seed,epoch,step,lr,loss,grad_norm,param_norm"
 
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ConfigError(f"expected true or false, got {text!r}")
+    return lowered == "true"
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(int(tok.strip()) for tok in text.split(","))
+
+
 _REQUIRED = inspect.Parameter.empty
+_CONVERTERS = {bool: _parse_bool, tuple[int, ...]: _parse_int_list}
 
 
-def _problem_keys(problem: str) -> list:
-    """``(key, converter, default)`` of each ``problem.*`` key: the parameters
-    of the problem's constructor, in order; a required key's default is ``_REQUIRED``."""
-    return [(p.name, p.annotation, p.default) for p in inspect.signature(PROBLEMS[problem]).parameters.values()]
+@functools.cache
+def _parameters(cls) -> tuple:
+    """``(name, converter, default)`` of each parameter of ``cls``, in order.
+
+    A ``bool`` or ``tuple[int, ...]`` parameter reads the text ``_format``
+    writes; any other annotation is its own converter.  A required
+    parameter's default is ``_REQUIRED``.
+    """
+    return tuple(
+        (p.name, _CONVERTERS.get(p.annotation, p.annotation), p.default)
+        for p in inspect.signature(cls).parameters.values()
+    )
+
+
+def _format(value) -> str:
+    """A config value's canonical text."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 _THETA0_MODES = ("seeded", "zeros")
@@ -35,23 +71,26 @@ _THETA0_MODES = ("seeded", "zeros")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  Its fields and those of the types it holds are the config keys;
+    ``problem_params`` holds the ``problem.*`` ones."""
+
     problem: str
     problem_params: tuple[tuple[str, float | int], ...]
     optimizer: str
     hp: HyperParams
+    schedule: LrSchedule
     epochs: int
     steps_per_epoch: int
-    schedule: LrSchedule
     seeds: tuple[int, ...]
-    log_every: int
-    noise: NoiseSpec
+    log_every: int = 1
+    noise: NoiseSpec = NoiseSpec()
     theta0: str = "seeded"
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; expected one of {tuple(PROBLEMS)}")
         keys = tuple(key for key, _ in self.problem_params)
-        expected = tuple(key for key, _, _ in _problem_keys(self.problem))
+        expected = tuple(key for key, _, _ in _parameters(PROBLEMS[self.problem]))
         if keys != expected:
             raise ConfigError(f"problem {self.problem} takes the parameters {expected}, got {keys}")
         if self.optimizer not in KERNEL_IDS:
@@ -69,8 +108,6 @@ class RunConfig:
         # numpy's generators take no negative seed
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        if self.noise.seed < 0:
-            raise ConfigError(f"noise.seed must be non-negative, got {self.noise.seed}")
         problem_seed = dict(self.problem_params).get("seed", 0)
         if problem_seed < 0:
             raise ConfigError(f"problem.seed must be non-negative, got {problem_seed}")
@@ -78,32 +115,15 @@ class RunConfig:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        """Flat key/value view with all defaults materialized, sorted by key."""
-        items = {
-            "problem": self.problem,
-            "optimizer": self.optimizer,
-            "lr": repr(self.hp.lr),
-            "beta1": repr(self.hp.beta1),
-            "beta2": repr(self.hp.beta2),
-            "eps": repr(self.hp.eps),
-            "weight_decay": repr(self.hp.weight_decay),
-            "use_nesterov": _fmt_bool(self.hp.use_nesterov),
-            "use_belief": _fmt_bool(self.hp.use_belief),
-            "decoupled_decay": _fmt_bool(self.hp.decoupled_decay),
-            "epochs": str(self.epochs),
-            "steps_per_epoch": str(self.steps_per_epoch),
-            "log_every": str(self.log_every),
-            "milestones": ",".join(str(m) for m in self.schedule.milestones),
-            "decay_factor": repr(self.schedule.decay_factor),
-            "seeds": ",".join(str(s) for s in self.seeds),
-            "theta0": self.theta0,
-            "noise": self.noise.kind,
-            "noise.scale": repr(self.noise.scale),
-            "noise.seed": str(self.noise.seed),
-        }
-        for key, value in self.problem_params:
-            items[f"problem.{key}"] = str(value) if isinstance(value, int) else repr(value)
-        return sorted(items.items())
+        """Every key with its value's canonical text, defaults included, sorted by key."""
+        items = [(f"problem.{name}", _format(value)) for name, value in self.problem_params]
+        for field, _, _ in _parameters(RunConfig):
+            value = getattr(self, field)
+            if field in _NESTED:
+                items += [(key, _format(getattr(value, name))) for key, name, _, _ in _NESTED[field]]
+            elif field != "problem_params":
+                items.append((field, _format(value)))
+        return sorted(items)
 
     def config_hash(self) -> str:
         text = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
@@ -114,40 +134,29 @@ class RunConfig:
         return f"{self.problem}({inner})"
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
+# The fields of ``RunConfig`` that hold a type of their own, with the prefix
+# of its keys; ``NoiseSpec.kind`` is the one key spelled otherwise.
+_PREFIXES = {"hp": "", "schedule": "", "noise": "noise."}
+_SPELLED = {"noise.kind": "noise"}
 
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered not in ("true", "false"):
-        raise ConfigError(f"expected true or false, got {text!r}")
-    return lowered == "true"
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok.strip()) for tok in text.split(","))
+# ``(key, parameter, converter, default)`` of each parameter of each such type
+_NESTED = {
+    field: tuple(
+        (_SPELLED.get(_PREFIXES[field] + name, _PREFIXES[field] + name), name, conv, default)
+        for name, conv, default in _parameters(cls)
+    )
+    for field, cls, _ in _parameters(RunConfig)
+    if field in _PREFIXES
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat ``key = value`` run-config format.
 
-    Blank lines and ``#`` comments are ignored.  Recognized keys:
-
-    - ``problem`` (a key of ``problems.PROBLEMS``) plus its ``problem.*``
-      parameters, which are those of the problem's constructor
-    - ``optimizer`` (one of ``kernels.KERNEL_IDS``)
-    - ``lr``, ``beta1``, ``beta2``, ``eps``, ``weight_decay``,
-      ``use_nesterov``, ``use_belief``, ``decoupled_decay``
-    - ``epochs``, ``steps_per_epoch``, ``log_every``
-    - ``milestones`` (comma-separated epochs, may be empty), ``decay_factor``
-    - ``seeds`` (comma-separated, unique, non-negative), ``theta0`` (``seeded`` or ``zeros``)
-    - ``noise`` (``none``, ``gaussian_additive``, ``minibatch_subset``),
-      ``noise.scale``, ``noise.seed``
-
+    Blank lines and ``#`` comments are ignored.  The keys are the fields of
+    ``RunConfig`` and of the types it holds, with their converters and
+    defaults, as the README's key table lists them; ``problem.*`` are the
+    parameters of the problem's constructor in ``problems.PROBLEMS``.
     Unknown keys are rejected.
     """
     raw: dict[str, str] = {}
@@ -165,7 +174,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def take(key, conv, default=_REQUIRED):
+    def take(key, conv, default):
         if key in raw:
             value = raw.pop(key)
             try:
@@ -176,47 +185,23 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    problem = take("problem", str)
-    if problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
-    problem_params = [(pkey, take(f"problem.{pkey}", conv, default)) for pkey, conv, default in _problem_keys(problem)]
-
-    optimizer = take("optimizer", str)
-    try:
-        hp = HyperParams(
-            lr=take("lr", float, 1e-3),
-            beta1=take("beta1", float, 0.9),
-            beta2=take("beta2", float, 0.999),
-            eps=take("eps", float, 1e-8),
-            weight_decay=take("weight_decay", float, 1e-2),
-            use_nesterov=take("use_nesterov", _parse_bool, True),
-            use_belief=take("use_belief", _parse_bool, True),
-            decoupled_decay=take("decoupled_decay", _parse_bool, False),
-        )
-        schedule = LrSchedule(
-            milestones=take("milestones", _parse_int_list, ()),
-            decay_factor=take("decay_factor", float, 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    config = RunConfig(
-        problem=problem,
-        problem_params=tuple(problem_params),
-        optimizer=optimizer,
-        hp=hp,
-        epochs=take("epochs", int),
-        steps_per_epoch=take("steps_per_epoch", int),
-        schedule=schedule,
-        seeds=take("seeds", _parse_int_list),
-        log_every=take("log_every", int, 1),
-        noise=NoiseSpec(
-            kind=take("noise", str, "none"),
-            scale=take("noise.scale", float, 0.0),
-            seed=take("noise.seed", int, 0),
-        ),
-        theta0=take("theta0", str, "seeded"),
-    )
+    values = {}
+    for field, conv, default in _parameters(RunConfig):
+        if field == "problem_params":
+            problem = values["problem"]
+            if problem not in PROBLEMS:
+                raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
+            values[field] = tuple(
+                (name, take(f"problem.{name}", c, d)) for name, c, d in _parameters(PROBLEMS[problem])
+            )
+        elif field in _NESTED:
+            try:
+                values[field] = conv(**{name: take(key, c, d) for key, name, c, d in _NESTED[field]})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        else:
+            values[field] = take(field, conv, default)
+    config = RunConfig(**values)
     if raw:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
     return config

@@ -469,8 +469,12 @@ KERNEL_IDS = tuple(KERNEL_STEPS)
 REDUCTIONS = (
     ("adaplus(no nesterov, wd=0) == adabelief",
      ("adaplus", {"use_nesterov": False, "weight_decay": 0.0}), ("adabelief", {})),
+    ("adaplus(no nesterov) == adabelief(decoupled decay)",
+     ("adaplus", {"use_nesterov": False}), ("adabelief", {"decoupled_decay": True})),
     ("adaplus(variance, no nesterov, eps=0) == adamw(eps=0)",
      ("adaplus", {"use_belief": False, "use_nesterov": False, "eps": 0.0}), ("adamw", {"eps": 0.0})),
+    ("adaplus(variance, wd=0, eps=0) == nadam(eps=0)",
+     ("adaplus", {"use_belief": False, "weight_decay": 0.0, "eps": 0.0}), ("nadam", {"eps": 0.0})),
     ("adamw(wd=0) == adam", ("adamw", {"weight_decay": 0.0}), ("adam", {})),
     ("nadam(no nesterov) == adam", ("nadam", {"use_nesterov": False}), ("adam", {})),
 )

@@ -36,6 +36,9 @@ class NoiseSpec:
             raise ConfigError(f"noise scale must be non-negative, got {self.scale}")
         if self.kind == "minibatch_subset" and self.scale > 1:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
 
     @property
     def active(self) -> bool:
@@ -128,15 +131,6 @@ class LogisticProblem(Problem):
         """Fraction of training samples classified on the correct side."""
         theta = np.asarray(theta, dtype=np.float64)
         return float(np.mean((self.features @ theta > 0) == (self.labels > 0)))
-
-    def dump_dataset(self, path) -> None:
-        """Write the dataset as CSV with header ``feature_0..feature_{d-1},label``."""
-        header = ",".join(f"feature_{j}" for j in range(self.dim)) + ",label"
-        lines = [header]
-        for row, label in zip(self.features, self.labels):
-            lines.append(",".join(f"{x:.17g}" for x in row) + f",{int(label)}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def quadratic(dim: int, condition_number: float = 1.0) -> Problem:

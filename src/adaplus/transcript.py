@@ -14,8 +14,7 @@ array, in place in those two arrays.
 """
 
 import math
-import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +33,8 @@ FIELD_ORDER = (
     "theta_after",
 )
 
-# Every per-element field, including the decay amount (which the fixture
-# format does not carry).
-ALL_FIELDS = FIELD_ORDER + ("decay_applied",)
 
-
-@dataclass(frozen=True)
-class StepTranscript:
+class StepTranscript(NamedTuple):
     """All intermediates of one optimizer step, per parameter element.
 
     Field semantics follow the adaptive-family update: ``m`` is the gradient
@@ -74,7 +68,12 @@ class StepTranscript:
         if not isinstance(other, StepTranscript):
             return NotImplemented
         # each side's nine fields compared as one (9, dim) array
-        return self.t == other.t and np.array_equal(_ROWS(self), _ROWS(other))
+        return self.t == other.t and np.array_equal(self[1:], other[1:])
+
+    def __ne__(self, other) -> bool:
+        # a tuple's own ``!=`` would compare the arrays elementwise
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def first_non_finite(self) -> NonFiniteValue | None:
         """The error naming the earliest stage in ``FIELD_ORDER`` that holds a
@@ -86,8 +85,9 @@ class StepTranscript:
         return None
 
 
-# a transcript's nine per-element fields as a tuple
-_ROWS = operator.attrgetter(*ALL_FIELDS)
+# Every per-element field, in constructor order, including the decay amount
+# (which the fixture format does not carry); ``transcript[1:]`` holds them.
+ALL_FIELDS = StepTranscript._fields[1:]
 
 
 def scaled_deviation(got, want) -> float:
@@ -113,8 +113,8 @@ def scaled_deviation(got, want) -> float:
         return 0.0
     # (steps, 9, dim) per side; every later array is formed in place in one
     # of these two
-    x = np.array([_ROWS(tr) for tr in got], dtype=np.float64)
-    y = np.array([_ROWS(tr) for tr in want], dtype=np.float64)
+    x = np.array([tr[1:] for tr in got], dtype=np.float64)
+    y = np.array([tr[1:] for tr in want], dtype=np.float64)
     # a NaN or an infinity on either side, like a difference and a
     # denominator that both overflow, leaves a NaN or an inf in the maximum
     # below (a NaN scale is not zero), so no separate scan is needed

@@ -78,7 +78,7 @@ class TestDifferentialSuite:
 
 
 class TestReductionSuite:
-    def test_four_reductions_hold_exactly_on_20_streams(self):
+    def test_reductions_hold_exactly_on_20_streams(self):
         rng = np.random.default_rng(424242)
         checked = 0
         for _ in range(20):
@@ -96,8 +96,8 @@ class TestReductionSuite:
                     for field in ALL_FIELDS:
                         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
                 checked += 1
-        assert checked == 80
-        report("reduction-suite", "4 equivalences x 20 streams, exact equality")
+        assert checked == 120
+        report("reduction-suite", "6 equivalences x 20 streams, exact equality")
 
 
 class TestClosedFormSuite:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -224,6 +225,34 @@ class TestProblemTable:
             for p in parameters:
                 if p.default is not p.empty:
                     assert f"`{p.name}` (`{p.default!r}`)" in rows["`problem.*`"][2]
+
+    def test_readme_key_table_gives_every_run_key_and_default(self):
+        # a default cell reads "required" or holds one item per key of its
+        # row: the value's text in backticks, or a bare word for empty text
+        defaults = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if not line.startswith("| `") or cells[0] == "`problem.*`":
+                continue
+            keys = re.findall(r"`([^`]+)`", cells[0])
+            if cells[2] == "required":
+                defaults.update(dict.fromkeys(keys, "required"))
+                continue
+            items = [item.strip() for item in cells[2].split(",")]
+            assert len(items) == len(keys), line
+            defaults.update((key, item.strip("`") if item.startswith("`") else "") for key, item in zip(keys, items))
+        schema = []
+        for field, conv, default in bench._parameters(bench.RunConfig):
+            if field in bench._NESTED:
+                schema += [(key, c, d) for key, _, c, d in bench._NESTED[field]]
+            elif field != "problem_params":
+                schema.append((field, conv, default))
+        assert len(schema) == 20
+        for key, conv, default in schema:
+            if default is inspect.Parameter.empty:
+                assert defaults[key] == "required", key
+            else:
+                assert conv(defaults[key]) == default, key
 
 
 class TestRun:

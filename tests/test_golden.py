@@ -6,6 +6,10 @@ alters any bit of a trajectory (reordered arithmetic, a different reduction,
 a skipped or repeated step) changes a digest here.  The logistic config is
 left out: it goes through ``exp``, whose SIMD implementation varies between
 CPUs.
+
+The ``config_hash`` of every shipped config is pinned too: it is the SHA-256
+of the canonical key/value text, so a change to a key, a default or the
+text form of a value changes it.
 """
 
 import hashlib
@@ -23,6 +27,13 @@ GOLDEN_SHA256 = {
     "ramp_adamw.cfg": "ddb80541e7741c823c79870c480b60459866ef8c427e23d02341d5b410e375aa",
 }
 
+CONFIG_HASHES = {
+    "logistic_adaplus.cfg": "015e33d3f7a21e6d8a48a89f282d8ba80b5f74536b5459d26cecdbbd49b3af47",
+    "quadratic_adaplus.cfg": "35d54dbc37280f73a6937e44c2cde8e391f1c2b49d83079c1f3bd0319504a6fe",
+    "ramp_adamw.cfg": "4563858a0bfb1d5d40a6e7148da7b6c118202e2cd76f2c99a9e8538ed44a6c61",
+    "ramp_adaplus.cfg": "50434be851ec095fc5b8384c40a1609f1904601da629ed5ac798ebec7c6c5116",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_shipped_config_csv_matches_golden_digest(name):
@@ -30,3 +41,8 @@ def test_shipped_config_csv_matches_golden_digest(name):
     assert not record.summary.aborted
     digest = hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_HASHES))
+def test_shipped_config_hash_matches_golden(name):
+    assert load_config(CONFIGS / name).config_hash() == CONFIG_HASHES[name]

@@ -340,7 +340,7 @@ class TestReductionLattice:
         kernel, overrides = side
         return drive_stream(kernel, stream, theta0, HyperParams(**overrides), lrs)
 
-    @pytest.mark.parametrize("label, left, right", REDUCTIONS, ids=[f"{a[0]}-{b[0]}" for _, a, b in REDUCTIONS])
+    @pytest.mark.parametrize("label, left, right", REDUCTIONS, ids=[label for label, _, _ in REDUCTIONS])
     def test_holds_bit_for_bit(self, label, left, right):
         for stream, theta0, lrs in self.streams():
             self.assert_identical(self.drive(left, stream, theta0, lrs), self.drive(right, stream, theta0, lrs))

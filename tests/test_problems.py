@@ -134,18 +134,6 @@ class TestLogisticRegressionSynthetic:
         for _ in range(20):
             assert check_gradient(p, rng.standard_normal(4)) <= 1e-5
 
-    def test_dump_dataset_csv(self, tmp_path):
-        p = logistic_regression_synthetic(10, 3, 0.5, seed=1)
-        path = tmp_path / "data.csv"
-        p.dump_dataset(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "feature_0,feature_1,feature_2,label"
-        assert len(lines) == 11
-        first = lines[1].split(",")
-        assert len(first) == 4
-        np.testing.assert_allclose(float(first[0]), p.features[0, 0], rtol=0, atol=0)
-        assert first[3] in ("-1", "1")
-
 
 class TestGradientOnly:
     PROBLEMS = (
@@ -212,6 +200,10 @@ class TestNoiseSpec:
             NoiseSpec(kind="gaussian_additive", scale=-1.0)
         with pytest.raises(ConfigError):
             NoiseSpec(kind="minibatch_subset", scale=1.5)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match="noise.seed must be non-negative"):
+            NoiseSpec(kind="gaussian_additive", scale=0.1, seed=-1)
 
     def test_zero_scale_is_inactive(self):
         assert not NoiseSpec(kind="gaussian_additive", scale=0.0).active

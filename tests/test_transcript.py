@@ -139,6 +139,18 @@ class TestEquality:
         a = transcripts([values])[0]
         assert a != a
 
+    def test_not_equal_operator_reads_equality(self):
+        a = transcripts([self.values])[0]
+        assert not (a != transcripts([self.values.copy()])[0])
+        assert a != transcripts([self.values + 1.0])[0]
+
+    def test_fields_cannot_be_assigned(self):
+        tr = transcripts([self.values])[0]
+        with pytest.raises(AttributeError):
+            tr.t = 2
+        with pytest.raises(AttributeError):
+            tr.theta_after = np.zeros(3)
+
     def test_other_dim_is_unequal(self):
         a, b = transcripts([np.ones((9, 2))])[0], transcripts([np.ones((9, 3))])[0]
         assert a != b
