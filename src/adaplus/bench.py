@@ -11,16 +11,15 @@ import functools
 import hashlib
 import inspect
 import json
+import operator
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValue
 from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, LrSchedule, OptimizerState, ParamVector, lr_at
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
-
-CSV_HEADER = "seed,epoch,step,lr,loss,grad_norm,param_norm"
 
 
 def _parse_bool(text: str) -> bool:
@@ -230,6 +229,8 @@ def build_problem(config: RunConfig) -> Problem:
         raise ConfigError(f"problem {config.problem}: {exc}") from exc
 
 
+# The record format: a CSV line and a JSON row list ``LogRow``'s fields in order;
+# a JSON record is an object of ``RunRecord``'s fields, its summary one of ``RunSummary``'s.
 @dataclass(frozen=True)
 class LogRow:
     seed: int
@@ -259,17 +260,16 @@ class RunRecord:
     rows: tuple[LogRow, ...]
     summary: RunSummary
 
-    def per_seed_final(self) -> dict[int, float]:
-        finals: dict[int, float] = {}
-        for row in self.rows:
-            finals[row.seed] = row.loss
-        return finals
 
-    def per_seed_best(self) -> dict[int, float]:
-        bests: dict[int, float] = {}
-        for row in self.rows:
-            bests[row.seed] = min(bests.get(row.seed, np.inf), row.loss)
-        return bests
+def seed_losses(rows) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """``(seeds, finals, bests)``: each seed's final and best loss, in one pass over
+    ``rows``, seeds in the order of their first row."""
+    finals: dict[int, float] = {}
+    bests: dict[int, float] = {}
+    for row in rows:
+        finals[row.seed] = row.loss
+        bests[row.seed] = min(bests.get(row.seed, np.inf), row.loss)
+    return tuple(finals), np.array(list(finals.values())), np.array(list(bests.values()))
 
 
 def _run_replica(config: RunConfig, problem: Problem, seed: int):
@@ -303,17 +303,8 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
                     loss, full_grad = problem.evaluate(params.values)
                     if not np.isfinite(loss):
                         return rows, f"seed {seed}: non-finite loss at step {global_step}"
-                    rows.append(
-                        LogRow(
-                            seed=seed,
-                            epoch=epoch,
-                            step=global_step,
-                            lr=lr_t,
-                            loss=loss,
-                            grad_norm=float(np.linalg.norm(full_grad)),
-                            param_norm=float(np.linalg.norm(params.values)),
-                        )
-                    )
+                    grad_norm, param_norm = float(np.linalg.norm(full_grad)), float(np.linalg.norm(params.values))
+                    rows.append(LogRow(seed, epoch, global_step, lr_t, loss, grad_norm, param_norm))
     return rows, None
 
 
@@ -333,22 +324,16 @@ def run(config: RunConfig) -> RunRecord:
         if reason is not None:
             abort_reasons.append(reason)
     rows.sort(key=lambda r: (r.seed, r.epoch, r.step))
-
-    record = RunRecord(
+    _, finals, bests = seed_losses(rows)
+    return RunRecord(
         config_hash=config.config_hash(),
         problem_id=config.problem_id(),
         optimizer_id=config.optimizer,
         config=tuple(config.canonical_items()),
         rows=tuple(rows),
-        summary=None,
-    )
-    finals = list(record.per_seed_final().values())
-    bests = list(record.per_seed_best().values())
-    return replace(
-        record,
         summary=RunSummary(
-            final_loss=float(np.mean(finals)) if finals else float("nan"),
-            best_loss=float(np.mean(bests)) if bests else float("nan"),
+            final_loss=float(np.mean(finals)) if finals.size else float("nan"),
+            best_loss=float(np.mean(bests)) if bests.size else float("nan"),
             wall_time_s=time.perf_counter() - started,
             aborted=bool(abort_reasons),
             abort_reason="; ".join(abort_reasons),
@@ -356,31 +341,29 @@ def run(config: RunConfig) -> RunRecord:
     )
 
 
+_ROW_FIELDS = fields(LogRow)
+CSV_HEADER = ",".join(f.name for f in _ROW_FIELDS)
+_row_values = operator.attrgetter(*(f.name for f in _ROW_FIELDS))
+# int columns as they are, float columns to 17 significant digits, which read back exactly
+_CSV_LINE = ",".join("%s" if f.type is int else "%.17g" for f in _ROW_FIELDS)
+
+_ROWS = tuple[LogRow, ...]
+_PAIRS = tuple[tuple[str, str], ...]
+# the JSON form of each field type of ``RunRecord`` that has one; json writes a tuple as a list
+_TO_JSON = {_ROWS: lambda rows: list(map(_row_values, rows)), _PAIRS: dict, RunSummary: asdict}
+
+
 def record_to_csv(record: RunRecord) -> str:
-    """CSV rendering: the fixed header plus one line per log row, 17 significant digits."""
+    """CSV rendering: a header of ``LogRow``'s fields plus one line per log row."""
     if record.summary.aborted:
         raise ValueError("aborted record: emit as json, which carries the abort flag")
-    lines = [CSV_HEADER]
-    for r in record.rows:
-        lines.append(
-            f"{r.seed},{r.epoch},{r.step},{r.lr:.17g},{r.loss:.17g},{r.grad_norm:.17g},{r.param_norm:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-# the top-level keys of a JSON record
-_RECORD_KEYS = ("config_hash", "problem_id", "optimizer_id", "config", "rows", "summary")
+    return "\n".join([CSV_HEADER, *(_CSV_LINE % _row_values(r) for r in record.rows)]) + "\n"
 
 
 def record_to_json(record: RunRecord) -> str:
-    doc = {
-        "config_hash": record.config_hash,
-        "problem_id": record.problem_id,
-        "optimizer_id": record.optimizer_id,
-        "config": {k: v for k, v in record.config},
-        "rows": [list(asdict(r).values()) for r in record.rows],
-        "summary": asdict(record.summary),
-    }
+    """JSON rendering: an object of ``RunRecord``'s fields, the config pairs and the
+    summary as objects, each row as a list."""
+    doc = {f.name: _TO_JSON.get(f.type, lambda v: v)(getattr(record, f.name)) for f in fields(RunRecord)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -396,40 +379,54 @@ def emit(record: RunRecord, format: str, path) -> None:
         fh.write(payload)
 
 
+# the JSON types each scalar annotation accepts: a float may be written as an int
+_JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool}
+# what each other part of a record must be in JSON, for error messages
+_FORMS = dict.fromkeys((_PAIRS, RunRecord, RunSummary), "an object")
+_FORMS |= {_ROWS: "a list", LogRow: f"a list of {len(_ROW_FIELDS)} values"}
+
+
+def _read(value, annotation, name: str):
+    """``value``, loaded from JSON, read back as the ``annotation`` that ``record_to_json``
+    wrote it from; ``name`` is its place in the record (``rows[3]``, ``summary.aborted``)."""
+    if annotation in _JSON_TYPES:
+        # JSON's true and false load as bool, a subclass of int
+        if isinstance(value, bool) == (annotation is bool) and isinstance(value, _JSON_TYPES[annotation]):
+            try:
+                return annotation(value)
+            except OverflowError:  # an int too large for a float
+                pass
+    elif annotation is LogRow:
+        if isinstance(value, list) and len(value) == len(_ROW_FIELDS):
+            return LogRow(*(_read(v, f.type, name) for v, f in zip(value, _ROW_FIELDS)))
+    elif annotation == _ROWS:
+        if isinstance(value, list):
+            return tuple(_read(row, LogRow, f"{name}[{i}]") for i, row in enumerate(value))
+    elif annotation == _PAIRS:
+        if isinstance(value, dict):
+            return tuple(sorted((key, _read(v, str, f"{name}.{key}")) for key, v in value.items()))
+    elif isinstance(value, dict):  # a RunRecord or a RunSummary
+        prefix = f"{name}." if annotation is RunSummary else ""
+        odd = sorted({f.name for f in fields(annotation)} ^ set(value))
+        if odd:
+            raise ConfigError(f"field {prefix + odd[0]!r} is {'unknown' if odd[0] in value else 'missing'}")
+        return annotation(**{f.name: _read(value[f.name], f.type, prefix + f.name) for f in fields(annotation)})
+    raise ConfigError(f"field {name!r} must be {_FORMS.get(annotation, annotation.__name__)}, got {value!r:.80}")
+
+
 def load_record(path) -> RunRecord:
     """Read back a JSON record emitted by :func:`emit`.
 
-    A record without one of the top-level keys, with a row that is not seven
-    numbers, or with summary keys other than ``RunSummary``'s raises
-    ``ConfigError`` naming the file and the field.
+    The record must have exactly ``RunRecord``'s fields, its summary exactly
+    ``RunSummary``'s, each row ``LogRow``'s, and every value the type of its
+    field.  Anything else raises ``ConfigError`` naming the file and the field.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: a record must be a JSON object")
-    for key in _RECORD_KEYS:
-        if key not in doc:
-            raise ConfigError(f"{path}: missing field {key!r}")
-    if not isinstance(doc["config"], dict):
-        raise ConfigError(f"{path}: field 'config' must be an object")
-    if not isinstance(doc["rows"], list):
-        raise ConfigError(f"{path}: field 'rows' must be a list")
-    for i, r in enumerate(doc["rows"]):
-        # JSON's true and false load as bool, a subclass of int
-        numbers = isinstance(r, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in r)
-        if not (numbers and len(r) == len(fields(LogRow))):
-            raise ConfigError(f"{path}: field 'rows[{i}]' must be {len(fields(LogRow))} numbers, got {r!r}")
-    summary_keys = [f.name for f in fields(RunSummary)]
-    if not (isinstance(doc["summary"], dict) and set(doc["summary"]) == set(summary_keys)):
-        raise ConfigError(f"{path}: field 'summary' must have exactly the keys {summary_keys}")
-    return RunRecord(
-        config_hash=doc["config_hash"],
-        problem_id=doc["problem_id"],
-        optimizer_id=doc["optimizer_id"],
-        config=tuple(sorted(doc["config"].items())),
-        rows=tuple(LogRow(int(r[0]), int(r[1]), int(r[2]), r[3], r[4], r[5], r[6]) for r in doc["rows"]),
-        summary=RunSummary(**doc["summary"]),
-    )
+    try:
+        return _read(doc, RunRecord, "record")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -478,18 +475,22 @@ def compare(records) -> ComparisonTable:
     aborted = [r.optimizer_id for r in records if r.summary.aborted]
     if aborted:
         raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
-    configs = [dict(r.config) for r in records]
-    seed_sets = {c["seeds"] for c in configs}
+    seed_sets, budgets = set(), set()
+    for record in records:
+        config = dict(record.config)
+        for key in ("seeds", "epochs", "steps_per_epoch"):
+            if key not in config:
+                raise ConfigError(f"record {record.optimizer_id} ({record.config_hash[:12]}): config lacks {key!r}")
+        seed_sets.add(frozenset(_parse_int_list(config["seeds"])))
+        budgets.add((config["epochs"], config["steps_per_epoch"]))
     if len(seed_sets) != 1:
-        raise ConfigError(f"records use different seed sets: {sorted(seed_sets)}")
-    budgets = {(c["epochs"], c["steps_per_epoch"]) for c in configs}
+        raise ConfigError(f"records use different seed sets: {sorted(sorted(s) for s in seed_sets)}")
     if len(budgets) != 1:
         raise ConfigError(f"records use different step budgets (epochs, steps_per_epoch): {sorted(budgets)}")
 
     rows = []
     for record in records:
-        finals = np.array(list(record.per_seed_final().values()))
-        bests = np.array(list(record.per_seed_best().values()))
+        _, finals, bests = seed_losses(record.rows)
         rows.append(
             CompareRow(
                 label=record.optimizer_id,
@@ -499,11 +500,9 @@ def compare(records) -> ComparisonTable:
                 best_std=float(bests.std()),
             )
         )
-    best_final = min(rows, key=lambda r: r.final_mean).label
-    best_best = min(rows, key=lambda r: r.best_mean).label
     return ComparisonTable(
         problem_id=records[0].problem_id,
         rows=tuple(rows),
-        best_final_label=best_final,
-        best_best_label=best_best,
+        best_final_label=min(rows, key=lambda r: r.final_mean).label,
+        best_best_label=min(rows, key=lambda r: r.best_mean).label,
     )

@@ -81,7 +81,8 @@ def _cmd_run(args) -> int:
 
     print(f"wrote {path}")
     print(f"config {record.config_hash[:12]}  problem {record.problem_id}  optimizer {record.optimizer_id}")
-    for seed, loss in sorted(record.per_seed_final().items()):
+    seeds, finals, _ = bench.seed_losses(record.rows)
+    for seed, loss in sorted(zip(seeds, finals)):
         print(f"  seed {seed}: final loss {loss:.6e}")
     return 0
 
@@ -90,7 +91,7 @@ def _cmd_compare(args) -> int:
     try:
         records = [bench.load_record(p) for p in args.inputs]
         table = bench.compare(records)
-    except (ConfigError, OSError, ValueError, KeyError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = table.render()

@@ -107,6 +107,18 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # overflows at step 200, after three finite log rows
 DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
 
+
+def edit_record(doc, field, value):
+    """Set the value at the dotted path ``field`` (``rows.0.0``, ``summary.aborted``); ``None`` deletes it."""
+    *parents, key = (int(part) if part.isdigit() else part for part in field.split("."))
+    for parent in parents:
+        doc = doc[parent]
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
 class TestParseConfig:
     def test_parses_full_config(self):
         config = parse_config(QUAD_CONFIG)
@@ -389,7 +401,8 @@ class TestLoadRecord:
     @pytest.mark.parametrize(
         "row",
         [1, [1, 0, 1, 1e-3, 1.0, 0.1], [1, 0, 1, 1e-3, 1.0, 0.1, 2.0, 3.0], [1, 0, 1, 1e-3, "1.0", 0.1, 2.0],
-         [1, 0, 1, 1e-3, True, 0.1, 2.0], [1, 0, 1, 1e-3, None, 0.1, 2.0]],
+         [1, 0, 1, 1e-3, True, 0.1, 2.0], [1, 0, 1, 1e-3, None, 0.1, 2.0], [1.7, 0, 1, 1e-3, 1.0, 0.1, 2.0],
+         [1, 0, 1, 1e-3, 10**400, 0.1, 2.0]],
     )
     def test_row_that_is_not_seven_numbers(self, tmp_path, doc, row):
         doc["rows"][1] = row
@@ -404,6 +417,28 @@ class TestLoadRecord:
             doc["summary"]["elapsed_s"] = 0.1
         with pytest.raises(ConfigError, match=r"edited\.json.*summary"):
             self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("problem_id", ["quadratic"]), ("config_hash", 1), ("optimizer_id", ["adaplus"]), ("config.seeds", [1]),
+         ("summary.aborted", "false"), ("summary.final_loss", "x"), ("summary.abort_reason", 0)],
+    )
+    def test_value_of_the_wrong_type(self, tmp_path, doc, field, value):
+        edit_record(doc, field, value)
+        with pytest.raises(ConfigError, match=rf"edited\.json: field '{re.escape(field)}' must be"):
+            self.load(tmp_path, doc)
+
+    def test_unknown_top_level_key(self, tmp_path, doc):
+        doc["elapsed_s"] = 0.1
+        with pytest.raises(ConfigError, match=r"edited\.json: field 'elapsed_s' is unknown"):
+            self.load(tmp_path, doc)
+
+    def test_json_integer_in_a_float_column_loads_as_a_float(self, tmp_path, doc):
+        doc["rows"][1][4] = 2
+        doc["summary"]["wall_time_s"] = 0
+        record = self.load(tmp_path, doc)
+        assert type(record.rows[1].loss) is float and record.rows[1].loss == 2.0
+        assert type(record.summary.wall_time_s) is float
 
     def test_non_object_fields(self, tmp_path, doc):
         for key, value in (("rows", {"a": 1}), ("config", [1]), ("summary", [1])):
@@ -452,6 +487,29 @@ class TestCompare:
         b = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")))
         with pytest.raises(ConfigError, match="seed sets"):
             compare([a, b])
+
+    def test_seed_losses_give_each_seeds_final_and_best_in_row_order(self):
+        rows = [LogRow(2, 0, step, 1e-3, loss, 0.0, 0.0) for step, loss in ((1, 3.0), (2, 1.0), (3, 2.0))]
+        seeds, finals, bests = bench.seed_losses([*rows, LogRow(1, 0, 1, 1e-3, 5.0, 0.0, 0.0)])
+        assert seeds == (2, 1)
+        assert finals.tolist() == [2.0, 5.0] and bests.tolist() == [1.0, 5.0]
+
+    def test_seed_sets_compare_as_sets(self):
+        a = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2,3")))
+        b = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 3,1,2")))
+        assert a.rows == b.rows and a.summary.final_loss == b.summary.final_loss
+        table = compare([a, b])
+        assert table.rows[0].final_mean == table.rows[1].final_mean
+        c = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2,4")))
+        with pytest.raises(ConfigError, match=r"different seed sets: \[\[1, 2, 3\], \[1, 2, 4\]\]"):
+            compare([a, c])
+
+    @pytest.mark.parametrize("key", ["seeds", "epochs", "steps_per_epoch"])
+    def test_record_config_without_a_compared_key_is_named(self, key):
+        record = run(parse_config(QUAD_CONFIG))
+        stripped = replace(record, config=tuple(item for item in record.config if item[0] != key))
+        with pytest.raises(ConfigError, match=rf"record adaplus \({record.config_hash[:12]}\): config lacks '{key}'"):
+            compare([record, stripped])
 
     def test_different_step_budgets_rejected(self):
         a = run(parse_config(QUAD_CONFIG))
@@ -621,6 +679,28 @@ log_every = 1
         assert cli.main(["compare", "--inputs", str(tmp_path / "bad.json")]) == 1
         err = capsys.readouterr().err
         assert "bad.json" in err and "rows[0]" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("rows.0.0", 1.7, "field 'rows[0]' must be int"),
+         ("problem_id", ["quadratic"], "field 'problem_id' must be str"),
+         ("config.seeds", [1], "field 'config.seeds' must be str"),
+         ("summary.aborted", "false", "field 'summary.aborted' must be bool"),
+         ("summary.final_loss", "x", "field 'summary.final_loss' must be float"),
+         ("config.epochs", None, "config lacks 'epochs'")],
+    )
+    def test_compare_mistyped_record_exits_one_with_one_error_line(self, tmp_path, capsys, field, value, message):
+        cfg = self.write_config(tmp_path, QUAD_CONFIG)
+        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+        doc = json.loads((tmp_path / "run.json").read_text())
+        edit_record(doc, field, value)
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["compare", "--inputs", str(tmp_path / "run.json"), str(tmp_path / "bad.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

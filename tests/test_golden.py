@@ -1,4 +1,4 @@
-"""Golden outputs: the CSV of each shipped IEEE-exact config, pinned by SHA-256.
+"""Golden outputs: the CSV and JSON records of each shipped IEEE-exact config, pinned by SHA-256.
 
 The quadratic and ramp runs use only elementwise IEEE arithmetic and dot
 products, so their CSV bytes are the same on every machine.  A change that
@@ -7,17 +7,23 @@ a skipped or repeated step) changes a digest here.  The logistic config is
 left out: it goes through ``exp``, whose SIMD implementation varies between
 CPUs.
 
+The JSON digests are taken with ``wall_time_s`` set to 0.0, the one value of
+a record that is not a function of its config.  They pin the JSON layout as
+well as the numbers: key names and order, row lists, the summary and the
+config pairs.
+
 The ``config_hash`` of every shipped config is pinned too: it is the SHA-256
 of the canonical key/value text, so a change to a key, a default or the
 text form of a value changes it.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from adaplus.bench import load_config, record_to_csv, run
+from adaplus.bench import load_config, record_to_csv, record_to_json, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -25,6 +31,12 @@ GOLDEN_SHA256 = {
     "quadratic_adaplus.cfg": "5ca30f793e8eecdd44ecde68f31184f4b15d2dd21ce3619c3cb48299d0f4e6a9",
     "ramp_adaplus.cfg": "754c089fc38ef3481deddab16c44f6ad701bd4e637c92bcf825eddb53bab87ac",
     "ramp_adamw.cfg": "ddb80541e7741c823c79870c480b60459866ef8c427e23d02341d5b410e375aa",
+}
+
+GOLDEN_JSON_SHA256 = {
+    "quadratic_adaplus.cfg": "0d8c537c5d90ae522f81f4f934483a99e9e9fa4c49433580d0e3d91b293d871f",
+    "ramp_adaplus.cfg": "9af2ad66418eda005681578576b99aee43216be62aee5433f02d1eed58f3bcb3",
+    "ramp_adamw.cfg": "b2638b2e408d028e8981c2e213b3597514c414c91854f5255e8c8b8897010345",
 }
 
 CONFIG_HASHES = {
@@ -41,6 +53,15 @@ def test_shipped_config_csv_matches_golden_digest(name):
     assert not record.summary.aborted
     digest = hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON_SHA256))
+def test_shipped_config_json_matches_golden_digest(name):
+    record = run(load_config(CONFIGS / name))
+    assert not record.summary.aborted
+    record = replace(record, summary=replace(record.summary, wall_time_s=0.0))
+    digest = hashlib.sha256(record_to_json(record).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_JSON_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_HASHES))
