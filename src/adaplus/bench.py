@@ -273,13 +273,14 @@ def seed_losses(rows) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
 
 
 def _run_replica(config: RunConfig, problem: Problem, seed: int):
+    # no full-size array is kept past its last use: at large dims each one
+    # is a share of the run's peak memory
     hp = config.hp
     rng = np.random.default_rng(seed)
-    if config.theta0 == "seeded":
-        theta0 = rng.standard_normal(problem.dim)
-    else:
-        theta0 = np.zeros(problem.dim)
-    params = ParamVector(theta0)
+    # ParamVector copies the start point, which is freed once it is copied
+    params = ParamVector(rng.standard_normal(problem.dim) if config.theta0 == "seeded" else np.zeros(problem.dim))
+    # the kernels update this array in place, so it is read once
+    theta = params.values
     state = OptimizerState(problem.dim)
     source = GradientSource(problem, config.noise, replica_seed=seed)
     step_fn = KERNEL_STEPS[config.optimizer]
@@ -294,17 +295,19 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
             lr_t = lr_at(config.schedule, hp.lr, epoch)
             for _ in range(config.steps_per_epoch):
                 global_step += 1
-                grad = source.gradient(params.values)
                 try:
-                    step_fn(state, params, grad, hp, lr_t)
+                    # unnamed, the gradient is freed when the step returns,
+                    # before the next one is made
+                    step_fn(state, params, source.gradient(theta), hp, lr_t)
                 except NonFiniteValue as exc:
                     return rows, f"seed {seed}: {exc}"
                 if global_step % config.log_every == 0 or global_step == total:
-                    loss, full_grad = problem.evaluate(params.values)
+                    loss, full_grad = problem.evaluate(theta)
                     if not np.isfinite(loss):
                         return rows, f"seed {seed}: non-finite loss at step {global_step}"
-                    grad_norm, param_norm = float(np.linalg.norm(full_grad)), float(np.linalg.norm(params.values))
-                    rows.append(LogRow(seed, epoch, global_step, lr_t, loss, grad_norm, param_norm))
+                    grad_norm = float(np.linalg.norm(full_grad))
+                    del full_grad
+                    rows.append(LogRow(seed, epoch, global_step, lr_t, loss, grad_norm, float(np.linalg.norm(theta))))
     return rows, None
 
 
@@ -464,7 +467,8 @@ def compare(records) -> ComparisonTable:
 
     All records must describe the same problem over the same seeds and the
     same step budget, and none may be aborted: a partial record's losses are
-    not comparable with a finished one's.
+    not comparable with a finished one's.  Each record's rows must cover
+    exactly the seeds its config names.
     """
     records = list(records)
     if not records:
@@ -477,11 +481,18 @@ def compare(records) -> ComparisonTable:
         raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
     seed_sets, budgets = set(), set()
     for record in records:
+        name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
         config = dict(record.config)
         for key in ("seeds", "epochs", "steps_per_epoch"):
             if key not in config:
-                raise ConfigError(f"record {record.optimizer_id} ({record.config_hash[:12]}): config lacks {key!r}")
-        seed_sets.add(frozenset(_parse_int_list(config["seeds"])))
+                raise ConfigError(f"{name}: config lacks {key!r}")
+        seeds = frozenset(_parse_int_list(config["seeds"]))
+        # each seed's losses are averaged, so a seed without rows, or rows of
+        # a seed the config does not name, would skew the table
+        row_seeds = {row.seed for row in record.rows}
+        if row_seeds != seeds:
+            raise ConfigError(f"{name}: rows cover seeds {sorted(row_seeds)}, config names {sorted(seeds)}")
+        seed_sets.add(seeds)
         budgets.add((config["epochs"], config["steps_per_epoch"]))
     if len(seed_sets) != 1:
         raise ConfigError(f"records use different seed sets: {sorted(sorted(s) for s in seed_sets)}")

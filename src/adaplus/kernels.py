@@ -21,10 +21,14 @@ each call cheap.  Every scalar operand (``b1``, ``1 - b1``, ``b2``,
 float64 array owned by the state and passed to the ufuncs as a 0-d view,
 which numpy takes faster than a Python float; each value is the same Python
 expression as before, so no bit changes.  Every ufunc gets its output as a
-positional argument.  The finiteness check is one dot product: an inf or
-NaN in the new parameters or second moment (the parameters with themselves
-for ``sgdm``) makes ``new_theta . new_s`` non-finite, and only then, since
-finite terms can overflow, are the two arrays scanned exactly.
+positional argument, and the core's five ufuncs are module globals.  The
+finiteness check is one dot product: an inf or NaN in the new parameters or
+second moment (the parameters with themselves for ``sgdm``) makes
+``new_theta . new_s`` non-finite, and only then, since finite terms can
+overflow, are the two arrays scanned exactly.  The step sets numpy's error
+state (all errors ignored) for its own call, as a decorator: numpy's
+warnings and ``FloatingPointError`` would only duplicate the structured
+``NonFiniteValue``, and the caller's error state is the same after the call.
 
 Above ``CHUNK`` (16384) elements the same core runs over consecutive blocks
 of that many elements, so its ~20 elementwise passes find their operands in
@@ -34,14 +38,18 @@ shrinks to one block.  One block of the eight vectors the core touches is
 about the same with blocks of 16 Ki to 64 Ki elements, more with 256 Ki and
 up (out of L2) and more with 8 Ki and down (per-call overhead).  Each
 element sees the same operations in the same order, so the bits are those of
-one whole-vector call.  The transcript path and the re-run that attributes a
-failure use the same core over the whole vector as one block.  A call that
-raises leaves ``t``, the moments and the parameters untouched.  The commit
-copies the new parameters into ``params.values`` in place, so that array
-keeps its identity and a caller may hold it across steps.  The moments are not copied: ``state.m`` and
-``state.second_moment`` are rebound to the buffers the step computed into,
-and the arrays they named before become scratch for the next step.  Read
-them from the state after each step instead of holding them.
+one whole-vector call.  The finiteness check is then one dot per block,
+taken while the block's new parameters and second moment are still in cache
+instead of reading both whole vectors again after the sweep; the first block
+that fails it ends the sweep, and the error is attributed over the whole
+vector.  The transcript path and the re-run that attributes a failure use
+the same core over the whole vector as one block.  A call that raises leaves
+``t``, the moments and the parameters untouched.  The commit copies the new
+parameters into ``params.values`` in place, so that array keeps its identity
+and a caller may hold it across steps.  The moments are not copied:
+``state.m`` and ``state.second_moment`` are rebound to the buffers the step
+computed into, and the arrays they named before become scratch for the next
+step.  Read them from the state after each step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None`` and allocates
 nothing.  With ``transcript=True`` it returns a ``StepTranscript``, for
@@ -222,9 +230,13 @@ def _all_finite(new_theta: np.ndarray, new_s: np.ndarray | None) -> bool:
     # an inf or NaN in either operand makes the dot product non-finite; an
     # overflow among finite terms can too, and falls through to the exact test
     other = new_theta if new_s is None else new_s
-    if math.isfinite(np.dot(new_theta, other)):
+    if math.isfinite(new_theta.dot(other)):
         return True
     return bool(np.isfinite(new_theta).all()) and (new_s is None or bool(np.isfinite(new_s).all()))
+
+
+# the core's ufuncs, bound once: a module global is found faster than ``np.<name>``
+_multiply, _add, _subtract, _divide, _sqrt = np.multiply, np.add, np.subtract, np.divide, np.sqrt
 
 
 def _core(theta, g, m, s, out, k, rule):
@@ -248,51 +260,51 @@ def _core(theta, g, m, s, out, k, rule):
     b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     if rule.momentum:
         if rule.use_nesterov:
-            np.multiply(g, lr, step)
-            np.multiply(m, b1, new_m)
-            np.add(new_m, step, new_m)  # m = mu * m + lr_t * g
-            np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-            np.add(step, new_theta, m_bar)  # m_bar = mu * m + lr_t * g, the applied step
+            _multiply(g, lr, step)
+            _multiply(m, b1, new_m)
+            _add(new_m, step, new_m)  # m = mu * m + lr_t * g
+            _multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
+            _add(step, new_theta, m_bar)  # m_bar = mu * m + lr_t * g, the applied step
             step = m_bar
         else:
-            np.multiply(m, b1, new_m)
-            np.add(new_m, g, new_m)  # m = mu * m + g
-            np.multiply(new_m, lr, step)  # lr_t * m, the applied step
-        np.subtract(theta, step, new_theta)
+            _multiply(m, b1, new_m)
+            _add(new_m, g, new_m)  # m = mu * m + g
+            _multiply(new_m, lr, step)  # lr_t * m, the applied step
+        _subtract(theta, step, new_theta)
         return step
 
     # sums and products are formed as ``x + y`` where the rule reads
     # ``y + x``: IEEE addition and multiplication commute exactly
-    np.multiply(g, c1, step)  # (1 - b1) * g, shared by m and m_bar
-    np.multiply(m, b1, new_m)
-    np.add(new_m, step, new_m)  # m = b1 * m + (1 - b1) * g
+    _multiply(g, c1, step)  # (1 - b1) * g, shared by m and m_bar
+    _multiply(m, b1, new_m)
+    _add(new_m, step, new_m)  # m = b1 * m + (1 - b1) * g
     if rule.use_nesterov:
-        np.multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-        np.add(step, new_theta, m_bar)  # m_bar = b1 * m + (1 - b1) * g
+        _multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
+        _add(step, new_theta, m_bar)  # m_bar = b1 * m + (1 - b1) * g
     else:
         m_bar = new_m
     if rule.use_belief:
-        np.subtract(g, new_m, new_theta)  # residual r = g - m
-        np.multiply(new_theta, c2, new_s)
-        np.multiply(new_s, new_theta, new_s)  # ((1 - b2) * r) * r
+        _subtract(g, new_m, new_theta)  # residual r = g - m
+        _multiply(new_theta, c2, new_s)
+        _multiply(new_s, new_theta, new_s)  # ((1 - b2) * r) * r
     else:
-        np.multiply(g, c2, new_s)
-        np.multiply(new_s, g, new_s)  # ((1 - b2) * g) * g
-    np.multiply(s, b2, new_theta)
-    np.add(new_s, new_theta, new_s)  # s = b2 * s + the term above
+        _multiply(g, c2, new_s)
+        _multiply(new_s, g, new_s)  # ((1 - b2) * g) * g
+    _multiply(s, b2, new_theta)
+    _add(new_s, new_theta, new_s)  # s = b2 * s + the term above
     if rule.recursion_eps:
-        np.add(new_s, recursion_eps, new_s)
-    np.divide(m_bar, bc1, m_hat)
-    np.divide(new_s, bc2, s_hat)
-    np.multiply(m_hat, lr, step)
-    np.sqrt(s_hat, new_theta)
-    np.add(new_theta, eps, new_theta)
-    np.divide(step, new_theta, step)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
+        _add(new_s, recursion_eps, new_s)
+    _divide(m_bar, bc1, m_hat)
+    _divide(new_s, bc2, s_hat)
+    _multiply(m_hat, lr, step)
+    _sqrt(s_hat, new_theta)
+    _add(new_theta, eps, new_theta)
+    _divide(step, new_theta, step)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
     if rule.apply_decay:
-        np.multiply(theta, decay, new_theta)
-        np.subtract(new_theta, step, new_theta)
+        _multiply(theta, decay, new_theta)
+        _subtract(new_theta, step, new_theta)
     else:
-        np.subtract(theta, step, new_theta)
+        _subtract(theta, step, new_theta)
     return step
 
 
@@ -318,6 +330,11 @@ def _transcribe(theta, g, m, s, k, rule, decay_rate) -> tuple:
     return g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta
 
 
+# The decorator costs less per call than a ``with np.errstate`` block.  Under
+# numpy >= 2 it sets a context token for each call, so each thread keeps its
+# own error state.  Under numpy 1.x the saved state lives on this one shared
+# ``errstate`` instance, so there the kernels are only safe single-threaded.
+@np.errstate(all="ignore")
 def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
           rule: _Rule, transcript: bool) -> StepTranscript | None:
     """Validate once, run the core, check, then commit."""
@@ -340,43 +357,48 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t, 1.0 - b2**t,
                          lr_t, 1.0 - lr_t * hp.weight_decay)
     m, s = state.m, state.second_moment
-    # non-finite values are raised as structured errors below; numpy's own
-    # warnings would only duplicate that
-    with np.errstate(all="ignore"):
-        rows = None
-        if transcript:
+    # the second moment that is checked and committed; momentum keeps none
+    kept_s = None if rule.momentum else new_s
+    # every non-finite value, the gradient's included, reaches the new
+    # parameter or the second moment (an inf denominator turns the update
+    # into -0, so the parameter alone can hide one), so the finiteness check
+    # covers every stage
+    rows = None
+    if transcript:
+        rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
+        # the rows are the caller's: the state commits copies of them
+        new_m[...] = rows[1]
+        new_s[...] = rows[2]
+        new_theta = rows[8]
+        finite = _all_finite(new_theta, kept_s)
+    elif dim <= CHUNK:
+        # no slicing: at small dims it would cost more than the arithmetic
+        _core(theta, g, m, s, (new_m, new_s, a, a, new_theta, a, new_theta), k, rule)
+        finite = _all_finite(new_theta, kept_s)
+    else:
+        for lo in range(0, dim, CHUNK):
+            hi = min(lo + CHUNK, dim)
+            bm, bs, bt, ba = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
+            _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bt, ba, bt), k, rule)
+            # checked while the block is still in cache; a failure ends the
+            # sweep, and the error is found over the whole vector below
+            finite = _all_finite(bt, None if kept_s is None else bs)
+            if not finite:
+                break
+    if not finite:
+        # the gradient is named first when it is the cause
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
+        if rows is None:
             rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
-            # the rows are the caller's: the state commits copies of them
-            new_m[...] = rows[1]
-            new_s[...] = rows[2]
-            new_theta = rows[8]
-        elif dim <= CHUNK:
-            # no slicing: at small dims it would cost more than the arithmetic
-            _core(theta, g, m, s, (new_m, new_s, a, a, new_theta, a, new_theta), k, rule)
-        else:
-            for lo in range(0, dim, CHUNK):
-                hi = min(lo + CHUNK, dim)
-                bm, bs, bt, ba = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
-                _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bt, ba, bt), k, rule)
-        if rule.momentum:
-            new_s = None
-        # every non-finite value, the gradient's included, reaches the new
-        # parameter or the second moment (an inf denominator turns the update
-        # into -0, so the parameter alone can hide one), so this check covers
-        # every stage; the gradient is named first when it is the cause
-        if not _all_finite(new_theta, new_s):
-            bad = np.flatnonzero(~np.isfinite(g))
-            if bad.size:
-                raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
-            if rows is None:
-                rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
-            raise StepTranscript(t, *rows).first_non_finite()
+        raise StepTranscript(t, *rows).first_non_finite()
 
     # the parameters are updated in place; the moments trade places with
     # their scratch buffers, which costs no copy
-    np.copyto(theta, new_theta)
+    theta[...] = new_theta
     scratch = state._scratch
-    if new_s is None:
+    if kept_s is None:
         state._scratch = (m,) + scratch[1:]
         state.m = new_m
     else:

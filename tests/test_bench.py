@@ -3,6 +3,8 @@
 import inspect
 import json
 import re
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -106,6 +108,19 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # momentum at lr = 5 on the unit quadratic grows geometrically: the loss
 # overflows at step 200, after three finite log rows
 DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
+TWO_SEED_CONFIG = QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")
+# row seeds of a two-seed record that do not cover its seeds, each with the error it gives
+UNCOVERED_SEEDS = {
+    "seed 1 alone": ((1,), "rows cover seeds [1], config names [1, 2]"),
+    "no rows": ((), "rows cover seeds [], config names [1, 2]"),
+    "seed 2 as 3": ((1, 3), "rows cover seeds [1, 3], config names [1, 2]"),
+}
+
+
+def cover_seeds(rows, seeds):
+    """The rows of the first ``len(seeds)`` record seeds in order, relabelled as ``seeds``."""
+    relabel = dict(zip(sorted({row.seed for row in rows}), seeds))
+    return [replace(row, seed=relabel[row.seed]) for row in rows if row.seed in relabel]
 
 
 def edit_record(doc, field, value):
@@ -316,6 +331,30 @@ log_every = 1
         assert "seed 1" in record.summary.abort_reason
         assert len(record.rows) < 100
 
+    def test_replica_holds_no_full_size_array_past_its_last_use(self):
+        # besides the problem's own arrays a replica needs 7 arrays of
+        # 8 * dim bytes at a time: params, m, s, the kernel's three scratch
+        # buffers and one gradient (the step's or the log row's)
+        dim = 2**18
+        config = parse_config(f"""
+problem = quadratic
+problem.dim = {dim}
+optimizer = adaplus
+epochs = 2
+steps_per_epoch = 3
+seeds = 1
+log_every = 2
+""")
+        problem = bench.build_problem(config)
+        tracemalloc.start()
+        try:
+            rows, reason = bench._run_replica(config, problem, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reason is None and [row.step for row in rows] == [2, 4, 6]
+        assert peak < 8 * (8 * dim)
+
 
 class TestEmit:
     def make_record(self, rows):
@@ -504,6 +543,15 @@ class TestCompare:
         with pytest.raises(ConfigError, match=r"different seed sets: \[\[1, 2, 3\], \[1, 2, 4\]\]"):
             compare([a, c])
 
+    @pytest.mark.parametrize("case", UNCOVERED_SEEDS)
+    def test_rows_that_do_not_cover_the_config_seeds_rejected(self, case):
+        seeds, message = UNCOVERED_SEEDS[case]
+        full = run(parse_config(TWO_SEED_CONFIG))
+        adamw = run(parse_config(TWO_SEED_CONFIG.replace("optimizer = adaplus", "optimizer = adamw")))
+        edited = replace(full, rows=tuple(cover_seeds(full.rows, seeds)))
+        with pytest.raises(ConfigError, match=re.escape(f"record adaplus ({full.config_hash[:12]}): {message}")):
+            compare([edited, adamw])
+
     @pytest.mark.parametrize("key", ["seeds", "epochs", "steps_per_epoch"])
     def test_record_config_without_a_compared_key_is_named(self, key):
         record = run(parse_config(QUAD_CONFIG))
@@ -679,6 +727,26 @@ log_every = 1
         assert cli.main(["compare", "--inputs", str(tmp_path / "bad.json")]) == 1
         err = capsys.readouterr().err
         assert "bad.json" in err and "rows[0]" in err
+
+    @pytest.mark.parametrize("case", UNCOVERED_SEEDS)
+    def test_compare_record_whose_rows_do_not_cover_its_seeds_exits_one(self, tmp_path, capsys, case):
+        seeds, message = UNCOVERED_SEEDS[case]
+        for opt in ("adaplus", "adamw"):
+            cfg = self.write_config(tmp_path, TWO_SEED_CONFIG.replace("adaplus", opt), name=f"{opt}.cfg")
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "adaplus.json").read_text())
+        rows = [LogRow(*row) for row in doc["rows"]]
+        doc["rows"] = [list(bench._row_values(row)) for row in cover_seeds(rows, seeds)]
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["compare", "--inputs", str(tmp_path / "edited.json"), str(tmp_path / "adamw.json")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "field, value, message",

@@ -1,6 +1,7 @@
 """Unit tests for the optimizer kernels and the learning-rate schedule."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -560,17 +561,57 @@ class TestHeldArrays:
         assert snapshot(*aliased) == snapshot(*copied)
 
 
+BLOCK_DIMS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
 class TestOverflowingCheck:
     def test_finite_step_whose_check_product_overflows_commits(self):
-        # theta * s (theta * theta for sgdm) overflows although every value
-        # is finite; the exact test must let the step through
-        for kernel in KERNEL_IDS:
-            state, params = fresh([1e200, -1e200])
-            assert attempt(KERNEL_STEPS[kernel], state, params, [1e150, 1e150], HyperParams(), 1e-3) is None
+        # theta * s (theta * theta for sgdm) overflows, in every block of a
+        # blocked sweep, although every value is finite; the exact test must
+        # let the step through
+        for dim, kernel in itertools.product((2, *BLOCK_DIMS), KERNEL_IDS):
+            state, params = fresh(np.resize([1e200, -1e200], dim))
+            assert attempt(KERNEL_STEPS[kernel], state, params, np.full(dim, 1e150), HyperParams(), 1e-3) is None
             assert state.t == 1 and np.isfinite(params.values).all()
 
 
-BLOCK_DIMS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+def overflowing_step(dim):
+    """``(theta0, g)`` whose step with ``lr_t = 1`` overflows in its last element, for every kernel."""
+    theta0, g = np.full(dim, 0.5), np.full(dim, 0.1)
+    theta0[-1], g[-1] = 1.5e308, -1.5e308
+    return theta0, g
+
+
+class TestErrorState:
+    """A step sets numpy's error state for its own call: the caller's state and
+    warning filters neither change nor reach it."""
+
+    @pytest.mark.parametrize("dim", (2, CHUNK + 1))
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_overflow_raises_only_the_structured_error(self, kernel, dim):
+        theta0, g = overflowing_step(dim)
+        # numpy's warnings as errors, then numpy raising FloatingPointError
+        for errors in ("warn", "raise"):
+            state, params = fresh(theta0)
+            before = snapshot(state, params)
+            with warnings.catch_warnings(), np.errstate(all=errors):
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValue):
+                    KERNEL_STEPS[kernel](state, params, g, HyperParams(), 1.0)
+            assert snapshot(state, params) == before
+
+    @pytest.mark.parametrize("dim", (2, CHUNK + 1))
+    def test_callers_error_state_is_kept(self, dim):
+        theta0, g = overflowing_step(dim)
+        with np.errstate(divide="raise", over="warn", under="print", invalid="call"):
+            outer = np.geterr()
+            for kernel in KERNEL_IDS:
+                state, params = fresh(theta0)
+                KERNEL_STEPS[kernel](state, params, np.full(dim, 0.1), HyperParams(), 1.0)
+                assert np.geterr() == outer and state.t == 1
+                with pytest.raises(NonFiniteValue):
+                    KERNEL_STEPS[kernel](state, params, g, HyperParams(), 1.0)
+                assert np.geterr() == outer and state.t == 1
 
 
 # every combination of the switches a kernel reads, as hp keyword arguments
@@ -639,19 +680,21 @@ class TestBlockedSweep:
     def test_zero_over_zero_in_last_block(self, kernel):
         # with eps = 0 a zero gradient element makes its update 0/0; the
         # error names the stage and the global index, as stepping that
-        # block alone does with the local one
+        # block alone does with the local one.  The first block fails before
+        # the sweep reaches the others, the last one after every other block
+        # has passed its check.
         step = KERNEL_STEPS[kernel]
         rng = np.random.default_rng(5)
-        for dim, hp_kwargs in itertools.product(BLOCK_DIMS, TOGGLES):
+        for dim, hp_kwargs, which in itertools.product(BLOCK_DIMS, TOGGLES, (0, -1)):
             hp = HyperParams(eps=0.0, **hp_kwargs)
-            last = blocks(dim)[-1]
-            index = int(rng.integers(last.start, dim))
+            block = blocks(dim)[which]
+            index = int(rng.integers(block.start, min(block.stop, dim)))
             g = rng.standard_normal(dim)
             g[index] = 0.0
             theta0 = rng.standard_normal(dim)
-            whole, alone = fresh(theta0), fresh(theta0[last])
+            whole, alone = fresh(theta0), fresh(theta0[block])
             before = snapshot(*whole)
             error = attempt(step, *whole, g, hp, 1e-3)
-            stage, t, local = attempt(step, *alone, g[last], hp, 1e-3)
-            assert error == (stage, t, last.start + local) == ("delta_theta", 1, index)
+            stage, t, local = attempt(step, *alone, g[block], hp, 1e-3)
+            assert error == (stage, t, block.start + local) == ("delta_theta", 1, index)
             assert snapshot(*whole) == before
