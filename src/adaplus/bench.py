@@ -11,6 +11,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import operator
 import time
 from dataclasses import asdict, dataclass, fields
@@ -29,6 +30,13 @@ def _parse_bool(text: str) -> bool:
     return lowered == "true"
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -37,7 +45,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 _REQUIRED = inspect.Parameter.empty
-_CONVERTERS = {bool: _parse_bool, tuple[int, ...]: _parse_int_list}
+_CONVERTERS = {bool: _parse_bool, float: _parse_float, tuple[int, ...]: _parse_int_list}
 
 
 @functools.cache
@@ -45,8 +53,9 @@ def _parameters(cls) -> tuple:
     """``(name, converter, default)`` of each parameter of ``cls``, in order.
 
     A ``bool`` or ``tuple[int, ...]`` parameter reads the text ``_format``
-    writes; any other annotation is its own converter.  A required
-    parameter's default is ``_REQUIRED``.
+    writes, and a ``float`` one rejects NaN and infinities; any other
+    annotation is its own converter.  A required parameter's default is
+    ``_REQUIRED``.
     """
     return tuple(
         (p.name, _CONVERTERS.get(p.annotation, p.annotation), p.default)
@@ -98,6 +107,14 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.steps_per_epoch < 1:
             raise ConfigError(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
+        # the rate is monotone in the number of milestones passed, so if the
+        # last epoch's is positive and finite, so is every epoch's
+        last_rate = lr_at(self.schedule, self.hp.lr, self.epochs - 1)
+        if not (math.isfinite(last_rate) and last_rate > 0):
+            raise ConfigError(
+                f"lr = {self.hp.lr!r} with decay_factor = {self.schedule.decay_factor!r} gives the rate "
+                f"{last_rate!r} at epoch {self.epochs - 1}; it must be positive and finite"
+            )
         if self.log_every < 1:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
         if not self.seeds:

@@ -10,23 +10,22 @@ Six update rules from one adaptive family:
 - ``sgdm_step``: classical momentum, with an optional Nesterov form.
 
 All six run through one core.  A step call validates its inputs once,
-computes into scratch buffers owned by its ``OptimizerState``, checks that
-the new parameters and second moment are finite, and only then commits and
-increments ``t``.
+computes into buffers that its ``OptimizerState`` allocated when it was
+made, checks that the new parameters and second moment are finite, and only
+then commits and increments ``t``.  A committing step allocates nothing.
 
 At small dims a step's cost is the number of numpy calls, so the core keeps
 each call cheap.  Every scalar operand (``b1``, ``1 - b1``, ``b2``,
 ``1 - b2``, the recursion ``eps``, ``eps``, ``1 - b1^t``, ``1 - b2^t``,
 ``lr_t`` and ``1 - lr_t * wd``) is written each step into a ten-element
 float64 array owned by the state and passed to the ufuncs as a 0-d view,
-which numpy takes faster than a Python float; each value is the same Python
-expression as before, so no bit changes.  Every ufunc gets its output as a
-positional argument, and the core's five ufuncs are module globals.  The
-finiteness check is one dot product: an inf or NaN in the new parameters or
-second moment (the parameters with themselves for ``sgdm``) makes
-``new_theta . new_s`` non-finite, and only then, since finite terms can
-overflow, are the two arrays scanned exactly.  The step sets numpy's error
-state (all errors ignored) for its own call, as a decorator: numpy's
+which numpy takes faster than a Python float.  Every ufunc gets its output
+as a positional argument, and the core's five ufuncs are module globals.
+The finiteness check is one dot product: an inf or NaN in the new
+parameters or second moment (the parameters with themselves for ``sgdm``)
+makes ``new_theta . new_s`` non-finite, and only then, since finite terms
+can overflow, are the two arrays scanned exactly.  The step sets numpy's
+error state (all errors ignored) for its own call, as a decorator: numpy's
 warnings and ``FloatingPointError`` would only duplicate the structured
 ``NonFiniteValue``, and the caller's error state is the same after the call.
 
@@ -41,29 +40,33 @@ element sees the same operations in the same order, so the bits are those of
 one whole-vector call.  The finiteness check is then one dot per block,
 taken while the block's new parameters and second moment are still in cache
 instead of reading both whole vectors again after the sweep; the first block
-that fails it ends the sweep, and the error is attributed over the whole
-vector.  The transcript path and the re-run that attributes a failure use
-the same core over the whole vector as one block.  A call that raises leaves
-``t``, the moments and the parameters untouched.  The commit copies the new
-parameters into ``params.values`` in place, so that array keeps its identity
-and a caller may hold it across steps.  The moments are not copied:
-``state.m`` and ``state.second_moment`` are rebound to the buffers the step
-computed into, and the arrays they named before become scratch for the next
-step.  Read them from the state after each step instead of holding them.
+that fails it ends the sweep.  The transcript path runs the core over the
+whole vector as one block.
 
-Transcripts are opt-in.  By default a step returns ``None`` and allocates
-nothing.  With ``transcript=True`` it returns a ``StepTranscript``, for
-diffing trajectories against the independent scalar reference in
+Every failing step is attributed the same way.  The gradient is scanned
+first; if it is finite, the step is transcribed again one block at a time,
+from the untouched state, and the earliest stage in ``FIELD_ORDER`` that
+holds a non-finite value is raised at its first element.  Elements are
+independent, so this is the error ``first_non_finite`` gives over the whole
+vector, and the attribution holds no more than one block's transcript at a
+time.  A call that raises leaves ``t``, the moments and the parameters
+untouched.  The commit copies the new parameters into ``params.values`` in
+place, so that array keeps its identity and a caller may hold it across
+steps.  The moments are not copied: ``state.m`` and ``state.second_moment``
+trade places with the state's buffers for the next ones, so the arrays they
+named before are written by the next step.  Read them from the state after
+each step instead of holding them.
+
+Transcripts are opt-in.  By default a step returns ``None``.  With
+``transcript=True`` it returns a ``StepTranscript``, for diffing
+trajectories against the independent scalar reference in
 ``adaplus.oracle``.  The core takes a destination for every quantity it
-computes: the lean step lets them share its four scratch buffers, while a
+computes: the lean step lets them share the state's four buffers, while a
 transcript passes the rows of one ``(9, dim)`` block, so each field is
 computed in place in its row and nothing is copied out; only the rows that
 restate another row or a constant (``m_bar`` without Nesterov, the
 momentum kernel's ``m_hat`` and zero second moment, ``decay_applied``) are
-filled after the core, and the state commits copies of the new moments.  A
-non-finite result is attributed to the earliest stage that produced it by
-reading those rows, which the lean step first fills by running the core
-once more into a block, from the untouched state.
+filled after the core, and the state commits copies of the new moments.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(lr, b1, b2, eps, wd)`` and scheduled rate ``lr_t``::
@@ -92,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .transcript import StepTranscript
+from .transcript import FIELD_ORDER, StepTranscript
 
 
 @dataclass(frozen=True)
@@ -128,13 +131,18 @@ class HyperParams:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
+# elements per block of the sweep over a long vector (module docstring)
+CHUNK = 16384
+
+
 class OptimizerState:
     """Mutable per-vector optimizer state: step counter and the two EMAs.
 
     ``second_moment`` holds the belief EMA or the squared-gradient EMA
     depending on the kernel driving the state.  States are independent; one
     state must only ever be fed to one kernel.  Each step rebinds ``m`` and
-    ``second_moment`` to new arrays and reuses the previous ones as scratch.
+    ``second_moment`` to new arrays and reuses the previous ones for the
+    next step.  Every buffer a step writes is allocated here.
     """
 
     def __init__(self, dim: int):
@@ -144,31 +152,35 @@ class OptimizerState:
         self.t = 0
         self.m = np.zeros(self.dim)
         self.second_moment = np.zeros(self.dim)
-        self._scratch = None
+        # the next m and second moment, which trade places with the two
+        # above at a commit, the next theta, and one block's temporary
+        self._next_m, self._next_s, self._theta = np.empty((3, self.dim))
+        self._tmp = np.empty(min(self.dim, CHUNK))
+        # the ten step coefficients, and a 0-d view of each for the ufuncs
+        self._coefficients = np.empty(10)
+        self._k = tuple(self._coefficients[i, ...] for i in range(10))
 
 
 class ParamVector:
-    """Flat float64 parameter vector; non-finite writes are rejected."""
+    """Flat float64 parameter vector, copied and checked finite when it is made.
+
+    ``values`` is read-only: steps update that array in place.
+    """
 
     __slots__ = ("_values",)
 
     def __init__(self, values):
-        self._values = None
-        self.values = values
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @values.setter
-    def values(self, new):
-        arr = np.array(new, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("parameter vector must be a non-empty 1-D array")
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteValue("parameter", index=int(bad[0]))
         self._values = arr
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values
 
     @property
     def dim(self) -> int:
@@ -210,22 +222,6 @@ class _Rule(NamedTuple):
     use_nesterov: bool
 
 
-# elements per block of the sweep over a long vector (module docstring)
-CHUNK = 16384
-
-
-def _scratch(state: OptimizerState) -> tuple:
-    # made on a state's first step: buffers for the next m, second moment and
-    # theta (m and the second moment trade places with the state's arrays at
-    # a commit), one temporary of one block's length, and the array of the
-    # ten step coefficients with a 0-d view of each.
-    if state._scratch is None:
-        coefficients = np.empty(10)
-        views = tuple(coefficients[i, ...] for i in range(10))
-        state._scratch = (*np.empty((3, state.dim)), np.empty(min(state.dim, CHUNK)), coefficients, views)
-    return state._scratch
-
-
 def _all_finite(new_theta: np.ndarray, new_s: np.ndarray | None) -> bool:
     # an inf or NaN in either operand makes the dot product non-finite; an
     # overflow among finite terms can too, and falls through to the exact test
@@ -245,8 +241,8 @@ def _core(theta, g, m, s, out, k, rule):
     ``out`` is ``(new_m, new_s, m_bar, m_hat, s_hat, step, new_theta)``, a
     destination for each quantity the core computes, ``step`` being the
     negated update ``-delta_theta``.  Destinations may share a buffer where
-    a quantity is dead once the next one is formed: the lean step passes its
-    four scratch buffers as ``(new_m, new_s, a, a, new_theta, a, new_theta)``,
+    a quantity is dead once the next one is formed: the lean step passes the
+    state's four buffers as ``(new_m, new_s, a, a, new_theta, a, new_theta)``,
     the transcript a row of its block for each.  ``step`` and ``new_theta``
     also serve as temporaries before they get their values.  The new second
     moment and ``m_hat`` are not written for momentum, nor ``m_bar`` where
@@ -308,10 +304,10 @@ def _core(theta, g, m, s, out, k, rule):
     return step
 
 
-def _transcribe(theta, g, m, s, k, rule, decay_rate) -> tuple:
-    """Run the core over the whole vector into the rows of one ``(9, dim)``
-    block, fill the rows that restate another row or a constant, and return
-    the rows in ``StepTranscript`` field order."""
+def _transcribe(t, theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
+    """Step ``t`` over the elements given, as a transcript whose fields are
+    the rows of one ``(9, n)`` block: the core computes into the rows, and
+    the rows that restate another row or a constant are filled after it."""
     g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta = np.empty((9, g.size))
     # copies are slice assignments, which at small dims cost a third of np.copyto
     g_row[...] = g
@@ -327,7 +323,21 @@ def _transcribe(theta, g, m, s, k, rule, decay_rate) -> tuple:
         np.multiply(theta, decay_rate, decay)
     else:
         decay.fill(0.0)
-    return g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta
+    return StepTranscript(t, g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta)
+
+
+def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
+    """The error ``first_non_finite`` gives for the whole step, found one
+    block at a time: the earliest stage over all blocks, at its first
+    element.  Only one block's transcript is alive at a time."""
+    found = []
+    for lo in range(0, g.size, CHUNK):
+        block = slice(lo, lo + CHUNK)
+        error = _transcribe(t, theta[block], g[block], m[block], s[block], k, rule, decay_rate).first_non_finite()
+        if error is not None:
+            found.append((FIELD_ORDER.index(error.stage), lo + error.index))
+    stage, index = min(found)
+    return NonFiniteValue(FIELD_ORDER[stage], index=index, step=t)
 
 
 # The decorator costs less per call than a ``with np.errstate`` block.  Under
@@ -350,12 +360,12 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         raise ValueError(f"lr_t must be a positive finite real, got {lr_t}")
     t = state.t + 1
 
-    new_m, new_s, new_theta, a, coefficients, k = _scratch(state)
+    new_m, new_s, new_theta, a, k = state._next_m, state._next_s, state._theta, state._tmp, state._k
     # each coefficient is computed in Python floats and stored exactly, so
     # the ufuncs see the operand values of the update rules
-    b1, b2 = hp.beta1, hp.beta2
-    coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t, 1.0 - b2**t,
-                         lr_t, 1.0 - lr_t * hp.weight_decay)
+    b1, b2, decay_rate = hp.beta1, hp.beta2, lr_t * hp.weight_decay
+    state._coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t,
+                                1.0 - b2**t, lr_t, 1.0 - decay_rate)
     m, s = state.m, state.second_moment
     # the second moment that is checked and committed; momentum keeps none
     kept_s = None if rule.momentum else new_s
@@ -363,13 +373,13 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # parameter or the second moment (an inf denominator turns the update
     # into -0, so the parameter alone can hide one), so the finiteness check
     # covers every stage
-    rows = None
+    tr = None
     if transcript:
-        rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
-        # the rows are the caller's: the state commits copies of them
-        new_m[...] = rows[1]
-        new_s[...] = rows[2]
-        new_theta = rows[8]
+        tr = _transcribe(t, theta, g, m, s, k, rule, decay_rate)
+        # the fields are the caller's: the state commits copies of them
+        new_m[...] = tr.m
+        new_s[...] = tr.second_moment
+        new_theta = tr.theta_after
         finite = _all_finite(new_theta, kept_s)
     elif dim <= CHUNK:
         # no slicing: at small dims it would cost more than the arithmetic
@@ -380,8 +390,7 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
             hi = min(lo + CHUNK, dim)
             bm, bs, bt, ba = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
             _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bt, ba, bt), k, rule)
-            # checked while the block is still in cache; a failure ends the
-            # sweep, and the error is found over the whole vector below
+            # checked while the block is still in cache; a failure ends the sweep
             finite = _all_finite(bt, None if kept_s is None else bs)
             if not finite:
                 break
@@ -390,22 +399,16 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
-        if rows is None:
-            rows = _transcribe(theta, g, m, s, k, rule, lr_t * hp.weight_decay)
-        raise StepTranscript(t, *rows).first_non_finite()
+        raise _attribute(t, theta, g, m, s, k, rule, decay_rate)
 
-    # the parameters are updated in place; the moments trade places with
-    # their scratch buffers, which costs no copy
+    # the parameters are updated in place; the moments trade places with the
+    # state's buffers for the next ones, which costs no copy
     theta[...] = new_theta
-    scratch = state._scratch
-    if kept_s is None:
-        state._scratch = (m,) + scratch[1:]
-        state.m = new_m
-    else:
-        state._scratch = (m, s) + scratch[2:]
-        state.m, state.second_moment = new_m, new_s
+    state.m, state._next_m = new_m, m
+    if kept_s is not None:
+        state.second_moment, state._next_s = new_s, s
     state.t = t
-    return StepTranscript(t, *rows) if transcript else None
+    return tr
 
 
 def adaplus_step(

@@ -70,9 +70,10 @@ NEGATIVE_SEED_CONFIGS = {
     "problem.seed": LOGISTIC_CONFIG.replace("problem.seed = 5", "problem.seed = -2"),
 }
 
-# configs that parse but that the run rejects before its first step: problem
-# parameters the problem's constructor rejects, and minibatch noise on a
-# problem without samples; with the error each must report
+# configs the run rejects before its first step: problem parameters the
+# problem's constructor rejects, minibatch noise on a problem without samples,
+# numbers that are not finite, and a schedule whose rate underflows to 0;
+# with the error each must report
 RUN_REJECTED_CONFIGS = {
     "zero_dim": (QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 0"), "problem quadratic: dim"),
     "odd_rosenbrock_dim": (
@@ -86,6 +87,30 @@ RUN_REJECTED_CONFIGS = {
     "minibatch_noise_on_quadratic": (
         QUAD_CONFIG + "noise = minibatch_subset\nnoise.scale = 0.5\n",
         "minibatch_subset noise needs a finite-sample problem",
+    ),
+    "lr_not_a_number": (QUAD_CONFIG + "lr = abc\n", "bad value for 'lr': could not convert string to float: 'abc'"),
+    "lr_inf": (QUAD_CONFIG + "lr = inf\n", "bad value for 'lr': expected a finite number, got 'inf'"),
+    "lr_overflows": (QUAD_CONFIG + "lr = 1e400\n", "bad value for 'lr': expected a finite number, got '1e400'"),
+    "decay_factor_inf": (
+        QUAD_CONFIG.replace("epochs = 1", "epochs = 2") + "milestones = 1\ndecay_factor = inf\n",
+        "bad value for 'decay_factor': expected a finite number, got 'inf'",
+    ),
+    "rate_underflows": (
+        QUAD_CONFIG.replace("epochs = 1", "epochs = 3") + "milestones = 1,2\ndecay_factor = 1e-200\n",
+        "lr = 0.001 with decay_factor = 1e-200 gives the rate 0.0 at epoch 2; it must be positive and finite",
+    ),
+    "noise_scale_nan": (
+        QUAD_CONFIG + "noise = gaussian_additive\nnoise.scale = nan\n",
+        "bad value for 'noise.scale': expected a finite number, got 'nan'",
+    ),
+    "eps_nan": (QUAD_CONFIG + "eps = nan\n", "bad value for 'eps': expected a finite number, got 'nan'"),
+    "weight_decay_inf": (
+        QUAD_CONFIG + "weight_decay = inf\n",
+        "bad value for 'weight_decay': expected a finite number, got 'inf'",
+    ),
+    "condition_number_nan": (
+        QUAD_CONFIG + "problem.condition_number = nan\n",
+        "bad value for 'problem.condition_number': expected a finite number, got 'nan'",
     ),
 }
 
@@ -165,6 +190,11 @@ class TestParseConfig:
     def test_missing_required_key_rejected(self):
         with pytest.raises(ConfigError, match="missing required key 'seeds'"):
             parse_config(QUAD_CONFIG.replace("seeds = 1", ""))
+
+    def test_run_config_built_in_code_rejects_an_infinite_rate(self):
+        config = parse_config(QUAD_CONFIG)
+        with pytest.raises(ConfigError, match="gives the rate inf at epoch 0; it must be positive and finite"):
+            replace(config, hp=replace(config.hp, lr=float("inf")))
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError, match="unknown optimizer"):
@@ -631,7 +661,9 @@ class TestCli:
         text, message = RUN_REJECTED_CONFIGS[case]
         cfg = self.write_config(tmp_path, text)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        # one line, no traceback
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_config_that_is_not_utf8_exits_one_naming_the_file(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Unit tests for the optimizer kernels and the learning-rate schedule."""
 
 import itertools
+import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +94,13 @@ class TestStateAndParams:
         with pytest.raises(NonFiniteValue) as exc:
             ParamVector([1.0, np.nan, 2.0])
         assert exc.value.index == 1
+
+    def test_param_vector_values_is_read_only(self):
+        params = ParamVector([1.0, 2.0])
+        held = params.values
+        with pytest.raises(AttributeError):
+            params.values = [3.0, 4.0]
+        assert params.values is held and held.tolist() == [1.0, 2.0]
 
     def test_param_vector_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -698,3 +708,78 @@ class TestBlockedSweep:
             stage, t, local = attempt(step, *alone, g[block], hp, 1e-3)
             assert error == (stage, t, block.start + local) == ("delta_theta", 1, index)
             assert snapshot(*whole) == before
+
+    @pytest.mark.parametrize("transcript", (False, True))
+    @pytest.mark.parametrize("kernel", [k for k in KERNEL_IDS if k != "sgdm"])
+    def test_earliest_stage_wins_across_blocks(self, kernel, transcript):
+        # with eps = 0 a zero gradient element in block 0 makes its update
+        # 0/0, and a gradient of 1e200 in the last block overflows its second
+        # moment: the earlier stage is raised, at its global index, although
+        # the block holding it is attributed after the other one
+        dim = 2 * CHUNK + 3
+        for hp_kwargs in TOGGLES:
+            rng = np.random.default_rng(6)
+            state, params = fresh(rng.standard_normal(dim))
+            g = rng.standard_normal(dim)
+            g[int(rng.integers(CHUNK))] = 0.0
+            index = int(rng.integers(2 * CHUNK, dim))
+            g[index] = 1e200
+            before = snapshot(state, params)
+            error = attempt(KERNEL_STEPS[kernel], state, params, g, HyperParams(eps=0.0, **hp_kwargs), 1e-3,
+                            transcript=transcript)
+            assert error == ("second_moment", 1, index), hp_kwargs
+            assert snapshot(state, params) == before
+
+    def test_failing_step_holds_at_most_one_block_of_transcript(self):
+        # attribution transcribes one block at a time: a failing step on a
+        # fresh state peaks under one full-size vector (one block's (9, CHUNK)
+        # transcript is 0.56 of it at this dim)
+        dim = 2**18
+        state, params = fresh(np.linspace(-1.0, 1.0, dim))
+        g = np.full(dim, 0.5)
+        g[dim // 2] = 0.0
+        hp = HyperParams(eps=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteValue) as exc:
+                adaplus_step(state, params, g, hp, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.stage, exc.value.index) == ("delta_theta", dim // 2)
+        assert peak < 8 * dim, peak / (8 * dim)
+
+
+class TestAllocation:
+    """The state allocates every buffer a step writes when it is made."""
+
+    @pytest.mark.parametrize("dim", (CHUNK, CHUNK + 1, 2**18))
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_committing_step_allocates_nothing(self, kernel, dim):
+        rng = np.random.default_rng(dim)
+        state, params = fresh(rng.standard_normal(dim))
+        grads = [rng.standard_normal(dim) for _ in range(2)]
+        hp = HyperParams()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for g in grads:
+                tracemalloc.reset_peak()
+                KERNEL_STEPS[kernel](state, params, g, hp, 1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert state.t == 2
+        # the first step included: a few small Python objects, no array
+        assert max(peaks) < 16 * 1024, peaks
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_quick_start_runs_as_written(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Quick start (library)"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-150
