@@ -195,7 +195,7 @@ def parse_config(text: str) -> RunConfig:
             value = raw.pop(key)
             try:
                 return conv(value)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
@@ -329,7 +329,7 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
 
 
 def run(config: RunConfig) -> RunRecord:
-    """Execute every seed replica, one after another, and assemble the record.
+    """Execute every seed replica, one after another in seed order, and assemble the record.
 
     A non-finite loss or parameter aborts its replica and flags the partial
     record.  A problem parameter the problem rejects raises ``ConfigError``.
@@ -338,12 +338,11 @@ def run(config: RunConfig) -> RunRecord:
     problem = build_problem(config)
     rows: list[LogRow] = []
     abort_reasons = []
-    for seed in config.seeds:
+    for seed in sorted(config.seeds):
         replica_rows, reason = _run_replica(config, problem, seed)
         rows.extend(replica_rows)
         if reason is not None:
             abort_reasons.append(reason)
-    rows.sort(key=lambda r: (r.seed, r.epoch, r.step))
     _, finals, bests = seed_losses(rows)
     return RunRecord(
         config_hash=config.config_hash(),
@@ -439,13 +438,13 @@ def load_record(path) -> RunRecord:
 
     The record must have exactly ``RunRecord``'s fields, its summary exactly
     ``RunSummary``'s, each row ``LogRow``'s, and every value the type of its
-    field.  Anything else raises ``ConfigError`` naming the file and the field.
+    field.  Anything else, text that is not UTF-8 or not JSON included, raises
+    ``ConfigError`` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        return _read(doc, RunRecord, "record")
-    except ConfigError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read(json.load(fh), RunRecord, "record")
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -503,7 +502,10 @@ def compare(records) -> ComparisonTable:
         for key in ("seeds", "epochs", "steps_per_epoch"):
             if key not in config:
                 raise ConfigError(f"{name}: config lacks {key!r}")
-        seeds = frozenset(_parse_int_list(config["seeds"]))
+        try:
+            seeds = frozenset(_parse_int_list(config["seeds"]))
+        except ValueError as exc:
+            raise ConfigError(f"{name}: bad value for 'seeds': {exc}") from None
         # each seed's losses are averaged, so a seed without rows, or rows of
         # a seed the config does not name, would skew the table
         row_seeds = {row.seed for row in record.rows}

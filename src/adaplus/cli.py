@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .errors import ConfigError
 from .kernels import KERNEL_IDS, REDUCTIONS, HyperParams, drive_stream
 from .oracle import replay
 from .transcript import scaled_deviation
@@ -59,7 +58,7 @@ def _cmd_run(args) -> int:
     try:
         config = bench.load_config(args.config)
         record = bench.run(config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -91,7 +90,7 @@ def _cmd_compare(args) -> int:
     try:
         records = [bench.load_record(p) for p in args.inputs]
         table = bench.compare(records)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = table.render()

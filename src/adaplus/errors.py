@@ -1,4 +1,12 @@
-"""Structured errors raised by the optimizer kernels, the oracle, and the bench harness."""
+"""Structured errors raised by the optimizer kernels, the oracle, and the bench harness.
+
+Bad input has one family: ``ValueError``.  The kernels, the oracle and the
+problem constructors raise it for a value outside its domain, and
+``ConfigError``, a ``ValueError``, is what the run-config, noise and record
+readers raise.  So ``except ValueError`` catches every one of them.
+``OptimizerError`` is the other family: a step that cannot be taken
+(``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
+"""
 
 
 class OptimizerError(Exception):
@@ -33,5 +41,5 @@ class NonFiniteValue(OptimizerError):
         super().__init__(f"non-finite value in {stage}{where}{elem}")
 
 
-class ConfigError(Exception):
-    """A run configuration is malformed or references unknown identifiers."""
+class ConfigError(ValueError):
+    """A run configuration or record is malformed or references unknown identifiers."""

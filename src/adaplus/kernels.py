@@ -119,16 +119,16 @@ class HyperParams:
     decoupled_decay: bool = False
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
             raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be non-negative, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be non-negative and finite, got {self.eps}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 
 
 # elements per block of the sweep over a long vector (module docstring)
@@ -200,8 +200,8 @@ class LrSchedule:
             raise ValueError("milestones must be positive epoch indices")
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
             raise ValueError("milestones must be strictly increasing")
-        if not self.decay_factor > 0:
-            raise ValueError(f"decay_factor must be positive, got {self.decay_factor}")
+        if not 0.0 < self.decay_factor < math.inf:
+            raise ValueError(f"decay_factor must be positive and finite, got {self.decay_factor}")
 
 
 def lr_at(schedule: LrSchedule, base_lr: float, epoch: int) -> float:

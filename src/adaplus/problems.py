@@ -32,8 +32,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if self.scale < 0:
-            raise ConfigError(f"noise scale must be non-negative, got {self.scale}")
+        if not 0.0 <= self.scale < np.inf:
+            raise ConfigError(f"noise.scale must be non-negative and finite, got {self.scale}")
         if self.kind == "minibatch_subset" and self.scale > 1:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
         # numpy's generators take no negative seed
@@ -141,8 +141,8 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if condition_number < 1:
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
+    if not 1.0 <= condition_number < np.inf:
+        raise ValueError(f"condition_number must be >= 1 and finite, got {condition_number}")
     eigs = np.logspace(0.0, np.log10(condition_number), dim)
 
     def gradient(theta):
@@ -186,10 +186,10 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
     large but the belief EMA stays small, so belief-style kernels take larger
     steps than variance-style ones.
     """
-    if g_mag <= 0:
-        raise ValueError(f"g_mag must be positive, got {g_mag}")
-    if curvature <= 0:
-        raise ValueError(f"curvature must be positive, got {curvature}")
+    if not 0.0 < g_mag < np.inf:
+        raise ValueError(f"g_mag must be positive and finite, got {g_mag}")
+    if not 0.0 < curvature < np.inf:
+        raise ValueError(f"curvature must be positive and finite, got {curvature}")
 
     def gradient(theta):
         return np.array([g_mag + curvature * theta[0]])
@@ -219,8 +219,8 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < np.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
 
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)

@@ -24,7 +24,8 @@ from adaplus.bench import (
     run,
 )
 from adaplus.errors import ConfigError
-from adaplus.problems import PROBLEMS
+from adaplus.kernels import LrSchedule
+from adaplus.problems import PROBLEMS, GradientSource, NoiseSpec, quadratic
 
 QUAD_CONFIG = """
 # one-dimensional convex sanity run
@@ -72,8 +73,9 @@ NEGATIVE_SEED_CONFIGS = {
 
 # configs the run rejects before its first step: problem parameters the
 # problem's constructor rejects, minibatch noise on a problem without samples,
-# numbers that are not finite, and a schedule whose rate underflows to 0;
-# with the error each must report
+# numbers that are not finite, a schedule whose rate underflows to 0, values
+# out of their key's domain and lines that are not 'key = value'; with the
+# error each must report
 RUN_REJECTED_CONFIGS = {
     "zero_dim": (QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 0"), "problem quadratic: dim"),
     "odd_rosenbrock_dim": (
@@ -112,6 +114,20 @@ RUN_REJECTED_CONFIGS = {
         QUAD_CONFIG + "problem.condition_number = nan\n",
         "bad value for 'problem.condition_number': expected a finite number, got 'nan'",
     ),
+    "use_nesterov_not_a_bool": (
+        QUAD_CONFIG + "use_nesterov = yes\n",
+        "bad value for 'use_nesterov': expected true or false, got 'yes'",
+    ),
+    "zero_epochs": (QUAD_CONFIG.replace("epochs = 1", "epochs = 0"), "epochs must be >= 1, got 0"),
+    "zero_steps_per_epoch": (
+        QUAD_CONFIG.replace("steps_per_epoch = 500", "steps_per_epoch = 0"),
+        "steps_per_epoch must be >= 1, got 0",
+    ),
+    "zero_log_every": (QUAD_CONFIG.replace("log_every = 50", "log_every = 0"), "log_every must be >= 1, got 0"),
+    "empty_seeds": (QUAD_CONFIG.replace("seeds = 1", "seeds ="), "seeds must be non-empty"),
+    "theta0_ones": (QUAD_CONFIG + "theta0 = ones\n", "theta0 must be one of ('seeded', 'zeros'), got 'ones'"),
+    "line_without_equals": (QUAD_CONFIG + "momentum\n", "line 10: expected 'key = value', got 'momentum'"),
+    "empty_key": (QUAD_CONFIG + " = 1\n", "line 10: empty key"),
 }
 
 # each problem's problem.* keys in order, as key -> (converter, default);
@@ -192,9 +208,11 @@ class TestParseConfig:
             parse_config(QUAD_CONFIG.replace("seeds = 1", ""))
 
     def test_run_config_built_in_code_rejects_an_infinite_rate(self):
+        # HyperParams rejects an infinite lr itself; finite factors can still
+        # overflow once a milestone is passed
         config = parse_config(QUAD_CONFIG)
-        with pytest.raises(ConfigError, match="gives the rate inf at epoch 0; it must be positive and finite"):
-            replace(config, hp=replace(config.hp, lr=float("inf")))
+        with pytest.raises(ConfigError, match="gives the rate inf at epoch 1; it must be positive and finite"):
+            replace(config, hp=replace(config.hp, lr=1e308), schedule=LrSchedule((1,), 10.0), epochs=2)
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError, match="unknown optimizer"):
@@ -231,6 +249,20 @@ class TestParseConfig:
         a = parse_config(QUAD_CONFIG)
         b = parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 4"))
         assert a.config_hash() != b.config_hash()
+
+
+def test_bad_input_of_every_reader_is_a_value_error(tmp_path):
+    assert issubclass(ConfigError, ValueError)
+    path = tmp_path / "record.json"
+    path.write_text("{}")
+    for call in (
+        lambda: NoiseSpec("salt_and_pepper"),
+        lambda: GradientSource(quadratic(2), NoiseSpec("minibatch_subset", 0.5)),
+        lambda: parse_config(QUAD_CONFIG + "use_belief = maybe\n"),
+        lambda: load_record(path),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestProblemTable:
@@ -589,6 +621,17 @@ class TestCompare:
         with pytest.raises(ConfigError, match=rf"record adaplus \({record.config_hash[:12]}\): config lacks '{key}'"):
             compare([record, stripped])
 
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="compare needs at least one record"):
+            compare([])
+
+    def test_malformed_seeds_text_is_named(self):
+        record = run(parse_config(QUAD_CONFIG))
+        edited = replace(record, config=tuple((k, "1,x" if k == "seeds" else v) for k, v in record.config))
+        message = f"record adaplus ({record.config_hash[:12]}): bad value for 'seeds': invalid literal for int()"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            compare([edited])
+
     def test_different_step_budgets_rejected(self):
         a = run(parse_config(QUAD_CONFIG))
         for budget in ("epochs = 2", "steps_per_epoch = 400"):
@@ -693,6 +736,19 @@ log_every = 1
         assert json.loads(flagged.read_text())["summary"]["aborted"] is True
         assert not (out / "diverge.csv").exists()
 
+    def test_kernel_abort_exits_two_naming_each_seed_in_seed_order(self, tmp_path, capsys):
+        # beta1 = 0 makes the belief residual g - m zero, so with eps = 0 the
+        # step divides a nonzero m_hat by 0
+        text = QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 3").replace("seeds = 1", "seeds = 2,1")
+        cfg = self.write_config(tmp_path, text + "beta1 = 0\neps = 0\n", name="zero.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        doc = json.loads((out / "zero.aborted.json").read_text())
+        assert doc["rows"] == [] and doc["summary"]["aborted"] is True
+        reason = "; ".join(f"seed {seed}: non-finite value in delta_theta at step 1, element 0" for seed in (1, 2))
+        assert doc["summary"]["abort_reason"] == reason
+        assert capsys.readouterr().err.startswith(f"error: run aborted ({reason})\n")
+
     def test_compare_command(self, tmp_path, capsys):
         paths = []
         for opt in ("adaplus", "adamw"):
@@ -759,6 +815,18 @@ log_every = 1
         assert cli.main(["compare", "--inputs", str(tmp_path / "bad.json")]) == 1
         err = capsys.readouterr().err
         assert "bad.json" in err and "rows[0]" in err
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'bad.json'}: field 'rows[0]'")
+        # text that is not JSON, and bytes that are not UTF-8
+        for name, payload, reason in (
+            ("text.json", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("bytes.json", b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        ):
+            path = tmp_path / name
+            path.write_bytes(payload)
+            assert cli.main(["compare", "--inputs", str(path)]) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {path}: {reason}")
 
     @pytest.mark.parametrize("case", UNCOVERED_SEEDS)
     def test_compare_record_whose_rows_do_not_cover_its_seeds_exits_one(self, tmp_path, capsys, case):

@@ -70,6 +70,22 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: HyperParams(eps=np.nan), "eps"),
+            (lambda: HyperParams(lr=np.inf), "lr"),
+            (lambda: HyperParams(weight_decay=np.inf), "weight_decay"),
+            (lambda: LrSchedule(decay_factor=np.inf), "decay_factor"),
+            (lambda: LrSchedule(decay_factor=0.0), "decay_factor"),
+            (lambda: lr_at(LrSchedule(), 1e-3, -1), "epoch"),
+        ],
+        ids=["eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "epoch--1"],
+    )
+    def test_rejects_out_of_domain_values_by_name(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make()
+
     def test_degenerate_betas_allowed(self):
         hp = HyperParams(beta1=0.0, beta2=0.0)
         state, params = fresh([0.0])
@@ -185,6 +201,11 @@ class TestAdaPlusStep:
         state, params = fresh([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             adaplus_step(state, params, [1.0, 2.0, 3.0], HyperParams(), 1e-3)
+
+    def test_state_of_another_dim_rejected(self):
+        _, params = fresh([1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="state: expected length 2, got 3"):
+            adaplus_step(OptimizerState(3), params, [1.0, 2.0], HyperParams(), 1e-3)
 
     def test_non_finite_gradient_names_index(self):
         state, params = fresh([1.0, 2.0, 3.0])
@@ -363,6 +384,16 @@ class TestReductionLattice:
         for stream, theta0, lrs in self.streams():
             with pytest.raises(AssertionError):
                 self.assert_identical(self.drive(left, stream, theta0, lrs), self.drive(right, stream, theta0, lrs))
+
+
+class TestDriveStream:
+    @pytest.mark.parametrize(
+        "kernel, lrs, message",
+        [("lion", [1e-3], "unknown kernel id 'lion'"), ("adam", [1e-3, 1e-3], "lrs has length 2, stream has length 1")],
+    )
+    def test_rejects_unknown_kernel_and_mismatched_lengths(self, kernel, lrs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            drive_stream(kernel, [[1.0]], [0.0], HyperParams(), lrs)
 
 
 class TestKernelProperties:

@@ -165,6 +165,10 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match="length"):
             replay("adam", [[1.0], [1.0]], [0.0], HyperParams(), [1e-3])
 
+    def test_theta0_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="theta0 must be a non-empty 1-D vector"):
+            replay("adam", [[1.0]], [[0.0]], HyperParams(), [1e-3])
+
     def test_dim_cap(self):
         dim = MAX_DIM + 1
         with pytest.raises(ValueError, match="dim"):
@@ -297,6 +301,11 @@ class TestFixtureFormat:
         bad = "1 2 " + " ".join(["0.5"] * 8)
         with pytest.raises(ValueError, match="out of order"):
             parse_transcripts(good + "\n" + bad + "\n")
+
+    def test_rejects_non_finite_theta(self):
+        line = "1 0 " + " ".join(["0.5"] * 7) + " nan"
+        with pytest.raises(ValueError, match="fixture step 1: non-finite theta"):
+            parse_transcripts(line + "\n")
 
     def test_skips_comments_and_blanks(self):
         text = "# comment\n\n1 0 " + " ".join(["0.25"] * 8) + "\n"

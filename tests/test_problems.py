@@ -135,6 +135,23 @@ class TestLogisticRegressionSynthetic:
             assert check_gradient(p, rng.standard_normal(4)) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: NoiseSpec("gaussian_additive", np.nan), "noise.scale"),
+        (lambda: quadratic(3, np.nan), "condition_number"),
+        (lambda: quadratic(3, np.inf), "condition_number"),
+        (lambda: large_grad_small_curvature(np.nan, 1.0), "g_mag"),
+        (lambda: large_grad_small_curvature(1.0, np.inf), "curvature"),
+        (lambda: logistic_regression_synthetic(10, 2, np.inf), "margin"),
+    ],
+    ids=["noise.scale-nan", "condition_number-nan", "condition_number-inf", "g_mag-nan", "curvature-inf", "margin-inf"],
+)
+def test_non_finite_parameter_rejected_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make()
+
+
 class TestGradientOnly:
     PROBLEMS = (
         quadratic(7, 50.0),
