@@ -124,9 +124,6 @@ class RunConfig:
         # numpy's generators take no negative seed
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
-        problem_seed = dict(self.problem_params).get("seed", 0)
-        if problem_seed < 0:
-            raise ConfigError(f"problem.seed must be non-negative, got {problem_seed}")
         if self.theta0 not in _THETA0_MODES:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
 
@@ -148,6 +145,10 @@ class RunConfig:
     def problem_id(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.problem_params))
         return f"{self.problem}({inner})"
+
+    def record_ids(self) -> dict[str, str]:
+        """The ids a run record of this config carries, by ``RunRecord`` field."""
+        return {"config_hash": self.config_hash(), "problem_id": self.problem_id(), "optimizer_id": self.optimizer}
 
 
 # The fields of ``RunConfig`` that hold a type of their own, with the prefix
@@ -233,9 +234,14 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
+def _config_text(items) -> str:
+    """The flat-file text of ``(key, value text)`` pairs, one ``key = value`` line each."""
+    return "".join(f"{k} = {v}\n" for k, v in items)
+
+
 def config_to_text(config: RunConfig) -> str:
     """Canonical flat-file rendering; ``parse_config`` round-trips it."""
-    return "\n".join(f"{k} = {v}" for k, v in config.canonical_items()) + "\n"
+    return _config_text(config.canonical_items())
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -270,12 +276,19 @@ class RunSummary:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run's rows and summary, with the config that made them; its ids are the config's."""
+
     config_hash: str
     problem_id: str
     optimizer_id: str
-    config: tuple[tuple[str, str], ...]
+    config: RunConfig
     rows: tuple[LogRow, ...]
     summary: RunSummary
+
+    def __post_init__(self):
+        for field, want in self.config.record_ids().items():
+            if getattr(self, field) != want:
+                raise ConfigError(f"field {field!r} is {getattr(self, field)!r:.80}, its config gives {want!r}")
 
 
 def seed_losses(rows) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
@@ -345,10 +358,8 @@ def run(config: RunConfig) -> RunRecord:
             abort_reasons.append(reason)
     _, finals, bests = seed_losses(rows)
     return RunRecord(
-        config_hash=config.config_hash(),
-        problem_id=config.problem_id(),
-        optimizer_id=config.optimizer,
-        config=tuple(config.canonical_items()),
+        **config.record_ids(),
+        config=config,
         rows=tuple(rows),
         summary=RunSummary(
             final_loss=float(np.mean(finals)) if finals.size else float("nan"),
@@ -367,9 +378,9 @@ _row_values = operator.attrgetter(*(f.name for f in _ROW_FIELDS))
 _CSV_LINE = ",".join("%s" if f.type is int else "%.17g" for f in _ROW_FIELDS)
 
 _ROWS = tuple[LogRow, ...]
-_PAIRS = tuple[tuple[str, str], ...]
 # the JSON form of each field type of ``RunRecord`` that has one; json writes a tuple as a list
-_TO_JSON = {_ROWS: lambda rows: list(map(_row_values, rows)), _PAIRS: dict, RunSummary: asdict}
+_TO_JSON = {_ROWS: lambda rows: list(map(_row_values, rows)), RunSummary: asdict}
+_TO_JSON[RunConfig] = lambda config: dict(config.canonical_items())
 
 
 def record_to_csv(record: RunRecord) -> str:
@@ -380,8 +391,8 @@ def record_to_csv(record: RunRecord) -> str:
 
 
 def record_to_json(record: RunRecord) -> str:
-    """JSON rendering: an object of ``RunRecord``'s fields, the config pairs and the
-    summary as objects, each row as a list."""
+    """JSON rendering: an object of ``RunRecord``'s fields, the config (its canonical
+    key/value text) and the summary as objects, each row as a list."""
     doc = {f.name: _TO_JSON.get(f.type, lambda v: v)(getattr(record, f.name)) for f in fields(RunRecord)}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -401,7 +412,7 @@ def emit(record: RunRecord, format: str, path) -> None:
 # the JSON types each scalar annotation accepts: a float may be written as an int
 _JSON_TYPES = {str: str, int: int, float: (int, float), bool: bool}
 # what each other part of a record must be in JSON, for error messages
-_FORMS = dict.fromkeys((_PAIRS, RunRecord, RunSummary), "an object")
+_FORMS = dict.fromkeys((RunConfig, RunRecord, RunSummary), "an object")
 _FORMS |= {_ROWS: "a list", LogRow: f"a list of {len(_ROW_FIELDS)} values"}
 
 
@@ -421,9 +432,12 @@ def _read(value, annotation, name: str):
     elif annotation == _ROWS:
         if isinstance(value, list):
             return tuple(_read(row, LogRow, f"{name}[{i}]") for i, row in enumerate(value))
-    elif annotation == _PAIRS:
-        if isinstance(value, dict):
-            return tuple(sorted((key, _read(v, str, f"{name}.{key}")) for key, v in value.items()))
+    elif isinstance(value, dict) and annotation is RunConfig:
+        text = _config_text((key, _read(v, str, f"{name}.{key}")) for key, v in value.items())
+        try:
+            return parse_config(text)
+        except ConfigError as exc:
+            raise ConfigError(f"field {name!r}: {exc}") from None
     elif isinstance(value, dict):  # a RunRecord or a RunSummary
         prefix = f"{name}." if annotation is RunSummary else ""
         odd = sorted({f.name for f in fields(annotation)} ^ set(value))
@@ -438,8 +452,9 @@ def load_record(path) -> RunRecord:
 
     The record must have exactly ``RunRecord``'s fields, its summary exactly
     ``RunSummary``'s, each row ``LogRow``'s, and every value the type of its
-    field.  Anything else, text that is not UTF-8 or not JSON included, raises
-    ``ConfigError`` naming the file.
+    field.  Its config is read by ``parse_config``, and its ids must be that
+    config's.  Anything else, text that is not UTF-8 or not JSON included,
+    raises ``ConfigError`` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -461,20 +476,29 @@ class CompareRow:
 class ComparisonTable:
     problem_id: str
     rows: tuple[CompareRow, ...]
-    best_final_label: str
-    best_best_label: str
+
+    def best(self, column: str) -> CompareRow:
+        """The first row with the lowest ``column``, ``final_mean`` or ``best_mean``."""
+        return min(self.rows, key=operator.attrgetter(column))
+
+    @property
+    def best_final_label(self) -> str:
+        return self.best("final_mean").label
 
     def render(self) -> str:
+        """The table, with a ``*`` on the one row of lowest mean in each loss column."""
+        best_final, best_best = self.best("final_mean"), self.best("best_mean")
+        width = max([14, *(len(row.label) for row in self.rows)])
         lines = [
             f"problem: {self.problem_id}",
-            f"{'optimizer':<14} {'final_loss (mean +/- std)':<34} {'best_loss (mean +/- std)':<34}",
+            f"{'optimizer':<{width}} {'final_loss (mean +/- std)':<34} {'best_loss (mean +/- std)':<34}",
         ]
         for row in self.rows:
-            fmark = "*" if row.label == self.best_final_label else " "
-            bmark = "*" if row.label == self.best_best_label else " "
+            fmark = "*" if row is best_final else " "
+            bmark = "*" if row is best_best else " "
             final = f"{fmark} {row.final_mean:.6e} +/- {row.final_std:.3e}"
             best = f"{bmark} {row.best_mean:.6e} +/- {row.best_std:.3e}"
-            lines.append(f"{row.label:<14} {final:<34} {best:<34}")
+            lines.append(f"{row.label:<{width}} {final:<34} {best:<34}")
         return "\n".join(lines) + "\n"
 
 
@@ -484,7 +508,9 @@ def compare(records) -> ComparisonTable:
     All records must describe the same problem over the same seeds and the
     same step budget, and none may be aborted: a partial record's losses are
     not comparable with a finished one's.  Each record's rows must cover
-    exactly the seeds its config names.
+    exactly the seeds its config names.  A row is labelled by its optimizer,
+    and by its config hash's prefix as well when another record shares the
+    optimizer.
     """
     records = list(records)
     if not records:
@@ -495,44 +521,34 @@ def compare(records) -> ComparisonTable:
     aborted = [r.optimizer_id for r in records if r.summary.aborted]
     if aborted:
         raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
-    seed_sets, budgets = set(), set()
     for record in records:
-        name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
-        config = dict(record.config)
-        for key in ("seeds", "epochs", "steps_per_epoch"):
-            if key not in config:
-                raise ConfigError(f"{name}: config lacks {key!r}")
-        try:
-            seeds = frozenset(_parse_int_list(config["seeds"]))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: bad value for 'seeds': {exc}") from None
         # each seed's losses are averaged, so a seed without rows, or rows of
         # a seed the config does not name, would skew the table
-        row_seeds = {row.seed for row in record.rows}
+        row_seeds, seeds = sorted({row.seed for row in record.rows}), sorted(record.config.seeds)
         if row_seeds != seeds:
-            raise ConfigError(f"{name}: rows cover seeds {sorted(row_seeds)}, config names {sorted(seeds)}")
-        seed_sets.add(seeds)
-        budgets.add((config["epochs"], config["steps_per_epoch"]))
+            name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
+            raise ConfigError(f"{name}: rows cover seeds {row_seeds}, config names {seeds}")
+    seed_sets = {frozenset(record.config.seeds) for record in records}
+    budgets = {(record.config.epochs, record.config.steps_per_epoch) for record in records}
     if len(seed_sets) != 1:
         raise ConfigError(f"records use different seed sets: {sorted(sorted(s) for s in seed_sets)}")
     if len(budgets) != 1:
         raise ConfigError(f"records use different step budgets (epochs, steps_per_epoch): {sorted(budgets)}")
 
+    optimizers = [record.optimizer_id for record in records]
     rows = []
     for record in records:
         _, finals, bests = seed_losses(record.rows)
+        label = record.optimizer_id
+        if optimizers.count(label) > 1:
+            label += f" ({record.config_hash[:12]})"
         rows.append(
             CompareRow(
-                label=record.optimizer_id,
+                label=label,
                 final_mean=float(finals.mean()),
                 final_std=float(finals.std()),
                 best_mean=float(bests.mean()),
                 best_std=float(bests.std()),
             )
         )
-    return ComparisonTable(
-        problem_id=records[0].problem_id,
-        rows=tuple(rows),
-        best_final_label=min(rows, key=lambda r: r.final_mean).label,
-        best_best_label=min(rows, key=lambda r: r.best_mean).label,
-    )
+    return ComparisonTable(problem_id=records[0].problem_id, rows=tuple(rows))

@@ -89,6 +89,7 @@ equals another bit for bit.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -195,7 +196,10 @@ class LrSchedule:
     decay_factor: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
+        try:
+            object.__setattr__(self, "milestones", tuple(map(operator.index, self.milestones)))
+        except TypeError:
+            raise ValueError(f"milestones must be integer epoch indices, got {self.milestones!r}") from None
         if any(m <= 0 for m in self.milestones):
             raise ValueError("milestones must be positive epoch indices")
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):

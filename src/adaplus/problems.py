@@ -50,15 +50,14 @@ class Problem:
 
     ``gradient_fn`` computes the gradient alone, for training steps that do
     not need the loss; it must return what ``loss_and_grad`` returns as its
-    gradient, bit for bit.  Without it the gradient is taken from
-    ``loss_and_grad``.
+    gradient, bit for bit.
     """
 
-    def __init__(self, name, dim, loss_and_grad, optimum_value=None, gradient_fn=None):
+    def __init__(self, name, dim, loss_and_grad, gradient_fn, optimum_value=None):
         self.name = name
         self.dim = int(dim)
         self._loss_and_grad = loss_and_grad
-        self._gradient = gradient_fn if gradient_fn is not None else (lambda theta: loss_and_grad(theta)[1])
+        self._gradient = gradient_fn
         self.optimum_value = optimum_value
 
     def _checked(self, theta):
@@ -92,13 +91,7 @@ class LogisticProblem(Problem):
         self.features = features
         self.labels = labels
         self.n_samples = features.shape[0]
-        super().__init__(
-            name,
-            features.shape[1],
-            self._full_loss_and_grad,
-            optimum_value=None,
-            gradient_fn=self._full_gradient,
-        )
+        super().__init__(name, features.shape[1], self._full_loss_and_grad, self._full_gradient)
 
     @staticmethod
     def _margins_grad_on(features, labels, theta):
@@ -221,6 +214,9 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
         raise ValueError(f"dim must be positive, got {dim}")
     if not 0.0 < margin < np.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)

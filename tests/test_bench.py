@@ -68,7 +68,6 @@ seeds = 1
 NEGATIVE_SEED_CONFIGS = {
     "seeds": QUAD_CONFIG.replace("seeds = 1", "seeds = 2,-1"),
     "noise.seed": QUAD_CONFIG + "noise = gaussian_additive\nnoise.scale = 0.1\nnoise.seed = -3\n",
-    "problem.seed": LOGISTIC_CONFIG.replace("problem.seed = 5", "problem.seed = -2"),
 }
 
 # configs the run rejects before its first step: problem parameters the
@@ -85,6 +84,10 @@ RUN_REJECTED_CONFIGS = {
     "condition_number_below_1": (
         QUAD_CONFIG + "problem.condition_number = 0.5\n",
         "problem quadratic: condition_number",
+    ),
+    "negative_problem_seed": (
+        LOGISTIC_CONFIG.replace("problem.seed = 5", "problem.seed = -2"),
+        "problem logistic_regression_synthetic: seed must be non-negative, got -2",
     ),
     "minibatch_noise_on_quadratic": (
         QUAD_CONFIG + "noise = minibatch_subset\nnoise.scale = 0.5\n",
@@ -145,11 +148,22 @@ PROBLEM_KEYS = {
 }
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CONFIGS = README.parent / "configs"
 
 # momentum at lr = 5 on the unit quadratic grows geometrically: the loss
 # overflows at step 200, after three finite log rows
 DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
 TWO_SEED_CONFIG = QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")
+# edits of ramp_adamw.cfg's JSON record, each with the error compare reports
+# for the edited record, or None where the edit leaves the record's config as it was
+EDITED_RAMP_RECORDS = {
+    "relabelled_with_another_lr": ((("optimizer_id", "sgdm"), ("config.lr", "0.5")), "field 'config_hash' is"),
+    "zero_padded_epochs": ((("config.epochs", "01"),), None),
+    "unknown_optimizer": (
+        (("config.optimizer", "rmsprop"), ("config.epochs", "0")),
+        "field 'config': unknown optimizer 'rmsprop'",
+    ),
+}
 # row seeds of a two-seed record that do not cover its seeds, each with the error it gives
 UNCOVERED_SEEDS = {
     "seed 1 alone": ((1,), "rows cover seeds [1], config names [1, 2]"),
@@ -173,6 +187,16 @@ def edit_record(doc, field, value):
         del doc[key]
     else:
         doc[key] = value
+
+
+def write_edited_record(path, record, *edits):
+    """Emit ``record`` to ``path`` as JSON with each ``(field, value)`` of ``edits`` applied by ``edit_record``."""
+    emit(record, "json", path)
+    doc = json.loads(path.read_text())
+    for field, value in edits:
+        edit_record(doc, field, value)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestParseConfig:
@@ -420,11 +444,12 @@ log_every = 2
 
 class TestEmit:
     def make_record(self, rows):
+        config = parse_config(QUAD_CONFIG)
         return RunRecord(
-            config_hash="f" * 64,
-            problem_id="quadratic(dim=1)",
-            optimizer_id="adam",
-            config=(("problem", "quadratic"),),
+            config_hash=config.config_hash(),
+            problem_id=config.problem_id(),
+            optimizer_id=config.optimizer,
+            config=config,
             rows=tuple(rows),
             summary=RunSummary(final_loss=1.0, best_loss=0.5, wall_time_s=0.1),
         )
@@ -477,6 +502,16 @@ class TestEmit:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit(self.make_record([]), "yaml", tmp_path / "x.yaml")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("config_hash", "f" * 64), ("problem_id", "quadratic(dim=1)"), ("optimizer_id", "adam")],
+        ids=["config_hash", "problem_id", "optimizer_id"],
+    )
+    def test_record_whose_ids_disagree_with_its_config_is_refused(self, field, value):
+        record = self.make_record([])
+        with pytest.raises(ConfigError, match=rf"^field '{field}' is '{re.escape(value)}', its config gives"):
+            replace(record, **{field: value})
 
 
 class TestLoadRecord:
@@ -540,6 +575,13 @@ class TestLoadRecord:
         record = self.load(tmp_path, doc)
         assert type(record.rows[1].loss) is float and record.rows[1].loss == 2.0
         assert type(record.summary.wall_time_s) is float
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.cfg")))
+    def test_shipped_config_reads_back_as_its_run_config(self, tmp_path, name):
+        config = bench.load_config(CONFIGS / name)
+        summary = RunSummary(final_loss=0.0, best_loss=0.0, wall_time_s=0.0)
+        emit(RunRecord(**config.record_ids(), config=config, rows=(), summary=summary), "json", tmp_path / "record.json")
+        assert load_record(tmp_path / "record.json").config == config
 
     def test_non_object_fields(self, tmp_path, doc):
         for key, value in (("rows", {"a": 1}), ("config", [1]), ("summary", [1])):
@@ -615,22 +657,20 @@ class TestCompare:
             compare([edited, adamw])
 
     @pytest.mark.parametrize("key", ["seeds", "epochs", "steps_per_epoch"])
-    def test_record_config_without_a_compared_key_is_named(self, key):
-        record = run(parse_config(QUAD_CONFIG))
-        stripped = replace(record, config=tuple(item for item in record.config if item[0] != key))
-        with pytest.raises(ConfigError, match=rf"record adaplus \({record.config_hash[:12]}\): config lacks '{key}'"):
-            compare([record, stripped])
+    def test_record_config_without_a_compared_key_is_named(self, tmp_path, key):
+        path = write_edited_record(tmp_path / "edited.json", run(parse_config(QUAD_CONFIG)), (f"config.{key}", None))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: field 'config': missing required key '{key}'")):
+            load_record(path)
 
     def test_no_records_rejected(self):
         with pytest.raises(ValueError, match="compare needs at least one record"):
             compare([])
 
-    def test_malformed_seeds_text_is_named(self):
-        record = run(parse_config(QUAD_CONFIG))
-        edited = replace(record, config=tuple((k, "1,x" if k == "seeds" else v) for k, v in record.config))
-        message = f"record adaplus ({record.config_hash[:12]}): bad value for 'seeds': invalid literal for int()"
+    def test_malformed_seeds_text_is_named(self, tmp_path):
+        path = write_edited_record(tmp_path / "edited.json", run(parse_config(QUAD_CONFIG)), ("config.seeds", "1,x"))
+        message = f"{path}: field 'config': bad value for 'seeds': invalid literal for int()"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            compare([edited])
+            load_record(path)
 
     def test_different_step_budgets_rejected(self):
         a = run(parse_config(QUAD_CONFIG))
@@ -650,6 +690,27 @@ class TestCompare:
         assert table.best_final_label == "adaplus"
         by_label = {row.label: row for row in table.rows}
         assert by_label["adaplus"].final_mean < by_label["adamw"].final_mean
+
+    def test_records_that_share_an_optimizer_get_distinct_labels_and_one_mark_per_column(self):
+        adaplus = run(parse_config(LGSC_TEMPLATE.format(optimizer="adaplus")))
+        faster = run(parse_config(LGSC_TEMPLATE.format(optimizer="adaplus") + "lr = 0.01\n"))
+        adamw = run(parse_config(LGSC_TEMPLATE.format(optimizer="adamw")))
+        # the same record twice gives two equal rows, of which only the first is marked
+        table = compare([adamw, faster, adaplus, faster])
+        hashes = [r.config_hash[:12] for r in (faster, adaplus, faster)]
+        assert [row.label for row in table.rows] == ["adamw", *(f"adaplus ({h})" for h in hashes)]
+        lines = table.render().splitlines()
+        final_col, best_col = lines[1].index("final_loss"), lines[1].index("best_loss")
+        number = r"[* ] -?\d\.\d{6}e[+-]\d\d \+/- "
+        for line, row in zip(lines[2:], table.rows, strict=True):
+            assert line.startswith(row.label + " ")
+            assert re.match(number, line[final_col:]) and re.match(number, line[best_col:])
+        assert [line[final_col] for line in lines[2:]].count("*") == 1
+        assert [line[best_col] for line in lines[2:]].count("*") == 1
+        assert lines[3][final_col] == "*" and table.best_final_label == f"adaplus ({hashes[0]})"
+        # optimizers that all differ keep their ids as labels, in a column 14 wide
+        lines = compare([adamw, adaplus]).render().splitlines()
+        assert [line[:15] for line in lines[1:]] == ["optimizer      ", "adamw          ", "adaplus        "]
 
     def test_render_marks_best(self):
         records = [
@@ -855,7 +916,7 @@ log_every = 1
          ("config.seeds", [1], "field 'config.seeds' must be str"),
          ("summary.aborted", "false", "field 'summary.aborted' must be bool"),
          ("summary.final_loss", "x", "field 'summary.final_loss' must be float"),
-         ("config.epochs", None, "config lacks 'epochs'")],
+         ("config.epochs", None, "missing required key 'epochs'")],
     )
     def test_compare_mistyped_record_exits_one_with_one_error_line(self, tmp_path, capsys, field, value, message):
         cfg = self.write_config(tmp_path, QUAD_CONFIG)
@@ -869,6 +930,27 @@ log_every = 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("case", EDITED_RAMP_RECORDS)
+    def test_compare_reads_each_record_config_with_parse_config(self, tmp_path, capsys, case):
+        edits, message = EDITED_RAMP_RECORDS[case]
+        for name in ("ramp_adaplus", "ramp_adamw"):
+            cfg = str(CONFIGS / f"{name}.cfg")
+            assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+        inputs = [str(tmp_path / "ramp_adaplus.json"), str(tmp_path / "ramp_adamw.json")]
+        capsys.readouterr()
+        assert cli.main(["compare", "--inputs", *inputs]) == 0
+        table = capsys.readouterr().out
+        edited = write_edited_record(tmp_path / "edited.json", load_record(inputs[1]), *edits)
+        code = cli.main(["compare", "--inputs", inputs[0], str(edited)])
+        captured = capsys.readouterr()
+        if message is None:
+            assert code == 0 and captured.err == ""
+            assert captured.out == table
+        else:
+            assert code == 1 and captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: {edited}: {message}")
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

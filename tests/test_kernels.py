@@ -78,9 +78,12 @@ class TestHyperParams:
             (lambda: HyperParams(weight_decay=np.inf), "weight_decay"),
             (lambda: LrSchedule(decay_factor=np.inf), "decay_factor"),
             (lambda: LrSchedule(decay_factor=0.0), "decay_factor"),
+            (lambda: LrSchedule(milestones=(1.5, 2.9)), "milestones"),
             (lambda: lr_at(LrSchedule(), 1e-3, -1), "epoch"),
         ],
-        ids=["eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "epoch--1"],
+        ids=[
+            "eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "milestones-1.5", "epoch--1"
+        ],
     )
     def test_rejects_out_of_domain_values_by_name(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -156,6 +159,10 @@ class TestLrSchedule:
             LrSchedule(milestones=(7, 3))
         with pytest.raises(ValueError):
             LrSchedule(milestones=(0,))
+
+    def test_integer_milestones_are_kept_as_a_tuple_of_ints(self):
+        schedule = LrSchedule(milestones=[np.int64(2), 5])
+        assert schedule.milestones == (2, 5) and all(type(m) is int for m in schedule.milestones)
 
 
 class TestAdaPlusStep:
