@@ -127,6 +127,8 @@ class TestLogisticRegressionSynthetic:
             logistic_regression_synthetic(1, 3, 0.5)
         with pytest.raises(ValueError):
             logistic_regression_synthetic(10, 3, 0.0)
+
+    def test_rejects_negative_seed_naming_it(self):
         # numpy's generator would refuse it with a message naming no parameter
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             logistic_regression_synthetic(10, 2, 1.0, seed=-1)
