@@ -1,6 +1,6 @@
 """Deterministic experiment runner: seeded multi-replica trainings with step-decay schedules.
 
-A run is described by a flat ``key = value`` config file (see ``parse_config``
+A run is described by a flat ``key = value`` config file (see ``_read_config``
 for the keys), executed identically for every seed in the config, and
 recorded as per-step log rows plus a summary.  Everything except wall time is
 a pure function of the config: identical configs produce byte-identical CSV
@@ -170,11 +170,8 @@ _NESTED = {
 def parse_config(text: str) -> RunConfig:
     """Parse the flat ``key = value`` run-config format.
 
-    Blank lines and ``#`` comments are ignored.  The keys are the fields of
-    ``RunConfig`` and of the types it holds, with their converters and
-    defaults, as the README's key table lists them; ``problem.*`` are the
-    parameters of the problem's constructor in ``problems.PROBLEMS``.
-    Unknown keys are rejected.
+    Blank lines and ``#`` comments are ignored, and a key may appear once.
+    The pairs are read by ``_read_config``, as a JSON record's config is.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -190,6 +187,17 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    return _read_config(raw)
+
+
+def _read_config(raw: dict[str, str]) -> RunConfig:
+    """The ``RunConfig`` of ``{key: value text}``, the one reader of config values.
+
+    The keys are the fields of ``RunConfig`` and of the types it holds, with
+    their converters and defaults, as the README's key table lists them;
+    ``problem.*`` are the parameters of the problem's constructor in
+    ``problems.PROBLEMS``.  Unknown keys are rejected.  ``raw`` is consumed.
+    """
 
     def take(key, conv, default):
         if key in raw:
@@ -234,14 +242,9 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _config_text(items) -> str:
-    """The flat-file text of ``(key, value text)`` pairs, one ``key = value`` line each."""
-    return "".join(f"{k} = {v}\n" for k, v in items)
-
-
 def config_to_text(config: RunConfig) -> str:
     """Canonical flat-file rendering; ``parse_config`` round-trips it."""
-    return _config_text(config.canonical_items())
+    return "".join(f"{k} = {v}\n" for k, v in config.canonical_items())
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -433,9 +436,10 @@ def _read(value, annotation, name: str):
         if isinstance(value, list):
             return tuple(_read(row, LogRow, f"{name}[{i}]") for i, row in enumerate(value))
     elif isinstance(value, dict) and annotation is RunConfig:
-        text = _config_text((key, _read(v, str, f"{name}.{key}")) for key, v in value.items())
+        # the values go to the reader as they are: no flat-file syntax applies in them
+        raw = {key: _read(v, str, f"{name}.{key}") for key, v in value.items()}
         try:
-            return parse_config(text)
+            return _read_config(raw)
         except ConfigError as exc:
             raise ConfigError(f"field {name!r}: {exc}") from None
     elif isinstance(value, dict):  # a RunRecord or a RunSummary
@@ -447,18 +451,30 @@ def _read(value, annotation, name: str):
     raise ConfigError(f"field {name!r} must be {_FORMS.get(annotation, annotation.__name__)}, got {value!r:.80}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key given twice raises ``ConfigError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_record(path) -> RunRecord:
     """Read back a JSON record emitted by :func:`emit`.
 
     The record must have exactly ``RunRecord``'s fields, its summary exactly
     ``RunSummary``'s, each row ``LogRow``'s, and every value the type of its
-    field.  Its config is read by ``parse_config``, and its ids must be that
-    config's.  Anything else, text that is not UTF-8 or not JSON included,
-    raises ``ConfigError`` naming the file.
+    field; no object may give a key twice.  Its config's values must be
+    strings, which go as they are to ``_read_config``, the reader of
+    ``parse_config``'s pairs, so no flat-file syntax applies in them; its ids
+    must be that config's.  Anything else, text that is not UTF-8 or not JSON
+    included, raises ``ConfigError`` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read(json.load(fh), RunRecord, "record")
+            return _read(json.load(fh, object_pairs_hook=_unique_keys), RunRecord, "record")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -508,9 +524,9 @@ def compare(records) -> ComparisonTable:
     All records must describe the same problem over the same seeds and the
     same step budget, and none may be aborted: a partial record's losses are
     not comparable with a finished one's.  Each record's rows must cover
-    exactly the seeds its config names.  A row is labelled by its optimizer,
-    and by its config hash's prefix as well when another record shares the
-    optimizer.
+    exactly the seeds its config names, and every row's loss must be finite.
+    A row is labelled by its optimizer, and by its config hash's prefix as
+    well when another record shares the optimizer.
     """
     records = list(records)
     if not records:
@@ -522,12 +538,16 @@ def compare(records) -> ComparisonTable:
     if aborted:
         raise ConfigError(f"aborted records cannot be compared: {', '.join(aborted)}")
     for record in records:
+        name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
         # each seed's losses are averaged, so a seed without rows, or rows of
         # a seed the config does not name, would skew the table
         row_seeds, seeds = sorted({row.seed for row in record.rows}), sorted(record.config.seeds)
         if row_seeds != seeds:
-            name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
             raise ConfigError(f"{name}: rows cover seeds {row_seeds}, config names {seeds}")
+        # run never writes such a row: it aborts the replica instead
+        bad = next((row for row in record.rows if not math.isfinite(row.loss)), None)
+        if bad is not None:
+            raise ConfigError(f"{name}: the loss of seed {bad.seed} at step {bad.step} is {bad.loss!r}, not finite")
     seed_sets = {frozenset(record.config.seeds) for record in records}
     budgets = {(record.config.epochs, record.config.steps_per_epoch) for record in records}
     if len(seed_sets) != 1:

@@ -3,10 +3,22 @@
 Bad input has one family: ``ValueError``.  The kernels, the oracle and the
 problem constructors raise it for a value outside its domain, and
 ``ConfigError``, a ``ValueError``, is what the run-config, noise and record
-readers raise.  So ``except ValueError`` catches every one of them.
+readers raise.  So ``except ValueError`` catches every one of them, and
+``as_int`` raises it for a size or seed that is not an integer.
 ``OptimizerError`` is the other family: a step that cannot be taken
 (``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
 """
+
+import operator
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an ``int`` by ``operator.index``; a float or other non-integer
+    raises ``ValueError`` naming ``name`` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class OptimizerError(Exception):

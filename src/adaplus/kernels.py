@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, as_int
 from .transcript import FIELD_ORDER, StepTranscript
 
 
@@ -147,9 +147,9 @@ class OptimizerState:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
+        self.dim = as_int("dim", dim)
+        if self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
-        self.dim = int(dim)
         self.t = 0
         self.m = np.zeros(self.dim)
         self.second_moment = np.zeros(self.dim)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 
 NOISE_KINDS = ("none", "gaussian_additive", "minibatch_subset")
 
@@ -55,7 +55,7 @@ class Problem:
 
     def __init__(self, name, dim, loss_and_grad, gradient_fn, optimum_value=None):
         self.name = name
-        self.dim = int(dim)
+        self.dim = as_int("dim", dim)
         self._loss_and_grad = loss_and_grad
         self._gradient = gradient_fn
         self.optimum_value = optimum_value
@@ -132,6 +132,7 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
     Eigenvalues of ``D`` are log-spaced over ``[1, condition_number]``;
     the optimum value is 0 at the origin.
     """
+    dim = as_int("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if not 1.0 <= condition_number < np.inf:
@@ -152,6 +153,7 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
 
 def rosenbrock(dim: int) -> Problem:
     """Chained Rosenbrock over independent coordinate pairs; optimum 0 at all-ones."""
+    dim = as_int("dim", dim)
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dim must be a positive even integer >= 2, got {dim}")
 
@@ -208,6 +210,7 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
     separating direction on each point's own side, so every sample satisfies
     ``|x . w*| >= margin``.  Generation is a pure function of ``seed``.
     """
+    n_samples, dim, seed = as_int("n_samples", n_samples), as_int("dim", dim), as_int("seed", seed)
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if dim < 1:

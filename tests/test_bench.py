@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -164,12 +165,41 @@ EDITED_RAMP_RECORDS = {
         "field 'config': unknown optimizer 'rmsprop'",
     ),
 }
+# edits of ramp_adaplus.cfg's JSON record that put flat-file syntax in a config
+# value, each with the error load_record reports after "field 'config': ": a
+# value is read as it is, so a '#' cuts nothing and a newline adds no key
+SYNTAX_IN_CONFIG_VALUES = {
+    "comment_in_seeds": (
+        (("config.seeds", "1 # 2,3"),),
+        "bad value for 'seeds': invalid literal for int() with base 10: '1 # 2'",
+    ),
+    "newline_adds_a_key": (
+        (("config.problem", "large_grad_small_curvature\ntheta0 = zeros"), ("config.theta0", None)),
+        f"unknown problem 'large_grad_small_curvature\\ntheta0 = zeros'; expected one of {tuple(PROBLEMS)}",
+    ),
+    "newline_repeats_a_key": (
+        (("config.theta0", "zeros\nlr = 10"),),
+        "theta0 must be one of ('seeded', 'zeros'), got 'zeros\\nlr = 10'",
+    ),
+}
+NON_FINITE_LOSSES = pytest.mark.parametrize("loss", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 # row seeds of a two-seed record that do not cover its seeds, each with the error it gives
 UNCOVERED_SEEDS = {
     "seed 1 alone": ((1,), "rows cover seeds [1], config names [1, 2]"),
     "no rows": ((), "rows cover seeds [], config names [1, 2]"),
     "seed 2 as 3": ((1, 3), "rows cover seeds [1, 3], config names [1, 2]"),
 }
+
+
+@pytest.fixture(scope="module")
+def ramp_record():
+    """The record of ramp_adaplus.cfg: one seed, 50 rows."""
+    return run(bench.load_config(CONFIGS / "ramp_adaplus.cfg"))
+
+
+def with_last_loss(record, loss):
+    """``record`` with the loss of its last row set to ``loss``."""
+    return replace(record, rows=(*record.rows[:-1], replace(record.rows[-1], loss=loss)))
 
 
 def cover_seeds(rows, seeds):
@@ -583,6 +613,36 @@ class TestLoadRecord:
         emit(RunRecord(**config.record_ids(), config=config, rows=(), summary=summary), "json", tmp_path / "record.json")
         assert load_record(tmp_path / "record.json").config == config
 
+    @pytest.mark.parametrize("case", SYNTAX_IN_CONFIG_VALUES)
+    def test_config_values_are_read_as_they_are(self, tmp_path, ramp_record, case):
+        edits, message = SYNTAX_IN_CONFIG_VALUES[case]
+        path = write_edited_record(tmp_path / "edited.json", ramp_record, *edits)
+        with pytest.raises(ConfigError) as exc:
+            load_record(path)
+        assert str(exc.value) == f"{path}: field 'config': {message}"
+
+    @pytest.mark.parametrize("value", ["zeros\nmomentum", "zeros\n = 1", "zeros\nlr = 10"])
+    def test_no_config_error_names_a_line(self, tmp_path, ramp_record, value):
+        # each value holds a line the flat format refuses by its number
+        path = write_edited_record(tmp_path / "edited.json", ramp_record, ("config.theta0", value))
+        with pytest.raises(ConfigError) as exc:
+            load_record(path)
+        assert str(exc.value) == f"{path}: field 'config': theta0 must be one of ('seeded', 'zeros'), got {value!r}"
+        assert not re.search(r"\bline \d", str(exc.value))
+
+    @pytest.mark.parametrize(
+        "opening, pair",
+        [("{", '"problem_id": "quadratic"'), ('"summary": {', '"aborted": true'), ('"config": {', '"lr": "10"')],
+        ids=["record", "summary", "config"],
+    )
+    def test_duplicate_key_refused_in_every_object(self, tmp_path, doc, opening, pair):
+        # json would keep the emitted value, the second, and drop the first unseen
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc).replace(opening, f"{opening}{pair}, ", 1))
+        key = pair.split('"')[1]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: duplicate key '{key}'$"):
+            load_record(path)
+
     def test_non_object_fields(self, tmp_path, doc):
         for key, value in (("rows", {"a": 1}), ("config", [1]), ("summary", [1])):
             edited = dict(doc, **{key: value})
@@ -655,6 +715,12 @@ class TestCompare:
         edited = replace(full, rows=tuple(cover_seeds(full.rows, seeds)))
         with pytest.raises(ConfigError, match=re.escape(f"record adaplus ({full.config_hash[:12]}): {message}")):
             compare([edited, adamw])
+
+    @NON_FINITE_LOSSES
+    def test_row_whose_loss_is_not_finite_rejected(self, ramp_record, loss):
+        message = f"record adaplus ({ramp_record.config_hash[:12]}): the loss of seed 1 at step 50 is {loss!r}, not finite"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            compare([with_last_loss(ramp_record, loss)])
 
     @pytest.mark.parametrize("key", ["seeds", "epochs", "steps_per_epoch"])
     def test_record_config_without_a_compared_key_is_named(self, tmp_path, key):
@@ -951,6 +1017,28 @@ log_every = 1
             assert code == 1 and captured.out == ""
             [line] = captured.err.splitlines()
             assert line.startswith(f"error: {edited}: {message}")
+
+    @pytest.mark.parametrize("case", SYNTAX_IN_CONFIG_VALUES)
+    def test_compare_reads_record_config_values_as_they_are(self, tmp_path, capsys, ramp_record, case):
+        edits, message = SYNTAX_IN_CONFIG_VALUES[case]
+        path = write_edited_record(tmp_path / "edited.json", ramp_record, *edits)
+        assert cli.main(["compare", "--inputs", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field 'config': {message}\n"
+
+    @NON_FINITE_LOSSES
+    def test_compare_record_with_a_non_finite_loss_exits_one(self, tmp_path, capsys, ramp_record, loss):
+        # json writes the loss as NaN, Infinity or -Infinity, and reads it back
+        path = tmp_path / "edited.json"
+        emit(with_last_loss(ramp_record, loss), "json", path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["compare", "--inputs", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        name = f"record adaplus ({ramp_record.config_hash[:12]})"
+        assert captured.err == f"error: {name}: the loss of seed 1 at step 50 is {loss!r}, not finite\n"
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -109,6 +109,12 @@ class TestStateAndParams:
         with pytest.raises(ValueError):
             OptimizerState(0)
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+    def test_state_rejects_a_dim_that_is_not_an_integer(self, dim):
+        # int() would truncate 2.5 to 2
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {re.escape(repr(dim))}$"):
+            OptimizerState(dim)
+
     def test_param_vector_rejects_non_finite(self):
         with pytest.raises(NonFiniteValue) as exc:
             ParamVector([1.0, np.nan, 2.0])

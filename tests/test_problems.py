@@ -157,6 +157,32 @@ def test_non_finite_parameter_rejected_by_name(make, name):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: quadratic(2.5), "dim must be an integer, got 2.5"),
+        (lambda: rosenbrock(4.0), "dim must be an integer, got 4.0"),
+        (lambda: logistic_regression_synthetic(10.5, 2, 1.0), "n_samples must be an integer, got 10.5"),
+        (lambda: logistic_regression_synthetic(10, 2.0, 1.0), "dim must be an integer, got 2.0"),
+        (lambda: logistic_regression_synthetic(10, 2, 1.0, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: Problem("p", 2.5, lambda t: (0.0, t), lambda t: t), "dim must be an integer, got 2.5"),
+    ],
+    ids=["quadratic-dim", "rosenbrock-dim", "logistic-n_samples", "logistic-dim", "logistic-seed", "Problem-dim"],
+)
+def test_size_or_seed_that_is_not_an_integer_rejected_by_name(make, message):
+    # numpy would raise a TypeError naming no parameter, or the float would
+    # reach the problem's name
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_numpy_integer_sizes_give_the_problem_of_python_ints():
+    assert repr(quadratic(np.int64(3))) == repr(quadratic(3))
+    assert logistic_regression_synthetic(np.int32(10), np.int64(2), 1.0, seed=np.int64(4)).name == (
+        logistic_regression_synthetic(10, 2, 1.0, seed=4).name
+    )
+
+
 class TestGradientOnly:
     PROBLEMS = (
         quadratic(7, 50.0),
