@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue
+from .errors import ConfigError, NonFiniteValue, as_int
 from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, LrSchedule, OptimizerState, ParamVector, lr_at
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
@@ -103,10 +103,9 @@ class RunConfig:
             raise ConfigError(f"problem {self.problem} takes the parameters {expected}, got {keys}")
         if self.optimizer not in KERNEL_IDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {KERNEL_IDS}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.steps_per_epoch < 1:
-            raise ConfigError(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
+        for field in ("epochs", "steps_per_epoch", "log_every"):
+            if as_int(field, getattr(self, field)) < 1:
+                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         # the rate is monotone in the number of milestones passed, so if the
         # last epoch's is positive and finite, so is every epoch's
         last_rate = lr_at(self.schedule, self.hp.lr, self.epochs - 1)
@@ -115,12 +114,12 @@ class RunConfig:
                 f"lr = {self.hp.lr!r} with decay_factor = {self.schedule.decay_factor!r} gives the rate "
                 f"{last_rate!r} at epoch {self.epochs - 1}; it must be positive and finite"
             )
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
+        for seed in self.seeds:
+            as_int("seeds", seed)
         # numpy's generators take no negative seed
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
@@ -228,7 +227,7 @@ def _read_config(raw: dict[str, str]) -> RunConfig:
             values[field] = take(field, conv, default)
     config = RunConfig(**values)
     if raw:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, sorted(raw)))}")
     return config
 
 

@@ -9,8 +9,8 @@ Subcommands:
 - ``selftest``: drive every kernel against the scalar oracle and check each
   reduction of ``kernels.REDUCTIONS``.
 
-Exit codes: 0 success, 1 configuration or verification error, 2 numerical
-abort.
+Exit codes: 0 success; 1 for a failed selftest and, in ``main`` alone, for
+any ``ValueError`` or ``OSError`` (one ``error:`` line); 2 a numerical abort.
 """
 
 import argparse
@@ -55,29 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = bench.load_config(args.config)
-        record = bench.run(config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    config = bench.load_config(args.config)
+    record = bench.run(config)
     out_dir = Path(args.out)
     stem = Path(args.config).stem
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if record.summary.aborted:
-            path = out_dir / f"{stem}.aborted.json"
-            bench.emit(record, "json", path)
-            print(f"error: run aborted ({record.summary.abort_reason})", file=sys.stderr)
-            print(f"partial record flagged in {path}", file=sys.stderr)
-            return 2
-        path = out_dir / f"{stem}.{args.format}"
-        bench.emit(record, args.format, path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if record.summary.aborted:
+        path = out_dir / f"{stem}.aborted.json"
+        bench.emit(record, "json", path)
+        print(f"error: run aborted ({record.summary.abort_reason})", file=sys.stderr)
+        print(f"partial record flagged in {path}", file=sys.stderr)
+        return 2
+    path = out_dir / f"{stem}.{args.format}"
+    bench.emit(record, args.format, path)
     print(f"wrote {path}")
     print(f"config {record.config_hash[:12]}  problem {record.problem_id}  optimizer {record.optimizer_id}")
     seeds, finals, _ = bench.seed_losses(record.rows)
@@ -87,20 +77,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        records = [bench.load_record(p) for p in args.inputs]
-        table = bench.compare(records)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = [bench.load_record(p) for p in args.inputs]
+    table = bench.compare(records)
     text = table.render()
     print(text, end="")
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -143,13 +125,16 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "selftest": _cmd_selftest}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return _cmd_selftest(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

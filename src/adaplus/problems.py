@@ -37,7 +37,7 @@ class NoiseSpec:
         if self.kind == "minibatch_subset" and self.scale > 1:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
         # numpy's generators take no negative seed
-        if self.seed < 0:
+        if as_int("noise.seed", self.seed) < 0:
             raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
 
     @property
@@ -115,14 +115,14 @@ class LogisticProblem(Problem):
 
     def minibatch_gradient(self, theta, indices):
         """Exact mean gradient over the sample subset ``indices``."""
-        theta = np.asarray(theta, dtype=np.float64)
+        theta = self._checked(theta)
         idx = np.asarray(indices, dtype=np.intp)
         _, grad = self._margins_grad_on(self.features[idx], self.labels[idx], theta)
         return grad
 
     def accuracy(self, theta) -> float:
         """Fraction of training samples classified on the correct side."""
-        theta = np.asarray(theta, dtype=np.float64)
+        theta = self._checked(theta)
         return float(np.mean((self.features @ theta > 0) == (self.labels > 0)))
 
 

@@ -20,19 +20,6 @@ import numpy as np
 
 from .errors import NonFiniteValue
 
-# Pipeline order of the computed fields; used both for serialization and for
-# reporting the earliest stage at which a non-finite value appeared.
-FIELD_ORDER = (
-    "g",
-    "m",
-    "second_moment",
-    "m_bar",
-    "m_hat",
-    "s_hat",
-    "delta_theta",
-    "theta_after",
-)
-
 
 class StepTranscript(NamedTuple):
     """All intermediates of one optimizer step, per parameter element.
@@ -88,6 +75,10 @@ class StepTranscript(NamedTuple):
 # Every per-element field, in constructor order, including the decay amount
 # (which the fixture format does not carry); ``transcript[1:]`` holds them.
 ALL_FIELDS = StepTranscript._fields[1:]
+
+# Pipeline order of the computed fields; used both for serialization and for
+# reporting the earliest stage at which a non-finite value appeared.
+FIELD_ORDER = tuple(f for f in ALL_FIELDS if f != "decay_applied")
 
 
 def scaled_deviation(got, want) -> float:

@@ -268,6 +268,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="gives the rate inf at epoch 1; it must be positive and finite"):
             replace(config, hp=replace(config.hp, lr=1e308), schedule=LrSchedule((1,), 10.0), epochs=2)
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("epochs", 2.0, "2.0"), ("steps_per_epoch", 3.0, "3.0"), ("log_every", 2.5, "2.5"), ("seeds", (1.5,), "1.5")],
+        ids=["epochs", "steps_per_epoch", "log_every", "seeds"],
+    )
+    def test_run_config_built_in_code_rejects_a_count_or_seed_that_is_not_an_integer(self, field, value, shown):
+        # range and numpy's generators would raise a TypeError naming no key
+        # once the run starts, and log_every = 2.5 would log every 5th step
+        config = parse_config(QUAD_CONFIG)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(shown)}$"):
+            replace(config, **{field: value})
+
+    def test_run_config_built_in_code_rejects_an_unknown_problem(self):
+        # config text names an unknown problem to _read_config first
+        config = parse_config(QUAD_CONFIG)
+        with pytest.raises(ConfigError, match="^unknown problem 'cifar10'"):
+            replace(config, problem="cifar10")
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError, match="unknown optimizer"):
             parse_config(QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = lion"))
@@ -599,6 +617,13 @@ class TestLoadRecord:
         with pytest.raises(ConfigError, match=r"edited\.json: field 'elapsed_s' is unknown"):
             self.load(tmp_path, doc)
 
+    def test_unknown_config_keys_are_quoted(self, tmp_path, ramp_record):
+        # unquoted, an empty key and a key with a space would not show
+        path = write_edited_record(tmp_path / "edited.json", ramp_record, ("config.", "1"), ("config. lr", "1"))
+        with pytest.raises(ConfigError) as exc:
+            load_record(path)
+        assert str(exc.value) == f"{path}: field 'config': unknown config keys: '', ' lr'"
+
     def test_json_integer_in_a_float_column_loads_as_a_float(self, tmp_path, doc):
         doc["rows"][1][4] = 2
         doc["summary"]["wall_time_s"] = 0
@@ -825,6 +850,25 @@ class TestCli:
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 1
+
+    def test_out_that_is_a_file_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, QUAD_CONFIG)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_compare_out_in_a_missing_directory_prints_the_table_and_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, QUAD_CONFIG)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+        capsys.readouterr()
+        code = cli.main(["compare", "--inputs", str(tmp_path / "run.json"), "--out", str(tmp_path / "no" / "t.txt")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("problem:")
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
 
     @pytest.mark.parametrize("case", RUN_REJECTED_CONFIGS)
     def test_config_the_run_rejects_exits_one(self, tmp_path, capsys, case):

@@ -1,5 +1,7 @@
 """Tests for the benchmark objectives, gradient checking, and noise wrappers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ class TestLogisticRegressionSynthetic:
         with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
             logistic_regression_synthetic(10, 2, 1.0, seed=-1)
 
+    def test_rejects_zero_dim(self):
+        with pytest.raises(ValueError, match=r"^dim must be positive, got 0$"):
+            logistic_regression_synthetic(10, 0, 0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda p, theta: p.minibatch_gradient(theta, [0, 1]), lambda p, theta: p.accuracy(theta)],
+        ids=["minibatch_gradient", "accuracy"],
+    )
+    def test_subset_gradient_and_accuracy_check_the_shape_of_theta(self, call):
+        # numpy would raise a matmul or broadcast error naming no parameter
+        p = logistic_regression_synthetic(10, 3, 0.5)
+        with pytest.raises(ValueError, match=rf"^{re.escape(p.name)}: theta must have shape \(3,\), got \(4,\)$"):
+            call(p, np.zeros(4))
+
     def test_finite_difference_agreement(self):
         p = logistic_regression_synthetic(60, 4, 0.5, seed=13)
         rng = np.random.default_rng(14)
@@ -253,6 +270,11 @@ class TestNoiseSpec:
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError, match="noise.seed must be non-negative"):
             NoiseSpec(kind="gaussian_additive", scale=0.1, seed=-1)
+
+    def test_rejects_a_seed_that_is_not_an_integer(self):
+        # GradientSource's generator would raise a TypeError naming no parameter
+        with pytest.raises(ValueError, match=r"^noise\.seed must be an integer, got 1\.5$"):
+            NoiseSpec("gaussian_additive", 0.1, seed=1.5)
 
     def test_zero_scale_is_inactive(self):
         assert not NoiseSpec(kind="gaussian_additive", scale=0.0).active
