@@ -5,6 +5,11 @@ for the keys), executed identically for every seed in the config, and
 recorded as per-step log rows plus a summary.  Everything except wall time is
 a pure function of the config: identical configs produce byte-identical CSV
 output.
+
+A config's canonical text, which its hash and its record's ids are made of,
+is written key by key by the writer that the key's converter picks: the same
+converter ``_read_config`` reads the key with, not the value's own type.  So
+a config built in code has the text and hash of the parsed one.
 """
 
 import functools
@@ -63,15 +68,23 @@ def _parameters(cls) -> tuple:
     )
 
 
-def _format(value) -> str:
-    """A config value's canonical text."""
-    if isinstance(value, bool):
+def _format(key: str, conv, value) -> str:
+    """``value``'s canonical text, by the writer that ``conv``, the reader of ``key``, picks.
+
+    The value's own type picks nothing, so a float key writes an int or a
+    numpy float as the float it reads back.  A float or a ``bool`` in an
+    integer key (``errors.as_int``) and NaN or infinity in a float key have
+    no text the reader reads back, so they raise ``ValueError`` naming ``key``.
+    """
+    if conv is _parse_int_list:
+        return ",".join(_format(key, int, v) for v in value)
+    if conv is int:
+        return str(as_int(key, value))
+    if conv is _parse_bool:
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
+    if conv is _parse_float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return repr(float(value)) if conv is _parse_float else str(value)
 
 
 _THETA0_MODES = ("seeded", "zeros")
@@ -103,8 +116,11 @@ class RunConfig:
             raise ConfigError(f"problem {self.problem} takes the parameters {expected}, got {keys}")
         if self.optimizer not in KERNEL_IDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {KERNEL_IDS}")
+        # every config has a canonical text: its writers refuse a float or a
+        # bool in an integer key, so the checks below see integers
+        self.canonical_items()
         for field in ("epochs", "steps_per_epoch", "log_every"):
-            if as_int(field, getattr(self, field)) < 1:
+            if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         # the rate is monotone in the number of milestones passed, so if the
         # last epoch's is positive and finite, so is every epoch's
@@ -118,8 +134,8 @@ class RunConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
-        for seed in self.seeds:
-            as_int("seeds", seed)
+        # a set, held in ascending order as ``LrSchedule`` holds its milestones
+        object.__setattr__(self, "seeds", tuple(sorted(map(int, self.seeds))))
         # numpy's generators take no negative seed
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
@@ -127,23 +143,30 @@ class RunConfig:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        """Every key with its value's canonical text, defaults included, sorted by key."""
-        items = [(f"problem.{name}", _format(value)) for name, value in self.problem_params]
-        for field, _, _ in _parameters(RunConfig):
+        """Every key with its value's canonical text, defaults included, sorted by key.
+
+        A key's converter, the one ``_read_config`` reads it with, picks the
+        writer of its text (``_format``), so a config built in code has the
+        text of the config ``parse_config`` reads from it.
+        """
+        convs = (conv for _, conv, _ in _parameters(PROBLEMS[self.problem]))
+        items = [(f"problem.{name}", conv, value) for (name, value), conv in zip(self.problem_params, convs)]
+        for field, conv, _ in _parameters(RunConfig):
             value = getattr(self, field)
             if field in _NESTED:
-                items += [(key, _format(getattr(value, name))) for key, name, _, _ in _NESTED[field]]
+                items += [(key, c, getattr(value, name)) for key, name, c, _ in _NESTED[field]]
             elif field != "problem_params":
-                items.append((field, _format(value)))
-        return sorted(items)
+                items.append((field, conv, value))
+        return sorted((key, _format(key, conv, value)) for key, conv, value in items)
 
     def config_hash(self) -> str:
-        text = "\n".join(f"{k}={v}" for k, v in self.canonical_items())
+        text = "\n".join(map("=".join, self.canonical_items()))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def problem_id(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.problem_params))
-        return f"{self.problem}({inner})"
+        """The problem with its ``problem.*`` canonical items: ``quadratic(condition_number=1.0,dim=10)``."""
+        items = [(k.removeprefix("problem."), v) for k, v in self.canonical_items() if k.startswith("problem.")]
+        return f"{self.problem}({','.join(map('='.join, items))})"
 
     def record_ids(self) -> dict[str, str]:
         """The ids a run record of this config carries, by ``RunRecord`` field."""
@@ -275,6 +298,13 @@ class RunSummary:
     aborted: bool = False
     abort_reason: str = ""
 
+    def __post_init__(self):
+        # a record is aborted exactly when it says why, as run writes it
+        if self.aborted != bool(self.abort_reason):
+            raise ConfigError(
+                f"summary field 'aborted' is {self.aborted!r}, but 'abort_reason' is {self.abort_reason!r:.80}"
+            )
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -353,7 +383,7 @@ def run(config: RunConfig) -> RunRecord:
     problem = build_problem(config)
     rows: list[LogRow] = []
     abort_reasons = []
-    for seed in sorted(config.seeds):
+    for seed in config.seeds:
         replica_rows, reason = _run_replica(config, problem, seed)
         rows.extend(replica_rows)
         if reason is not None:
@@ -540,17 +570,17 @@ def compare(records) -> ComparisonTable:
         name = f"record {record.optimizer_id} ({record.config_hash[:12]})"
         # each seed's losses are averaged, so a seed without rows, or rows of
         # a seed the config does not name, would skew the table
-        row_seeds, seeds = sorted({row.seed for row in record.rows}), sorted(record.config.seeds)
+        row_seeds, seeds = sorted({row.seed for row in record.rows}), list(record.config.seeds)
         if row_seeds != seeds:
             raise ConfigError(f"{name}: rows cover seeds {row_seeds}, config names {seeds}")
         # run never writes such a row: it aborts the replica instead
         bad = next((row for row in record.rows if not math.isfinite(row.loss)), None)
         if bad is not None:
             raise ConfigError(f"{name}: the loss of seed {bad.seed} at step {bad.step} is {bad.loss!r}, not finite")
-    seed_sets = {frozenset(record.config.seeds) for record in records}
+    seed_sets = {record.config.seeds for record in records}
     budgets = {(record.config.epochs, record.config.steps_per_epoch) for record in records}
     if len(seed_sets) != 1:
-        raise ConfigError(f"records use different seed sets: {sorted(sorted(s) for s in seed_sets)}")
+        raise ConfigError(f"records use different seed sets: {sorted(map(list, seed_sets))}")
     if len(budgets) != 1:
         raise ConfigError(f"records use different step budgets (epochs, steps_per_epoch): {sorted(budgets)}")
 

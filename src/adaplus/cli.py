@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
     print(f"wrote {path}")
     print(f"config {record.config_hash[:12]}  problem {record.problem_id}  optimizer {record.optimizer_id}")
     seeds, finals, _ = bench.seed_losses(record.rows)
-    for seed, loss in sorted(zip(seeds, finals)):
+    for seed, loss in zip(seeds, finals):
         print(f"  seed {seed}: final loss {loss:.6e}")
     return 0
 

@@ -4,7 +4,8 @@ Bad input has one family: ``ValueError``.  The kernels, the oracle and the
 problem constructors raise it for a value outside its domain, and
 ``ConfigError``, a ``ValueError``, is what the run-config, noise and record
 readers raise.  So ``except ValueError`` catches every one of them, and
-``as_int`` raises it for a size or seed that is not an integer.
+``as_int`` raises it for a size or seed that is not an integer or is a
+``bool``.
 ``OptimizerError`` is the other family: a step that cannot be taken
 (``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
 """
@@ -14,11 +15,11 @@ import operator
 
 def as_int(name: str, value) -> int:
     """``value`` as an ``int`` by ``operator.index``; a float or other non-integer
-    raises ``ValueError`` naming ``name`` instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    raises ``ValueError`` naming ``name`` instead of being truncated, and so does
+    ``True`` or ``False``, which Python counts as integers but a config does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 class OptimizerError(Exception):

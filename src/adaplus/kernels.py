@@ -89,7 +89,6 @@ equals another bit for bit.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -197,8 +196,8 @@ class LrSchedule:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "milestones", tuple(map(operator.index, self.milestones)))
-        except TypeError:
+            object.__setattr__(self, "milestones", tuple(as_int("milestones", m) for m in self.milestones))
+        except TypeError:  # not a sequence
             raise ValueError(f"milestones must be integer epoch indices, got {self.milestones!r}") from None
         if any(m <= 0 for m in self.milestones):
             raise ValueError("milestones must be positive epoch indices")

@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment runner, record emission, compare, and the CLI."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -9,7 +10,10 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaplus import bench, cli
 from adaplus.bench import (
@@ -25,8 +29,8 @@ from adaplus.bench import (
     run,
 )
 from adaplus.errors import ConfigError
-from adaplus.kernels import LrSchedule
-from adaplus.problems import PROBLEMS, GradientSource, NoiseSpec, quadratic
+from adaplus.kernels import LrSchedule, OptimizerState
+from adaplus.problems import PROBLEMS, GradientSource, NoiseSpec, Problem, quadratic
 
 QUAD_CONFIG = """
 # one-dimensional convex sanity run
@@ -323,6 +327,112 @@ class TestParseConfig:
         assert a.config_hash() != b.config_hash()
 
 
+# a float key's value built in code as an int or a numpy float, with the text
+# parse_config reads the same key from
+FLOAT_KEYS_BUILT_IN_CODE = {
+    "lr-np.float64": (lambda c: replace(c, hp=replace(c.hp, lr=np.float64(0.01))), "lr = 0.01\n"),
+    "lr-int": (lambda c: replace(c, hp=replace(c.hp, lr=1)), "lr = 1\n"),
+    "condition_number-int": (
+        lambda c: replace(c, problem_params=(("dim", 1), ("condition_number", 100))),
+        "problem.condition_number = 100\n",
+    ),
+}
+# summaries whose abort flag and reason disagree, which run never writes
+DISAGREEING_SUMMARIES = pytest.mark.parametrize(
+    "aborted, reason", [(False, "seed 1: boom"), (True, "")], ids=["finished-with-reason", "aborted-without"]
+)
+# an integer key's value built in code as true, each with the key it is refused by
+BOOLS_IN_INTEGER_KEYS = {
+    "epochs": lambda c: replace(c, epochs=True),
+    "seeds": lambda c: replace(c, seeds=(True,)),
+    "problem.dim": lambda c: replace(c, problem_params=(("dim", True), ("condition_number", 1.0))),
+    "noise.seed": lambda c: replace(c, noise=NoiseSpec(seed=True)),
+}
+
+
+class TestNormalForm:
+    """A config built in code has the canonical text, hash and problem id of the parsed one."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, report_multiple_bugs=False)
+    @given(
+        lr=st.one_of(st.integers(1, 3), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0).map(np.float64)),
+        condition_number=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True),
+        seeds_as=st.sampled_from([tuple, list, lambda seeds: [np.int64(s) for s in seeds]]),
+        use_nesterov=st.sampled_from([True, False, 1, 0]),
+    )
+    def test_config_built_in_code_reads_back_from_its_text(self, lr, condition_number, seeds, seeds_as, use_nesterov):
+        base = parse_config(QUAD_CONFIG)
+        config = replace(
+            base,
+            problem_params=(("dim", 1), ("condition_number", condition_number)),
+            hp=replace(base.hp, lr=lr, use_nesterov=use_nesterov),
+            seeds=seeds_as(seeds),
+        )
+        parsed = parse_config(config_to_text(config))
+        assert parsed == config
+        assert parsed.config_hash() == config.config_hash()
+        assert parsed.problem_id() == config.problem_id()
+        assert config.seeds == tuple(sorted(seeds)) and all(type(s) is int for s in config.seeds)
+
+    @pytest.mark.parametrize("key", BOOLS_IN_INTEGER_KEYS)
+    def test_integer_key_built_in_code_refuses_a_bool(self, key):
+        # True would run as 1, but its text 'true' is no integer to parse_config
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be an integer, got True$"):
+            BOOLS_IN_INTEGER_KEYS[key](parse_config(QUAD_CONFIG))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((("dim", 3.0), ("condition_number", 1.0)), "problem.dim must be an integer, got 3.0"),
+            ((("dim", 1), ("condition_number", math.nan)), "problem.condition_number must be a finite number, got nan"),
+        ],
+        ids=["float-dim", "nan-condition_number"],
+    )
+    def test_problem_parameter_without_config_text_refused_at_construction(self, params, message):
+        # refused when the config is built, not first when run builds the problem
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(parse_config(QUAD_CONFIG), problem_params=params)
+
+    @pytest.mark.parametrize("case", FLOAT_KEYS_BUILT_IN_CODE)
+    def test_float_key_built_in_code_hashes_as_parsed(self, case):
+        build, line = FLOAT_KEYS_BUILT_IN_CODE[case]
+        built = build(parse_config(QUAD_CONFIG))
+        parsed = parse_config(QUAD_CONFIG + line)
+        assert config_to_text(built) == config_to_text(parsed)
+        assert built.record_ids() == parsed.record_ids()
+
+    def test_seeds_are_held_and_written_in_ascending_order(self):
+        config = parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 2,1"))
+        assert config.seeds == (1, 2)
+        assert "seeds = 1,2\n" in config_to_text(config)
+        assert config.config_hash() == parse_config(TWO_SEED_CONFIG).config_hash()
+        assert replace(config, seeds=[2, 1]) == config
+
+    def test_record_with_unsorted_seeds_and_their_old_hash_refused(self, tmp_path):
+        # records written before seeds were held sorted hashed the seeds' text as given
+        config = parse_config(TWO_SEED_CONFIG)
+        old_text = "\n".join(f"{k}={'2,1' if k == 'seeds' else v}" for k, v in config.canonical_items())
+        old_hash = hashlib.sha256(old_text.encode("utf-8")).hexdigest()
+        summary = RunSummary(final_loss=0.0, best_loss=0.0, wall_time_s=0.0)
+        record = RunRecord(**config.record_ids(), config=config, rows=(), summary=summary)
+        path = write_edited_record(tmp_path / "old.json", record, ("config.seeds", "2,1"), ("config_hash", old_hash))
+        with pytest.raises(ConfigError) as exc:
+            load_record(path)
+        assert str(exc.value) == (
+            f"{path}: field 'config_hash' is {old_hash!r}, its config gives {config.config_hash()!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: OptimizerState(True), lambda: quadratic(True), lambda: Problem("p", True, lambda t: (0.0, t), abs)],
+        ids=["OptimizerState", "quadratic", "Problem"],
+    )
+    def test_a_size_refuses_a_bool(self, make):
+        with pytest.raises(ValueError, match="^dim must be an integer, got True$"):
+            make()
+
+
 def test_bad_input_of_every_reader_is_a_value_error(tmp_path):
     assert issubclass(ConfigError, ValueError)
     path = tmp_path / "record.json"
@@ -547,6 +657,13 @@ class TestEmit:
         emit(flagged, "json", tmp_path / "x.json")
         assert load_record(tmp_path / "x.json").summary.aborted
 
+    @DISAGREEING_SUMMARIES
+    def test_summary_refuses_an_abort_flag_its_reason_disagrees_with(self, aborted, reason):
+        # compare would take a finished summary with a reason as finished
+        message = f"summary field 'aborted' is {aborted!r}, but 'abort_reason' is {reason!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunSummary(1.0, 1.0, 0.0, aborted=aborted, abort_reason=reason)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit(self.make_record([]), "yaml", tmp_path / "x.yaml")
@@ -611,6 +728,14 @@ class TestLoadRecord:
         edit_record(doc, field, value)
         with pytest.raises(ConfigError, match=rf"edited\.json: field '{re.escape(field)}' must be"):
             self.load(tmp_path, doc)
+
+    @DISAGREEING_SUMMARIES
+    def test_summary_whose_abort_flag_and_reason_disagree(self, tmp_path, doc, aborted, reason):
+        doc["summary"].update(aborted=aborted, abort_reason=reason)
+        with pytest.raises(ConfigError) as exc:
+            self.load(tmp_path, doc)
+        path = tmp_path / "edited.json"
+        assert str(exc.value) == f"{path}: summary field 'aborted' is {aborted!r}, but 'abort_reason' is {reason!r}"
 
     def test_unknown_top_level_key(self, tmp_path, doc):
         doc["elapsed_s"] = 0.1

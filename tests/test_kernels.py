@@ -166,6 +166,16 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(milestones=(0,))
 
+    @pytest.mark.parametrize("milestone", [True, 1.5], ids=["bool", "float"])
+    def test_milestone_that_is_not_an_integer_rejected_as_a_config_integer_is(self, milestone):
+        # bool is an int to Python, so True would be epoch 1
+        with pytest.raises(ValueError, match=f"^milestones must be an integer, got {milestone!r}$"):
+            LrSchedule(milestones=(milestone,))
+
+    def test_milestones_that_are_not_a_sequence_rejected(self):
+        with pytest.raises(ValueError, match="^milestones must be integer epoch indices, got 5$"):
+            LrSchedule(milestones=5)
+
     def test_integer_milestones_are_kept_as_a_tuple_of_ints(self):
         schedule = LrSchedule(milestones=[np.int64(2), 5])
         assert schedule.milestones == (2, 5) and all(type(m) is int for m in schedule.milestones)
