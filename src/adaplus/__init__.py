@@ -50,7 +50,7 @@ from .problems import (
     quadratic,
     rosenbrock,
 )
-from .transcript import StepTranscript, format_transcripts, parse_transcripts
+from .transcript import StepTranscript
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "config_to_text",
     "drive_stream",
     "emit",
-    "format_transcripts",
     "large_grad_small_curvature",
     "load_config",
     "load_record",
@@ -92,7 +91,6 @@ __all__ = [
     "lr_at",
     "nadam_step",
     "parse_config",
-    "parse_transcripts",
     "quadratic",
     "replay",
     "rosenbrock",

@@ -73,8 +73,9 @@ def _format(key: str, conv, value) -> str:
 
     The value's own type picks nothing, so a float key writes an int or a
     numpy float as the float it reads back.  A float or a ``bool`` in an
-    integer key (``errors.as_int``) and NaN or infinity in a float key have
-    no text the reader reads back, so they raise ``ValueError`` naming ``key``.
+    integer key (``errors.as_int``), and NaN, infinity or an int too large
+    for a float in a float key, have no text the reader reads back, so they
+    raise ``ValueError`` naming ``key``.
     """
     if conv is _parse_int_list:
         return ",".join(_format(key, int, v) for v in value)
@@ -82,9 +83,14 @@ def _format(key: str, conv, value) -> str:
         return str(as_int(key, value))
     if conv is _parse_bool:
         return "true" if value else "false"
-    if conv is _parse_float and not math.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return repr(float(value)) if conv is _parse_float else str(value)
+    if conv is _parse_float:
+        try:
+            if math.isfinite(value):
+                return repr(float(value))
+        except OverflowError:  # an int too large for a float
+            pass
+        raise ConfigError(f"{key} must be a finite number, got {value!r:.80}")
+    return str(value)
 
 
 _THETA0_MODES = ("seeded", "zeros")
@@ -499,12 +505,13 @@ def load_record(path) -> RunRecord:
     strings, which go as they are to ``_read_config``, the reader of
     ``parse_config``'s pairs, so no flat-file syntax applies in them; its ids
     must be that config's.  Anything else, text that is not UTF-8 or not JSON
-    included, raises ``ConfigError`` naming the file.
+    included, raises ``ConfigError`` naming the file; so does JSON nested too
+    deep for the decoder, which raises ``RecursionError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _read(json.load(fh, object_pairs_hook=_unique_keys), RunRecord, "record")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -525,10 +532,6 @@ class ComparisonTable:
     def best(self, column: str) -> CompareRow:
         """The first row with the lowest ``column``, ``final_mean`` or ``best_mean``."""
         return min(self.rows, key=operator.attrgetter(column))
-
-    @property
-    def best_final_label(self) -> str:
-        return self.best("final_mean").label
 
     def render(self) -> str:
         """The table, with a ``*`` on the one row of lowest mean in each loss column."""

@@ -129,6 +129,12 @@ class HyperParams:
             raise ValueError(f"eps must be non-negative and finite, got {self.eps}")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
+        # a truthy string or int would switch a part on, but is no bool to a config
+        for field in ("use_nesterov", "use_belief", "decoupled_decay"):
+            value = getattr(self, field)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{field} must be a bool, got {value!r:.80}")
+            object.__setattr__(self, field, bool(value))
 
 
 # elements per block of the sweep over a long vector (module docstring)

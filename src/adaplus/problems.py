@@ -53,17 +53,15 @@ class Problem:
     gradient, bit for bit.
     """
 
-    def __init__(self, name, dim, loss_and_grad, gradient_fn, optimum_value=None):
-        self.name = name
+    def __init__(self, dim, loss_and_grad, gradient_fn):
         self.dim = as_int("dim", dim)
         self._loss_and_grad = loss_and_grad
         self._gradient = gradient_fn
-        self.optimum_value = optimum_value
 
     def _checked(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim != 1 or theta.size != self.dim:
-            raise ValueError(f"{self.name}: theta must have shape ({self.dim},), got {theta.shape}")
+            raise ValueError(f"theta must have shape ({self.dim},), got {theta.shape}")
         return theta
 
     def evaluate(self, theta):
@@ -75,23 +73,20 @@ class Problem:
         """Return the gradient at ``theta``, equal to ``evaluate(theta)[1]``, without the loss."""
         return np.asarray(self._gradient(self._checked(theta)), dtype=np.float64)
 
-    def __repr__(self):
-        return f"Problem({self.name!r}, dim={self.dim})"
-
 
 class LogisticProblem(Problem):
     """Binary logistic regression over a fixed synthetic dataset.
 
     Labels live in {-1, +1}; the loss is the mean of
     ``log(1 + exp(-y * x.theta))``.  Supports subset gradients for
-    minibatch noise and a training-accuracy readout.
+    minibatch noise.
     """
 
-    def __init__(self, name, features, labels):
+    def __init__(self, features, labels):
         self.features = features
         self.labels = labels
         self.n_samples = features.shape[0]
-        super().__init__(name, features.shape[1], self._full_loss_and_grad, self._full_gradient)
+        super().__init__(features.shape[1], self._full_loss_and_grad, self._full_gradient)
 
     @staticmethod
     def _margins_grad_on(features, labels, theta):
@@ -120,11 +115,6 @@ class LogisticProblem(Problem):
         _, grad = self._margins_grad_on(self.features[idx], self.labels[idx], theta)
         return grad
 
-    def accuracy(self, theta) -> float:
-        """Fraction of training samples classified on the correct side."""
-        theta = self._checked(theta)
-        return float(np.mean((self.features @ theta > 0) == (self.labels > 0)))
-
 
 def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
     """Convex diagonal quadratic ``0.5 * theta.D.theta``.
@@ -146,9 +136,7 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
         grad = gradient(theta)
         return 0.5 * float(theta @ grad), grad
 
-    return Problem(
-        f"quadratic(dim={dim},cond={condition_number:g})", dim, loss_and_grad, optimum_value=0.0, gradient_fn=gradient
-    )
+    return Problem(dim, loss_and_grad, gradient)
 
 
 def rosenbrock(dim: int) -> Problem:
@@ -170,7 +158,7 @@ def rosenbrock(dim: int) -> Problem:
         gap = theta[1::2] - x * x
         return float(np.sum((1.0 - x) ** 2 + 100.0 * gap**2)), gradient(theta)
 
-    return Problem(f"rosenbrock(dim={dim})", dim, loss_and_grad, optimum_value=0.0, gradient_fn=gradient)
+    return Problem(dim, loss_and_grad, gradient)
 
 
 def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
@@ -180,6 +168,7 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
     step is ``~curvature * dx``: the regime where the squared-gradient EMA is
     large but the belief EMA stays small, so belief-style kernels take larger
     steps than variance-style ones.
+    The minimum is ``-g_mag^2 / (2 * curvature)``, at ``x = -g_mag / curvature``.
     """
     if not 0.0 < g_mag < np.inf:
         raise ValueError(f"g_mag must be positive and finite, got {g_mag}")
@@ -193,14 +182,7 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
         x = theta[0]
         return g_mag * x + 0.5 * curvature * x * x, gradient(theta)
 
-    optimum = -g_mag * g_mag / (2.0 * curvature)
-    return Problem(
-        f"large_grad_small_curvature(g_mag={g_mag:g},curvature={curvature:g})",
-        1,
-        loss_and_grad,
-        optimum_value=optimum,
-        gradient_fn=gradient,
-    )
+    return Problem(1, loss_and_grad, gradient)
 
 
 def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed: int = 0) -> LogisticProblem:
@@ -227,9 +209,7 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
     features = rng.standard_normal((n_samples, dim))
     labels = np.where(features @ direction >= 0, 1.0, -1.0)
     features = features + margin * labels[:, None] * direction
-
-    name = f"logistic_regression_synthetic(n={n_samples},dim={dim},margin={margin:g},seed={seed})"
-    return LogisticProblem(name, features, labels)
+    return LogisticProblem(features, labels)
 
 
 # The problem table: name -> constructor.  A run config's ``problem.*`` keys
@@ -274,9 +254,7 @@ class GradientSource:
             self._rng = np.random.default_rng([self.noise.seed, replica_seed])
             if self.noise.kind == "minibatch_subset":
                 if not isinstance(problem, LogisticProblem):
-                    raise ConfigError(
-                        f"minibatch_subset noise needs a finite-sample problem, got {problem.name}"
-                    )
+                    raise ConfigError("minibatch_subset noise needs a finite-sample problem")
                 self._batch = max(1, round(self.noise.scale * problem.n_samples))
 
     def gradient(self, theta) -> np.ndarray:

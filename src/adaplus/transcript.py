@@ -1,4 +1,4 @@
-"""Per-step transcripts of optimizer intermediates, plus their plain-text fixture format.
+"""Per-step transcripts of optimizer intermediates.
 
 A transcript records every quantity an update rule computes on the way from
 ``theta_{t-1}`` to ``theta_t``, one value per parameter element.  Both the
@@ -72,12 +72,12 @@ class StepTranscript(NamedTuple):
         return None
 
 
-# Every per-element field, in constructor order, including the decay amount
-# (which the fixture format does not carry); ``transcript[1:]`` holds them.
+# Every per-element field, in constructor order, including the decay amount;
+# ``transcript[1:]`` holds them.
 ALL_FIELDS = StepTranscript._fields[1:]
 
-# Pipeline order of the computed fields; used both for serialization and for
-# reporting the earliest stage at which a non-finite value appeared.
+# Pipeline order of the computed fields, in which the earliest stage that
+# holds a non-finite value is reported.
 FIELD_ORDER = tuple(f for f in ALL_FIELDS if f != "decay_applied")
 
 
@@ -122,52 +122,3 @@ def scaled_deviation(got, want) -> float:
             scale[zero] = 1.0
         worst = np.divide(diff, np.add(size, scale[:, None], out=size), out=diff).max()
     return math.inf if math.isnan(worst) else float(worst)
-
-
-def format_transcripts(transcripts) -> str:
-    """Render transcripts in the line-oriented fixture format.
-
-    One record per parameter element per step::
-
-        t idx g m s mbar mhat shat dtheta theta
-
-    with every real number printed to 17 significant digits.
-    """
-    lines = []
-    for tr in transcripts:
-        for i in range(tr.dim):
-            values = " ".join(f"{float(getattr(tr, f)[i]):.17g}" for f in FIELD_ORDER)
-            lines.append(f"{tr.t} {i} {values}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_transcripts(text: str) -> list[StepTranscript]:
-    """Parse the fixture format back into transcripts.
-
-    The fixture format does not carry the decay column; parsed transcripts
-    get an all-zero ``decay_applied``.
-    """
-    per_step: dict[int, list[list[float]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2 + len(FIELD_ORDER):
-            raise ValueError(f"fixture line {lineno}: expected {2 + len(FIELD_ORDER)} columns, got {len(tokens)}")
-        t, idx = int(tokens[0]), int(tokens[1])
-        rows = per_step.setdefault(t, [])
-        if idx != len(rows):
-            raise ValueError(f"fixture line {lineno}: element index {idx} out of order")
-        rows.append([float(tok) for tok in tokens[2:]])
-
-    transcripts = []
-    for t in sorted(per_step):
-        cols = np.array(per_step[t], dtype=np.float64)
-        arrays = {name: cols[:, j].copy() for j, name in enumerate(FIELD_ORDER)}
-        if not np.isfinite(arrays["theta_after"]).all():
-            raise ValueError(f"fixture step {t}: non-finite theta")
-        transcripts.append(
-            StepTranscript(t=t, decay_applied=np.zeros(cols.shape[0]), **arrays)
-        )
-    return transcripts

@@ -341,6 +341,14 @@ FLOAT_KEYS_BUILT_IN_CODE = {
 DISAGREEING_SUMMARIES = pytest.mark.parametrize(
     "aborted, reason", [(False, "seed 1: boom"), (True, "")], ids=["finished-with-reason", "aborted-without"]
 )
+BOOL_FIELDS = ("use_nesterov", "use_belief", "decoupled_decay")
+# one value with no config text, by its key: an int that no float holds
+# (float() raises OverflowError on it), or a bool field's value that is no bool
+NO_CONFIG_TEXT = st.one_of(
+    st.fixed_dictionaries({"lr": st.integers(10**309, 10**400)}),
+    st.fixed_dictionaries({"condition_number": st.integers(10**309, 10**400)}),
+    st.sampled_from(BOOL_FIELDS).flatmap(lambda field: st.fixed_dictionaries({field: st.sampled_from(["no", 0, 1])})),
+)
 # an integer key's value built in code as true, each with the key it is refused by
 BOOLS_IN_INTEGER_KEYS = {
     "epochs": lambda c: replace(c, epochs=True),
@@ -359,16 +367,33 @@ class TestNormalForm:
         condition_number=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
         seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True),
         seeds_as=st.sampled_from([tuple, list, lambda seeds: [np.int64(s) for s in seeds]]),
-        use_nesterov=st.sampled_from([True, False, 1, 0]),
+        bools=st.fixed_dictionaries(
+            dict.fromkeys(BOOL_FIELDS, st.sampled_from([True, False, np.bool_(True), np.bool_(False)]))
+        ),
+        # in about one draw of four, one value is replaced by one with no config text
+        spoiled=st.one_of(st.just({}), st.just({}), st.just({}), NO_CONFIG_TEXT),
     )
-    def test_config_built_in_code_reads_back_from_its_text(self, lr, condition_number, seeds, seeds_as, use_nesterov):
+    def test_config_built_in_code_reads_back_from_its_text(
+        self, lr, condition_number, seeds, seeds_as, bools, spoiled
+    ):
         base = parse_config(QUAD_CONFIG)
-        config = replace(
-            base,
-            problem_params=(("dim", 1), ("condition_number", condition_number)),
-            hp=replace(base.hp, lr=lr, use_nesterov=use_nesterov),
-            seeds=seeds_as(seeds),
-        )
+        hp_values = {"lr": lr, **bools, **spoiled}
+        condition_number = hp_values.pop("condition_number", condition_number)
+
+        def build():
+            return replace(
+                base,
+                problem_params=(("dim", 1), ("condition_number", condition_number)),
+                hp=replace(base.hp, **hp_values),
+                seeds=seeds_as(seeds),
+            )
+
+        if spoiled:
+            with pytest.raises(ValueError, match=f"^(problem\\.)?{next(iter(spoiled))} must be"):
+                build()
+            return
+        config = build()
+        assert all(type(getattr(config.hp, field)) is bool for field in BOOL_FIELDS)
         parsed = parse_config(config_to_text(config))
         assert parsed == config
         assert parsed.config_hash() == config.config_hash()
@@ -386,8 +411,13 @@ class TestNormalForm:
         [
             ((("dim", 3.0), ("condition_number", 1.0)), "problem.dim must be an integer, got 3.0"),
             ((("dim", 1), ("condition_number", math.nan)), "problem.condition_number must be a finite number, got nan"),
+            # float() raises OverflowError, which is no ValueError; the value is cut to 80 characters
+            (
+                (("dim", 1), ("condition_number", 10**400)),
+                f"problem.condition_number must be a finite number, got 1{'0' * 79}",
+            ),
         ],
-        ids=["float-dim", "nan-condition_number"],
+        ids=["float-dim", "nan-condition_number", "int-beyond-float-condition_number"],
     )
     def test_problem_parameter_without_config_text_refused_at_construction(self, params, message):
         # refused when the config is built, not first when run builds the problem
@@ -425,7 +455,7 @@ class TestNormalForm:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: OptimizerState(True), lambda: quadratic(True), lambda: Problem("p", True, lambda t: (0.0, t), abs)],
+        [lambda: OptimizerState(True), lambda: quadratic(True), lambda: Problem(True, lambda t: (0.0, t), abs)],
         ids=["OptimizerState", "quadratic", "Problem"],
     )
     def test_a_size_refuses_a_bool(self, make):
@@ -810,7 +840,7 @@ class TestCompare:
         row = table.rows[0]
         assert row.final_mean == pytest.approx(record.summary.final_loss, rel=1e-15)
         assert row.best_mean == pytest.approx(record.summary.best_loss, rel=1e-15)
-        assert table.best_final_label == "adaplus"
+        assert table.best("final_mean").label == "adaplus"
 
     def test_zero_stddev_for_identical_trajectories(self):
         # fixed start, no noise: both seeds trace the same trajectory
@@ -903,7 +933,7 @@ class TestCompare:
             for opt in ("adaplus", "adamw")
         ]
         table = compare(records)
-        assert table.best_final_label == "adaplus"
+        assert table.best("final_mean").label == "adaplus"
         by_label = {row.label: row for row in table.rows}
         assert by_label["adaplus"].final_mean < by_label["adamw"].final_mean
 
@@ -923,7 +953,7 @@ class TestCompare:
             assert re.match(number, line[final_col:]) and re.match(number, line[best_col:])
         assert [line[final_col] for line in lines[2:]].count("*") == 1
         assert [line[best_col] for line in lines[2:]].count("*") == 1
-        assert lines[3][final_col] == "*" and table.best_final_label == f"adaplus ({hashes[0]})"
+        assert lines[3][final_col] == "*" and table.best("final_mean").label == f"adaplus ({hashes[0]})"
         # optimizers that all differ keep their ids as labels, in a column 14 wide
         lines = compare([adamw, adaplus]).render().splitlines()
         assert [line[:15] for line in lines[1:]] == ["optimizer      ", "adamw          ", "adaplus        "]
@@ -1123,6 +1153,14 @@ log_every = 1
             assert cli.main(["compare", "--inputs", str(path)]) == 1
             [line] = capsys.readouterr().err.splitlines()
             assert line.startswith(f"error: {path}: {reason}")
+
+    def test_compare_json_nested_too_deep_exits_one_naming_the_file(self, tmp_path, capsys):
+        # json's decoder raises RecursionError, which is no ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert cli.main(["compare", "--inputs", str(path)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("case", UNCOVERED_SEEDS)
     def test_compare_record_whose_rows_do_not_cover_its_seeds_exits_one(self, tmp_path, capsys, case):

@@ -80,14 +80,24 @@ class TestHyperParams:
             (lambda: LrSchedule(decay_factor=0.0), "decay_factor"),
             (lambda: LrSchedule(milestones=(1.5, 2.9)), "milestones"),
             (lambda: lr_at(LrSchedule(), 1e-3, -1), "epoch"),
+            # 'no' and 1 are truthy and would switch the part on; a config writes them 'true'
+            (lambda: HyperParams(use_nesterov="no"), "use_nesterov"),
+            (lambda: HyperParams(use_belief=1), "use_belief"),
+            (lambda: HyperParams(decoupled_decay=None), "decoupled_decay"),
         ],
         ids=[
-            "eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "milestones-1.5", "epoch--1"
+            "eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "milestones-1.5", "epoch--1",
+            "use_nesterov-no", "use_belief-1", "decoupled_decay-None",
         ],
     )
     def test_rejects_out_of_domain_values_by_name(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make()
+
+    @pytest.mark.parametrize("field", ["use_nesterov", "use_belief", "decoupled_decay"])
+    def test_bool_field_holds_a_numpy_bool_as_a_bool(self, field):
+        for value in (False, True):
+            assert getattr(HyperParams(**{field: np.bool_(value)}), field) is value
 
     def test_degenerate_betas_allowed(self):
         hp = HyperParams(beta1=0.0, beta2=0.0)
