@@ -26,7 +26,6 @@ from .kernels import (
     KERNEL_IDS,
     KERNEL_STEPS,
     HyperParams,
-    LrSchedule,
     OptimizerState,
     ParamVector,
     adabelief_step,
@@ -34,7 +33,6 @@ from .kernels import (
     adamw_step,
     adaplus_step,
     drive_stream,
-    lr_at,
     nadam_step,
     sgdm_step,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "KERNEL_STEPS",
     "LogisticProblem",
     "LogRow",
-    "LrSchedule",
     "NoiseSpec",
     "NonFiniteValue",
     "OptimizerError",
@@ -88,7 +85,6 @@ __all__ = [
     "load_config",
     "load_record",
     "logistic_regression_synthetic",
-    "lr_at",
     "nadam_step",
     "parse_config",
     "quadratic",

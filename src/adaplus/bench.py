@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValue, as_int
-from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, LrSchedule, OptimizerState, ParamVector, lr_at
+from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, OptimizerState, ParamVector
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
 
@@ -73,11 +73,15 @@ def _format(key: str, conv, value) -> str:
 
     The value's own type picks nothing, so a float key writes an int or a
     numpy float as the float it reads back.  A float or a ``bool`` in an
-    integer key (``errors.as_int``), and NaN, infinity or an int too large
-    for a float in a float key, have no text the reader reads back, so they
-    raise ``ValueError`` naming ``key``.
+    integer key (``errors.as_int``), a value that is no tuple or list in an
+    integer-list key, and NaN, infinity or an int too large for a float in a
+    float key, have no text the reader reads back, so they raise
+    ``ValueError`` naming ``key``.
     """
     if conv is _parse_int_list:
+        # an iterator would be spent by this text, leaving nothing to hold
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{key} must be a tuple or list of integers, got {value!r:.80}")
         return ",".join(_format(key, int, v) for v in value)
     if conv is int:
         return str(as_int(key, value))
@@ -99,16 +103,18 @@ _THETA0_MODES = ("seeded", "zeros")
 @dataclass(frozen=True)
 class RunConfig:
     """One run.  Its fields and those of the types it holds are the config keys;
-    ``problem_params`` holds the ``problem.*`` ones."""
+    ``problem_params`` holds the ``problem.*`` ones.  Epoch ``e`` steps at ``rate(e)``."""
 
     problem: str
     problem_params: tuple[tuple[str, float | int], ...]
     optimizer: str
     hp: HyperParams
-    schedule: LrSchedule
     epochs: int
     steps_per_epoch: int
     seeds: tuple[int, ...]
+    lr: float = 1e-3
+    milestones: tuple[int, ...] = ()
+    decay_factor: float = 0.1
     log_every: int = 1
     noise: NoiseSpec = NoiseSpec()
     theta0: str = "seeded"
@@ -123,30 +129,47 @@ class RunConfig:
         if self.optimizer not in KERNEL_IDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected one of {KERNEL_IDS}")
         # every config has a canonical text: its writers refuse a float or a
-        # bool in an integer key, so the checks below see integers
+        # bool in an integer key, and NaN, infinity or an int too large for a
+        # float in a float key, so the checks below see integers and floats
         self.canonical_items()
+        # the schedule is held as parse_config reads it from that text
+        object.__setattr__(self, "milestones", tuple(map(int, self.milestones)))
+        for field in ("lr", "decay_factor"):
+            value = float(getattr(self, field))
+            if not value > 0.0:
+                raise ConfigError(f"{field} must be positive and finite, got {value}")
+            object.__setattr__(self, field, value)
+        if any(m <= 0 for m in self.milestones):
+            raise ConfigError("milestones must be positive epoch indices")
+        if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
+            raise ConfigError("milestones must be strictly increasing")
         for field in ("epochs", "steps_per_epoch", "log_every"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
         # the rate is monotone in the number of milestones passed, so if the
         # last epoch's is positive and finite, so is every epoch's
-        last_rate = lr_at(self.schedule, self.hp.lr, self.epochs - 1)
+        last_rate = self.rate(self.epochs - 1)
         if not (math.isfinite(last_rate) and last_rate > 0):
             raise ConfigError(
-                f"lr = {self.hp.lr!r} with decay_factor = {self.schedule.decay_factor!r} gives the rate "
+                f"lr = {self.lr!r} with decay_factor = {self.decay_factor!r} gives the rate "
                 f"{last_rate!r} at epoch {self.epochs - 1}; it must be positive and finite"
             )
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
-        # a set, held in ascending order as ``LrSchedule`` holds its milestones
+        # a set, held in ascending order as the milestones are
         object.__setattr__(self, "seeds", tuple(sorted(map(int, self.seeds))))
         # numpy's generators take no negative seed
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.theta0 not in _THETA0_MODES:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
+
+    def rate(self, epoch: int) -> float:
+        """The rate of ``epoch``: ``lr * decay_factor ** (#milestones <= epoch)``."""
+        passed = sum(1 for m in self.milestones if m <= epoch)
+        return self.lr * self.decay_factor**passed
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Every key with its value's canonical text, defaults included, sorted by key.
@@ -181,7 +204,7 @@ class RunConfig:
 
 # The fields of ``RunConfig`` that hold a type of their own, with the prefix
 # of its keys; ``NoiseSpec.kind`` is the one key spelled otherwise.
-_PREFIXES = {"hp": "", "schedule": "", "noise": "noise."}
+_PREFIXES = {"hp": "", "noise": "noise."}
 _SPELLED = {"noise.kind": "noise"}
 
 # ``(key, parameter, converter, default)`` of each parameter of each such type
@@ -360,7 +383,7 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
     # numpy's overflow warnings on that path are redundant
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            lr_t = lr_at(config.schedule, hp.lr, epoch)
+            lr_t = config.rate(epoch)
             for _ in range(config.steps_per_epoch):
                 global_step += 1
                 try:

@@ -69,7 +69,8 @@ momentum kernel's ``m_hat`` and zero second moment, ``decay_applied``) are
 filled after the core, and the state commits copies of the new moments.
 
 One step of the full kernel, elementwise, with hyper-parameters
-``(lr, b1, b2, eps, wd)`` and scheduled rate ``lr_t``::
+``(b1, b2, eps, wd)`` and the step's rate ``lr_t``, which the caller's
+schedule gives::
 
     t     <- t + 1
     theta <- theta * (1 - lr_t * wd)                  # decoupled decay
@@ -100,7 +101,7 @@ from .transcript import FIELD_ORDER, StepTranscript
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Hyper-parameters shared by all kernels.
+    """Hyper-parameters shared by all kernels: what a step reads besides its rate ``lr_t``.
 
     ``use_nesterov`` and ``use_belief`` toggle the numerator readjustment and
     the belief denominator in the kernels where those are configurable;
@@ -109,7 +110,6 @@ class HyperParams:
     ``adamw_step`` is structural and controlled by ``weight_decay`` alone.
     """
 
-    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -119,16 +119,18 @@ class HyperParams:
     decoupled_decay: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must lie in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must lie in [0, 1), got {self.beta2}")
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be non-negative and finite, got {self.eps}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
+        # each float field is checked and held as the float a step computes
+        # with, so an int too large for a float is refused here, not by a step
+        for field, upper in (("beta1", 1.0), ("beta2", 1.0), ("eps", math.inf), ("weight_decay", math.inf)):
+            value = getattr(self, field)
+            try:
+                held = float(value)
+            except OverflowError:  # an int too large for a float
+                held = math.inf
+            if not 0.0 <= held < upper:
+                domain = "lie in [0, 1)" if upper == 1.0 else "be non-negative and finite"
+                raise ValueError(f"{field} must {domain}, got {value!r:.80}")
+            object.__setattr__(self, field, held)
         # a truthy string or int would switch a part on, but is no bool to a config
         for field in ("use_nesterov", "use_belief", "decoupled_decay"):
             value = getattr(self, field)
@@ -191,34 +193,6 @@ class ParamVector:
     @property
     def dim(self) -> int:
         return self._values.size
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Step-decay schedule: multiply the rate by ``decay_factor`` at each milestone epoch."""
-
-    milestones: tuple[int, ...] = ()
-    decay_factor: float = 0.1
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "milestones", tuple(as_int("milestones", m) for m in self.milestones))
-        except TypeError:  # not a sequence
-            raise ValueError(f"milestones must be integer epoch indices, got {self.milestones!r}") from None
-        if any(m <= 0 for m in self.milestones):
-            raise ValueError("milestones must be positive epoch indices")
-        if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
-            raise ValueError("milestones must be strictly increasing")
-        if not 0.0 < self.decay_factor < math.inf:
-            raise ValueError(f"decay_factor must be positive and finite, got {self.decay_factor}")
-
-
-def lr_at(schedule: LrSchedule, base_lr: float, epoch: int) -> float:
-    """Effective rate at ``epoch``: ``base_lr * decay_factor ** (#milestones <= epoch)``."""
-    if epoch < 0:
-        raise ValueError(f"epoch must be non-negative, got {epoch}")
-    passed = sum(1 for m in schedule.milestones if m <= epoch)
-    return base_lr * schedule.decay_factor**passed
 
 
 class _Rule(NamedTuple):

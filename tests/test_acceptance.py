@@ -17,12 +17,10 @@ from adaplus.kernels import (
     KERNEL_STEPS,
     REDUCTIONS,
     HyperParams,
-    LrSchedule,
     OptimizerState,
     ParamVector,
     adaplus_step,
     drive_stream,
-    lr_at,
 )
 from adaplus.oracle import replay
 from adaplus.problems import (
@@ -265,10 +263,11 @@ log_every = 500
             return float(np.mean((problem.features @ theta > 0) == (problem.labels > 0)))
 
         noise = NoiseSpec(kind="minibatch_subset", scale=0.1, seed=7)
-        schedule = LrSchedule()
+        # no milestones: every epoch steps at the constant rate
+        lr_t = 1e-2
         hit_epochs = {}
         for kernel in ("adaplus", "adamw", "adabelief"):
-            hp = HyperParams(lr=1e-2)
+            hp = HyperParams()
             worst_hit = 0
             for seed in (1, 2, 3):
                 rng = np.random.default_rng(seed)
@@ -278,7 +277,6 @@ log_every = 500
                 step = KERNEL_STEPS[kernel]
                 hit = None
                 for epoch in range(50):
-                    lr_t = lr_at(schedule, hp.lr, epoch)
                     for _ in range(30):
                         step(state, params, source.gradient(params.values), hp, lr_t)
                     if hit is None and accuracy(params.values) >= LOGISTIC_ACCURACY_TARGET:

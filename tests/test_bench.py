@@ -29,7 +29,7 @@ from adaplus.bench import (
     run,
 )
 from adaplus.errors import ConfigError
-from adaplus.kernels import LrSchedule, OptimizerState
+from adaplus.kernels import OptimizerState
 from adaplus.problems import PROBLEMS, GradientSource, NoiseSpec, Problem, quadratic
 
 QUAD_CONFIG = """
@@ -243,8 +243,8 @@ class TestParseConfig:
         assert config.steps_per_epoch == 500
         assert config.seeds == (1,)
         assert config.log_every == 50
-        assert config.hp.lr == 1e-3
-        assert config.schedule.milestones == ()
+        assert config.lr == 1e-3
+        assert config.milestones == ()
         assert config.noise.kind == "none"
         assert config.theta0 == "seeded"
 
@@ -266,11 +266,11 @@ class TestParseConfig:
             parse_config(QUAD_CONFIG.replace("seeds = 1", ""))
 
     def test_run_config_built_in_code_rejects_an_infinite_rate(self):
-        # HyperParams rejects an infinite lr itself; finite factors can still
-        # overflow once a milestone is passed
+        # the float writer refuses an infinite lr itself; finite factors can
+        # still overflow once a milestone is passed
         config = parse_config(QUAD_CONFIG)
         with pytest.raises(ConfigError, match="gives the rate inf at epoch 1; it must be positive and finite"):
-            replace(config, hp=replace(config.hp, lr=1e308), schedule=LrSchedule((1,), 10.0), epochs=2)
+            replace(config, lr=1e308, milestones=(1,), decay_factor=10.0, epochs=2)
 
     @pytest.mark.parametrize(
         "field, value, shown",
@@ -330,8 +330,8 @@ class TestParseConfig:
 # a float key's value built in code as an int or a numpy float, with the text
 # parse_config reads the same key from
 FLOAT_KEYS_BUILT_IN_CODE = {
-    "lr-np.float64": (lambda c: replace(c, hp=replace(c.hp, lr=np.float64(0.01))), "lr = 0.01\n"),
-    "lr-int": (lambda c: replace(c, hp=replace(c.hp, lr=1)), "lr = 1\n"),
+    "lr-np.float64": (lambda c: replace(c, lr=np.float64(0.01)), "lr = 0.01\n"),
+    "lr-int": (lambda c: replace(c, lr=1), "lr = 1\n"),
     "condition_number-int": (
         lambda c: replace(c, problem_params=(("dim", 1), ("condition_number", 100))),
         "problem.condition_number = 100\n",
@@ -343,12 +343,16 @@ DISAGREEING_SUMMARIES = pytest.mark.parametrize(
 )
 BOOL_FIELDS = ("use_nesterov", "use_belief", "decoupled_decay")
 # one value with no config text, by its key: an int that no float holds
-# (float() raises OverflowError on it), or a bool field's value that is no bool
+# (float() raises OverflowError on it), a bool field's value that is no bool,
+# an integer list that is no tuple or list, or a bool in an integer list
 NO_CONFIG_TEXT = st.one_of(
     st.fixed_dictionaries({"lr": st.integers(10**309, 10**400)}),
     st.fixed_dictionaries({"condition_number": st.integers(10**309, 10**400)}),
     st.sampled_from(BOOL_FIELDS).flatmap(lambda field: st.fixed_dictionaries({field: st.sampled_from(["no", 0, 1])})),
+    st.sampled_from([{"seeds": 5}, {"milestones": 5}, {"milestones": (True,)}]),
 )
+# an integer list built in code as a tuple, a list, or numpy integers in a list
+INT_LIST_FORMS = st.sampled_from([tuple, list, lambda values: [np.int64(v) for v in values]])
 # an integer key's value built in code as true, each with the key it is refused by
 BOOLS_IN_INTEGER_KEYS = {
     "epochs": lambda c: replace(c, epochs=True),
@@ -364,9 +368,13 @@ class TestNormalForm:
     @settings(max_examples=100, deadline=None, derandomize=True, report_multiple_bugs=False)
     @given(
         lr=st.one_of(st.integers(1, 3), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0).map(np.float64)),
+        # ascending, as a schedule's milestones must be
+        milestones=st.lists(st.integers(1, 10**6), max_size=3, unique=True).map(sorted),
+        milestones_as=INT_LIST_FORMS,
+        decay_factor=st.one_of(st.integers(1, 3), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0).map(np.float64)),
         condition_number=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
         seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True),
-        seeds_as=st.sampled_from([tuple, list, lambda seeds: [np.int64(s) for s in seeds]]),
+        seeds_as=INT_LIST_FORMS,
         bools=st.fixed_dictionaries(
             dict.fromkeys(BOOL_FIELDS, st.sampled_from([True, False, np.bool_(True), np.bool_(False)]))
         ),
@@ -374,18 +382,20 @@ class TestNormalForm:
         spoiled=st.one_of(st.just({}), st.just({}), st.just({}), NO_CONFIG_TEXT),
     )
     def test_config_built_in_code_reads_back_from_its_text(
-        self, lr, condition_number, seeds, seeds_as, bools, spoiled
+        self, lr, milestones, milestones_as, decay_factor, condition_number, seeds, seeds_as, bools, spoiled
     ):
         base = parse_config(QUAD_CONFIG)
-        hp_values = {"lr": lr, **bools, **spoiled}
-        condition_number = hp_values.pop("condition_number", condition_number)
+        values = {"lr": lr, "milestones": milestones_as(milestones), "decay_factor": decay_factor,
+                  "seeds": seeds_as(seeds), **bools, **spoiled}
+        condition_number = values.pop("condition_number", condition_number)
+        hp_values = {field: values.pop(field) for field in BOOL_FIELDS}
 
         def build():
             return replace(
                 base,
                 problem_params=(("dim", 1), ("condition_number", condition_number)),
                 hp=replace(base.hp, **hp_values),
-                seeds=seeds_as(seeds),
+                **values,
             )
 
         if spoiled:
@@ -399,6 +409,8 @@ class TestNormalForm:
         assert parsed.config_hash() == config.config_hash()
         assert parsed.problem_id() == config.problem_id()
         assert config.seeds == tuple(sorted(seeds)) and all(type(s) is int for s in config.seeds)
+        assert config.milestones == tuple(milestones) and all(type(m) is int for m in config.milestones)
+        assert type(config.lr) is float and type(config.decay_factor) is float
 
     @pytest.mark.parametrize("key", BOOLS_IN_INTEGER_KEYS)
     def test_integer_key_built_in_code_refuses_a_bool(self, key):
@@ -475,6 +487,84 @@ def test_bad_input_of_every_reader_is_a_value_error(tmp_path):
     ):
         with pytest.raises(ValueError):
             call()
+
+
+def schedule(**fields):
+    """QUAD_CONFIG's run with its ``lr``, ``milestones`` and ``decay_factor`` fields replaced."""
+    return replace(parse_config(QUAD_CONFIG), **fields)
+
+
+class TestRate:
+    """The run's step-decay schedule: ``RunConfig.rate`` and the checks of its three keys."""
+
+    def test_no_milestone_passed(self):
+        assert schedule(lr=0.01, milestones=(150,)).rate(0) == 0.01
+
+    def test_decay_at_milestone(self):
+        # drop by 0.1 exactly at the milestone epoch
+        assert schedule(lr=0.01, milestones=(150,)).rate(150) == pytest.approx(0.001)
+
+    def test_two_milestones_passed(self):
+        assert schedule(lr=1e-3, milestones=(100, 145)).rate(146) == pytest.approx(1e-5)
+
+    def test_factor_counts_passed_milestones(self):
+        config = schedule(lr=1.0, milestones=(2, 5, 9), decay_factor=0.5)
+        for epoch in range(12):
+            k = sum(1 for m in config.milestones if m <= epoch)
+            assert config.rate(epoch) == 0.5**k
+
+    @pytest.mark.parametrize(
+        "milestones, message",
+        [
+            ((5, 5), "milestones must be strictly increasing"),
+            ((7, 3), "milestones must be strictly increasing"),
+            ((0,), "milestones must be positive epoch indices"),
+        ],
+        ids=["duplicate", "unsorted", "zero"],
+    )
+    def test_rejects_unsorted_milestones(self, milestones, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            schedule(milestones=milestones)
+
+    @pytest.mark.parametrize("milestone", [True, 1.5], ids=["bool", "float"])
+    def test_milestone_that_is_not_an_integer_rejected_as_a_config_integer_is(self, milestone):
+        # bool is an int to Python, so True would be epoch 1
+        with pytest.raises(ValueError, match=f"^milestones must be an integer, got {milestone!r}$"):
+            schedule(milestones=(milestone,))
+
+    @pytest.mark.parametrize("key", ["milestones", "seeds"])
+    @pytest.mark.parametrize("value, shown", [(5, "5"), (iter([1, 2]), "<list_iterator")], ids=["int", "iterator"])
+    def test_integer_list_that_is_no_tuple_or_list_rejected_by_key(self, key, value, shown):
+        # iterating the int raised a TypeError, which cli.main's boundary would
+        # not catch, and writing the text would spend an iterator
+        with pytest.raises(ConfigError, match=f"^{key} must be a tuple or list of integers, got {shown}"):
+            schedule(**{key: value})
+
+    def test_int_decay_factor_steps_at_the_rate_of_its_parsed_text(self):
+        # 1e-3 * 10**23 and 1e-3 * 10.0**23 differ in the last bit
+        built = schedule(milestones=tuple(range(1, 24)), decay_factor=10)
+        assert built.rate(23) == parse_config(config_to_text(built)).rate(23)
+
+    def test_integer_milestones_are_kept_as_a_tuple_of_ints(self):
+        config = schedule(milestones=[np.int64(2), 5])
+        assert config.milestones == (2, 5) and all(type(m) is int for m in config.milestones)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"lr": 0.0}, "lr must be positive and finite, got 0.0"),
+            ({"lr": -1e-3}, "lr must be positive and finite, got -0.001"),
+            ({"lr": np.inf}, "lr must be a finite number, got inf"),
+            # float() raises OverflowError, which is no ValueError; the value is cut to 80 characters
+            ({"lr": 10**400}, f"lr must be a finite number, got 1{'0' * 79}"),
+            ({"decay_factor": np.inf}, "decay_factor must be a finite number, got inf"),
+            ({"decay_factor": 0.0}, "decay_factor must be positive and finite, got 0.0"),
+        ],
+        ids=["lr-0", "lr-negative", "lr-inf", "lr-int-beyond-float", "decay_factor-inf", "decay_factor-0"],
+    )
+    def test_rejects_out_of_domain_rate_by_name(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            schedule(**fields)
 
 
 class TestProblemTable:

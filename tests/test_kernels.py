@@ -1,9 +1,10 @@
-"""Unit tests for the optimizer kernels and the learning-rate schedule."""
+"""Unit tests for the optimizer kernels."""
 
 import itertools
 import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from adaplus.kernels import (
     KERNEL_STEPS,
     REDUCTIONS,
     HyperParams,
-    LrSchedule,
     OptimizerState,
     ParamVector,
     adabelief_step,
@@ -26,7 +26,6 @@ from adaplus.kernels import (
     adamw_step,
     adaplus_step,
     drive_stream,
-    lr_at,
     nadam_step,
     sgdm_step,
 )
@@ -45,20 +44,21 @@ def random_stream(rng, dim, steps, lr=1e-3):
 
 
 class TestHyperParams:
-    def test_defaults(self):
-        hp = HyperParams()
-        assert hp.lr == 1e-3
-        assert hp.beta1 == 0.9
-        assert hp.beta2 == 0.999
-        assert hp.eps == 1e-8
-        assert hp.weight_decay == 1e-2
-        assert hp.use_nesterov and hp.use_belief and not hp.decoupled_decay
+    def test_defaults_are_the_fields_a_step_reads(self):
+        # the rate and its schedule are the run's (``RunConfig``), not the step's
+        assert asdict(HyperParams()) == {
+            "beta1": 0.9,
+            "beta2": 0.999,
+            "eps": 1e-8,
+            "weight_decay": 1e-2,
+            "use_nesterov": True,
+            "use_belief": True,
+            "decoupled_decay": False,
+        }
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"lr": 0.0},
-            {"lr": -1e-3},
             {"beta1": 1.0},
             {"beta1": -0.1},
             {"beta2": 1.0},
@@ -74,25 +74,39 @@ class TestHyperParams:
         "make, name",
         [
             (lambda: HyperParams(eps=np.nan), "eps"),
-            (lambda: HyperParams(lr=np.inf), "lr"),
             (lambda: HyperParams(weight_decay=np.inf), "weight_decay"),
-            (lambda: LrSchedule(decay_factor=np.inf), "decay_factor"),
-            (lambda: LrSchedule(decay_factor=0.0), "decay_factor"),
-            (lambda: LrSchedule(milestones=(1.5, 2.9)), "milestones"),
-            (lambda: lr_at(LrSchedule(), 1e-3, -1), "epoch"),
             # 'no' and 1 are truthy and would switch the part on; a config writes them 'true'
             (lambda: HyperParams(use_nesterov="no"), "use_nesterov"),
             (lambda: HyperParams(use_belief=1), "use_belief"),
             (lambda: HyperParams(decoupled_decay=None), "decoupled_decay"),
         ],
         ids=[
-            "eps-nan", "lr-inf", "weight_decay-inf", "decay_factor-inf", "decay_factor-0", "milestones-1.5", "epoch--1",
-            "use_nesterov-no", "use_belief-1", "decoupled_decay-None",
+            "eps-nan", "weight_decay-inf", "use_nesterov-no", "use_belief-1", "decoupled_decay-None",
         ],
     )
     def test_rejects_out_of_domain_values_by_name(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make()
+
+    @pytest.mark.parametrize(
+        "field, domain",
+        [
+            ("beta1", "lie in [0, 1)"),
+            ("beta2", "lie in [0, 1)"),
+            ("eps", "be non-negative and finite"),
+            ("weight_decay", "be non-negative and finite"),
+        ],
+    )
+    def test_float_field_refuses_an_int_too_large_for_a_float(self, field, domain):
+        # a step computes with the float, which float() cannot make: refused
+        # here by name, with the value cut to 80 characters
+        with pytest.raises(ValueError, match=rf"^{field} must {re.escape(domain)}, got 1{'0' * 79}$"):
+            HyperParams(**{field: 10**400})
+
+    def test_float_fields_are_held_as_floats(self):
+        hp = HyperParams(beta1=np.float64(0.5), beta2=0, eps=0, weight_decay=np.float32(0.25))
+        values = [hp.beta1, hp.beta2, hp.eps, hp.weight_decay]
+        assert values == [0.5, 0.0, 0.0, 0.25] and all(type(v) is float for v in values)
 
     @pytest.mark.parametrize("field", ["use_nesterov", "use_belief", "decoupled_decay"])
     def test_bool_field_holds_a_numpy_bool_as_a_bool(self, field):
@@ -149,46 +163,6 @@ class TestStateAndParams:
             tr = adaplus_step(state, params, [0.1, 0.2], HyperParams(), 1e-3, transcript=True)
             assert state.t == expected_t
             assert tr.t == expected_t
-
-
-class TestLrSchedule:
-    def test_no_milestone_passed(self):
-        assert lr_at(LrSchedule(milestones=(150,)), 0.01, 0) == 0.01
-
-    def test_decay_at_milestone(self):
-        # drop by 0.1 exactly at the milestone epoch
-        assert lr_at(LrSchedule(milestones=(150,)), 0.01, 150) == pytest.approx(0.001)
-
-    def test_two_milestones_passed(self):
-        assert lr_at(LrSchedule(milestones=(100, 145)), 1e-3, 146) == pytest.approx(1e-5)
-
-    def test_factor_counts_passed_milestones(self):
-        sched = LrSchedule(milestones=(2, 5, 9), decay_factor=0.5)
-        for epoch in range(12):
-            k = sum(1 for m in sched.milestones if m <= epoch)
-            assert lr_at(sched, 1.0, epoch) == 0.5**k
-
-    def test_rejects_unsorted_milestones(self):
-        with pytest.raises(ValueError):
-            LrSchedule(milestones=(5, 5))
-        with pytest.raises(ValueError):
-            LrSchedule(milestones=(7, 3))
-        with pytest.raises(ValueError):
-            LrSchedule(milestones=(0,))
-
-    @pytest.mark.parametrize("milestone", [True, 1.5], ids=["bool", "float"])
-    def test_milestone_that_is_not_an_integer_rejected_as_a_config_integer_is(self, milestone):
-        # bool is an int to Python, so True would be epoch 1
-        with pytest.raises(ValueError, match=f"^milestones must be an integer, got {milestone!r}$"):
-            LrSchedule(milestones=(milestone,))
-
-    def test_milestones_that_are_not_a_sequence_rejected(self):
-        with pytest.raises(ValueError, match="^milestones must be integer epoch indices, got 5$"):
-            LrSchedule(milestones=5)
-
-    def test_integer_milestones_are_kept_as_a_tuple_of_ints(self):
-        schedule = LrSchedule(milestones=[np.int64(2), 5])
-        assert schedule.milestones == (2, 5) and all(type(m) is int for m in schedule.milestones)
 
 
 class TestAdaPlusStep:
