@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, as_int
+from .errors import ConfigError, NonFiniteValue, as_float, as_int
 from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, OptimizerState, ParamVector
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
@@ -74,9 +74,9 @@ def _format(key: str, conv, value) -> str:
     The value's own type picks nothing, so a float key writes an int or a
     numpy float as the float it reads back.  A float or a ``bool`` in an
     integer key (``errors.as_int``), a value that is no tuple or list in an
-    integer-list key, and NaN, infinity or an int too large for a float in a
-    float key, have no text the reader reads back, so they raise
-    ``ValueError`` naming ``key``.
+    integer-list key, and NaN, infinity, an int too large for a float or a
+    value that is no real number in a float key (``errors.as_float``), have
+    no text the reader reads back, so they raise ``ValueError`` naming ``key``.
     """
     if conv is _parse_int_list:
         # an iterator would be spent by this text, leaving nothing to hold
@@ -88,11 +88,9 @@ def _format(key: str, conv, value) -> str:
     if conv is _parse_bool:
         return "true" if value else "false"
     if conv is _parse_float:
-        try:
-            if math.isfinite(value):
-                return repr(float(value))
-        except OverflowError:  # an int too large for a float
-            pass
+        held = as_float(key, value)
+        if math.isfinite(held):
+            return repr(held)
         raise ConfigError(f"{key} must be a finite number, got {value!r:.80}")
     return str(value)
 

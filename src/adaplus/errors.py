@@ -5,11 +5,13 @@ problem constructors raise it for a value outside its domain, and
 ``ConfigError``, a ``ValueError``, is what the run-config, noise and record
 readers raise.  So ``except ValueError`` catches every one of them, and
 ``as_int`` raises it for a size or seed that is not an integer or is a
-``bool``.
+``bool``; ``as_float`` raises a ``ConfigError`` for a float value that is no
+real number or too large for a float.
 ``OptimizerError`` is the other family: a step that cannot be taken
 (``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
 """
 
+import numbers
 import operator
 
 
@@ -20,6 +22,20 @@ def as_int(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def as_float(name: str, value, domain: str = "be a finite number") -> float:
+    """``value`` as a ``float``.  A ``str``, ``None``, ``bool`` or other value that
+    is no real number raises ``ConfigError`` (a ``ValueError``) naming ``name``
+    instead of being read by ``float`` or raising ``TypeError``, and so does an
+    int too large for a float instead of raising ``OverflowError``; the message
+    is ``{name} must {domain}, got {value!r}``, the value cut to 80 characters."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must {domain}, got {value!r:.80}")
 
 
 class OptimizerError(Exception):

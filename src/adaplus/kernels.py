@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, as_int
+from .errors import DimensionMismatch, NonFiniteValue, as_float, as_int
 from .transcript import FIELD_ORDER, StepTranscript
 
 
@@ -123,12 +123,9 @@ class HyperParams:
         # with, so an int too large for a float is refused here, not by a step
         for field, upper in (("beta1", 1.0), ("beta2", 1.0), ("eps", math.inf), ("weight_decay", math.inf)):
             value = getattr(self, field)
-            try:
-                held = float(value)
-            except OverflowError:  # an int too large for a float
-                held = math.inf
+            domain = "lie in [0, 1)" if upper == 1.0 else "be non-negative and finite"
+            held = as_float(field, value, domain)
             if not 0.0 <= held < upper:
-                domain = "lie in [0, 1)" if upper == 1.0 else "be non-negative and finite"
                 raise ValueError(f"{field} must {domain}, got {value!r:.80}")
             object.__setattr__(self, field, held)
         # a truthy string or int would switch a part on, but is no bool to a config

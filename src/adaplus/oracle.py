@@ -8,14 +8,17 @@ sharing a parameterized core: this module must stay an independent
 restatement of the update rules, not a second client of
 ``adaplus.kernels``.
 
-Transcripts are rounded to float64 on assembly: a step's nine columns form
-one extended-precision block that is cast to float64 in a single call,
-which rounds each element exactly as converting it alone would.  The
-vectorized kernels are expected to reproduce every transcript field within
-1e-12 (scaled relative deviation, see ``transcript.scaled_deviation``); they
-may reassociate arithmetic, the oracle must not.  Inputs are validated with
-one finiteness scan over the whole gradient stream and one over the rates;
-only a failing scan is repeated step by step, to name the first bad step.
+Each gradient is converted to extended precision once, exactly, as one row.
+Each element of a step appends one row of its nine stages, in the field
+order of ``StepTranscript``, and the rows are held until the trajectory is
+cast: steps x dim x 9 scalars, with dim <= ``MAX_DIM``.  The whole
+trajectory is then rounded to float64 in a single call, which rounds each
+element exactly as converting it alone would.  The vectorized kernels are
+expected to reproduce every transcript field within 1e-12 (scaled relative
+deviation, see ``transcript.scaled_deviation``); they may reassociate
+arithmetic, the oracle must not.  Inputs are validated with one finiteness
+scan over the whole gradient stream and one over the rates; only a failing
+scan is repeated step by step, to name the first bad step.
 """
 
 import numpy as np
@@ -61,21 +64,25 @@ def _validated(kernel_id, stream, theta0, lrs):
         for step, lr in enumerate(lrs, start=1):
             if not (np.isfinite(lr) and lr > 0):
                 raise ValueError(f"lr at step {step} must be a positive finite real, got {lr}")
-    return stream, theta0, [float(lr) for lr in lrs]
+    # each gradient as an extended-precision row, converted once (exactly)
+    return [g.astype(_LD) for g in stream], theta0, [float(lr) for lr in lrs]
 
 
-def _pack(t, *columns):
-    # the columns come in StepTranscript's field order; they become one
-    # extended-precision block, cast to float64 in one call (each element
-    # rounds as it would alone); values beyond float64 range cast to inf
-    # here and are reported below as structured errors
-    block = np.array(columns, dtype=_LD).astype(np.float64)
-    transcript = StepTranscript(t, *block)
+def _pack(steps):
+    # steps[t - 1][i] is element i's row of step t, in StepTranscript's field
+    # order.  The trajectory becomes one extended-precision (steps, dim, 9)
+    # block, cast to (steps, 9, dim) float64 in one call (each element rounds
+    # as it would alone), and the transcripts are views of it.  Values beyond
+    # float64 range cast to inf here; the first step holding a non-finite
+    # stage is reported below as a structured error
+    block = np.array(steps, dtype=_LD).transpose(0, 2, 1).astype(np.float64, order="C")
+    transcripts = [StepTranscript(t, *fields) for t, fields in enumerate(block, start=1)]
     if not np.isfinite(block).all():
-        error = transcript.first_non_finite()
-        if error is not None:  # decay_applied is not a stage of its own
-            raise error
-    return transcript
+        for transcript in transcripts:
+            error = transcript.first_non_finite()
+            if error is not None:  # decay_applied is not a stage of its own
+                raise error
+    return transcripts
 
 
 def _replay_adaplus(stream, theta0, hp, lrs):
@@ -89,17 +96,13 @@ def _replay_adaplus(stream, theta0, hp, lrs):
     m = [_LD(0.0)] * dim
     s = [_LD(0.0)] * dim
     out = []
-    t = 0
-    for g_vec, lr in zip(stream, lrs):
-        t = t + 1
+    for t, (g_vec, lr) in enumerate(zip(stream, lrs), start=1):
         lr = _LD(lr)
         lr_wd = lr * wd
         bc1 = one - b1**t
         bc2 = one - b2**t
-        rows = [[] for _ in range(9)]
-        g_c, m_c, s_c, mbar_c, mhat_c, shat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             decay = lr_wd * theta[i]
             theta_d = theta[i] - decay
             m_new = b1 * m[i] + nb1 * g
@@ -117,16 +120,8 @@ def _replay_adaplus(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(s_hat) + eps)
             theta_new = theta_d + delta
             m[i], s[i], theta[i] = m_new, s_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            s_c.append(s_new)
-            mbar_c.append(m_bar)
-            mhat_c.append(m_hat)
-            shat_c.append(s_hat)
-            dec_c.append(decay)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, s_new, m_bar, m_hat, s_hat, decay, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -141,16 +136,12 @@ def _replay_adam(stream, theta0, hp, lrs):
     m = [zero] * dim
     v = [zero] * dim
     out = []
-    t = 0
-    for g_vec, lr in zip(stream, lrs):
-        t = t + 1
+    for t, (g_vec, lr) in enumerate(zip(stream, lrs), start=1):
         lr = _LD(lr)
         bc1 = one - b1**t
         bc2 = one - b2**t
-        rows = [[] for _ in range(9)]
-        g_c, m_c, v_c, mbar_c, mhat_c, vhat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             m_new = b1 * m[i] + nb1 * g
             v_new = b2 * v[i] + nb2 * g * g
             m_hat = m_new / bc1
@@ -158,16 +149,8 @@ def _replay_adam(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta[i] + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            v_c.append(v_new)
-            mbar_c.append(m_new)
-            mhat_c.append(m_hat)
-            vhat_c.append(v_hat)
-            dec_c.append(zero)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, v_new, m_new, m_hat, v_hat, zero, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -181,17 +164,13 @@ def _replay_adamw(stream, theta0, hp, lrs):
     m = [_LD(0.0)] * dim
     v = [_LD(0.0)] * dim
     out = []
-    t = 0
-    for g_vec, lr in zip(stream, lrs):
-        t = t + 1
+    for t, (g_vec, lr) in enumerate(zip(stream, lrs), start=1):
         lr = _LD(lr)
         lr_wd = lr * wd
         bc1 = one - b1**t
         bc2 = one - b2**t
-        rows = [[] for _ in range(9)]
-        g_c, m_c, v_c, mbar_c, mhat_c, vhat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             decay = lr_wd * theta[i]
             theta_d = theta[i] - decay
             m_new = b1 * m[i] + nb1 * g
@@ -201,16 +180,8 @@ def _replay_adamw(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta_d + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            v_c.append(v_new)
-            mbar_c.append(m_new)
-            mhat_c.append(m_hat)
-            vhat_c.append(v_hat)
-            dec_c.append(decay)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, v_new, m_new, m_hat, v_hat, decay, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -226,16 +197,12 @@ def _replay_nadam(stream, theta0, hp, lrs):
     m = [zero] * dim
     v = [zero] * dim
     out = []
-    t = 0
-    for g_vec, lr in zip(stream, lrs):
-        t = t + 1
+    for t, (g_vec, lr) in enumerate(zip(stream, lrs), start=1):
         lr = _LD(lr)
         bc1 = one - b1**t
         bc2 = one - b2**t
-        rows = [[] for _ in range(9)]
-        g_c, m_c, v_c, mbar_c, mhat_c, vhat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             m_new = b1 * m[i] + nb1 * g
             v_new = b2 * v[i] + nb2 * g * g
             if use_nesterov:
@@ -247,16 +214,8 @@ def _replay_nadam(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta[i] + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            v_c.append(v_new)
-            mbar_c.append(m_bar)
-            mhat_c.append(m_hat)
-            vhat_c.append(v_hat)
-            dec_c.append(zero)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, v_new, m_bar, m_hat, v_hat, zero, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -272,17 +231,13 @@ def _replay_adabelief(stream, theta0, hp, lrs):
     m = [zero] * dim
     s = [zero] * dim
     out = []
-    t = 0
-    for g_vec, lr in zip(stream, lrs):
-        t = t + 1
+    for t, (g_vec, lr) in enumerate(zip(stream, lrs), start=1):
         lr = _LD(lr)
         lr_wd = lr * wd
         bc1 = one - b1**t
         bc2 = one - b2**t
-        rows = [[] for _ in range(9)]
-        g_c, m_c, s_c, mbar_c, mhat_c, shat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             if decoupled:
                 decay = lr_wd * theta[i]
                 theta_d = theta[i] - decay
@@ -297,16 +252,8 @@ def _replay_adabelief(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(s_hat) + eps)
             theta_new = theta_d + delta
             m[i], s[i], theta[i] = m_new, s_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            s_c.append(s_new)
-            mbar_c.append(m_new)
-            mhat_c.append(m_hat)
-            shat_c.append(s_hat)
-            dec_c.append(decay)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, s_new, m_new, m_hat, s_hat, decay, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -318,14 +265,10 @@ def _replay_sgdm(stream, theta0, hp, lrs):
     theta = [_LD(x) for x in theta0]
     m = [zero] * dim
     out = []
-    t = 0
     for g_vec, lr in zip(stream, lrs):
-        t = t + 1
         lr = _LD(lr)
-        rows = [[] for _ in range(9)]
-        g_c, m_c, s_c, mbar_c, mhat_c, shat_c, dec_c, dth_c, th_c = rows
-        for i in range(dim):
-            g = _LD(g_vec[i])
+        rows = []
+        for i, g in enumerate(g_vec):
             if use_nesterov:
                 m_new = b1 * m[i] + lr * g
                 m_bar = b1 * m_new + lr * g
@@ -336,16 +279,8 @@ def _replay_sgdm(stream, theta0, hp, lrs):
                 delta = -(lr * m_bar)
             theta_new = theta[i] + delta
             m[i], theta[i] = m_new, theta_new
-            g_c.append(g)
-            m_c.append(m_new)
-            s_c.append(zero)
-            mbar_c.append(m_bar)
-            mhat_c.append(m_bar)
-            shat_c.append(zero)
-            dec_c.append(zero)
-            dth_c.append(delta)
-            th_c.append(theta_new)
-        out.append(_pack(t, *rows))
+            rows.append((g, m_new, zero, m_bar, m_bar, zero, zero, delta, theta_new))
+        out.append(rows)
     return out
 
 
@@ -368,7 +303,9 @@ def replay(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[StepTra
     """
     stream, theta0, lrs = _validated(kernel_id, stream, theta0, lrs)
     # a division by zero, an invalid operation or an overflow is raised as a
-    # structured ``NonFiniteValue`` once its stage is packed; numpy's own
-    # warnings would only come before it
+    # structured ``NonFiniteValue`` once the trajectory is packed; numpy's
+    # own warnings would only come before it.  Past a failing step the replay
+    # goes on in extended precision alone, and the error named is the first
+    # failing step's
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _REPLAYS[kernel_id](stream, theta0, hp, lrs)
+        return _pack(_REPLAYS[kernel_id](stream, theta0, hp, lrs))

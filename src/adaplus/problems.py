@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_int
+from .errors import ConfigError, as_float, as_int
 
 NOISE_KINDS = ("none", "gaussian_additive", "minibatch_subset")
 
@@ -32,8 +32,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        if not 0.0 <= self.scale < np.inf:
-            raise ConfigError(f"noise.scale must be non-negative and finite, got {self.scale}")
+        scale = as_float("noise.scale", self.scale, "be non-negative and finite")
+        if not 0.0 <= scale < np.inf:
+            raise ConfigError(f"noise.scale must be non-negative and finite, got {scale}")
+        object.__setattr__(self, "scale", scale)
         if self.kind == "minibatch_subset" and self.scale > 1:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
         # numpy's generators take no negative seed
@@ -125,6 +127,7 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
     dim = as_int("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    condition_number = as_float("condition_number", condition_number, "be >= 1 and finite")
     if not 1.0 <= condition_number < np.inf:
         raise ValueError(f"condition_number must be >= 1 and finite, got {condition_number}")
     eigs = np.logspace(0.0, np.log10(condition_number), dim)
@@ -170,6 +173,8 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
     steps than variance-style ones.
     The minimum is ``-g_mag^2 / (2 * curvature)``, at ``x = -g_mag / curvature``.
     """
+    g_mag = as_float("g_mag", g_mag, "be positive and finite")
+    curvature = as_float("curvature", curvature, "be positive and finite")
     if not 0.0 < g_mag < np.inf:
         raise ValueError(f"g_mag must be positive and finite, got {g_mag}")
     if not 0.0 < curvature < np.inf:
@@ -197,6 +202,7 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    margin = as_float("margin", margin, "be positive and finite")
     if not 0.0 < margin < np.inf:
         raise ValueError(f"margin must be positive and finite, got {margin}")
     # numpy's generators take no negative seed

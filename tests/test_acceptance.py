@@ -7,7 +7,6 @@ differential, algebraic, and desk-scale properties instead.  Run with
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,44 +101,59 @@ class TestClosedFormSuite:
     def test_constant_gradient_identities_to_t_1000(self):
         """EMA identities under a constant gradient, t = 1..1000.
 
-        The identities are verified exactly in rational arithmetic over the
+        The identities are verified exactly in integer arithmetic over the
         full horizon (error 0 <= 1e-12), and the float64 kernel is checked
         against the closed forms directly wherever float64 can resolve them:
         m and the readjusted numerator everywhere, the residual g - m up to
         t = 50 beyond which the subtraction exhausts double precision.
+
+        ``b1 = 0.9`` as the kernel computes with it is ``p / q`` with ``q`` a
+        power of two, and each constant is ``c = C / d``; so ``m_t`` is an
+        integer ``M`` over ``q^t * d``, and each identity between rationals
+        becomes an equality between integers, with no gcd taken.
         """
-        one = Fraction(1)
-        b1 = Fraction(0.9)  # exact binary value the kernel computes with
+        p, q = (0.9).as_integer_ratio()  # the exact binary value the kernel computes with
+        k = q.bit_length() - 1
+        assert q == 1 << k
         for c_float in (0.7, -1.3):
-            c = Fraction(c_float)
-            m = Fraction(0)
-            b1_pow = one
+            C, d = c_float.as_integer_ratio()
+            M = 0  # m_t = M / (Q * d)
+            P = 1  # b1^t = P / Q
             for t in range(1, 1001):
-                m = b1 * m + (one - b1) * c
-                b1_pow *= b1
-                assert m == (one - b1_pow) * c
-                assert c - m == b1_pow * c
-                m_bar = b1 * m + (one - b1) * c
-                assert m_bar == (one - b1_pow * b1) * c
-                assert m_bar / (one - b1_pow) == c * (one - b1_pow * b1) / (one - b1_pow)
+                # Q = q^t is a power of two, so a product with it is a shift
+                shift = k * t
+                Q = 1 << shift
+                # m = b1 * m + (1 - b1) * c, over the denominator q^t * d
+                M = p * M + ((q - p) * C << (shift - k))
+                P *= p
+                assert M == (Q - P) * C  # m == (1 - b1^t) * c
+                assert (C << shift) - M == P * C  # c - m == b1^t * c
+                # m_bar = b1 * m + (1 - b1) * c, over q^(t+1) * d
+                M_bar = p * M + ((q - p) * C << shift)
+                assert M_bar == (q * Q - p * P) * C  # m_bar == (1 - b1^(t+1)) * c
+                # m_bar / (1 - b1^t) == c * (1 - b1^(t+1)) / (1 - b1^t): each side
+                # a numerator over a denominator, equal when both are equal and
+                # the denominator is not zero
+                m_hat = (M_bar << shift, q * d * (Q - P) << shift)
+                closed = (C * (q * Q - p * P) << shift, d * q * (Q - P) << shift)
+                assert m_hat[1] != 0 and m_hat == closed
 
         b1f = 0.9
         for c_float in (0.7, -1.3):
             state = OptimizerState(1)
             params = ParamVector([0.0])
             hp = HyperParams(weight_decay=0.0)
-            for t in range(1, 1001):
-                tr = adaplus_step(state, params, [c_float], hp, 1e-3, transcript=True)
-                np.testing.assert_allclose(tr.m, [(1.0 - b1f**t) * c_float], rtol=CLOSED_FORM_TOL)
-                np.testing.assert_allclose(
-                    tr.m_hat,
-                    [c_float * (1.0 - b1f ** (t + 1)) / (1.0 - b1f**t)],
-                    rtol=CLOSED_FORM_TOL,
-                )
-                if t <= 50:
-                    np.testing.assert_allclose(
-                        [c_float - tr.m[0]], [b1f**t * c_float], rtol=CLOSED_FORM_TOL
-                    )
+            steps = [adaplus_step(state, params, [c_float], hp, 1e-3, transcript=True) for _ in range(1000)]
+            m = np.array([tr.m[0] for tr in steps])
+            m_hat = np.array([tr.m_hat[0] for tr in steps])
+            ts = range(1, 1001)
+            np.testing.assert_allclose(m, [(1.0 - b1f**t) * c_float for t in ts], rtol=CLOSED_FORM_TOL)
+            np.testing.assert_allclose(
+                m_hat, [c_float * (1.0 - b1f ** (t + 1)) / (1.0 - b1f**t) for t in ts], rtol=CLOSED_FORM_TOL
+            )
+            np.testing.assert_allclose(
+                c_float - m[:50], [b1f**t * c_float for t in range(1, 51)], rtol=CLOSED_FORM_TOL
+            )
         report("closed-form-suite", "exact over t=1..1000; float64 kernel agrees where resolvable")
 
 

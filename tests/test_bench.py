@@ -428,8 +428,10 @@ class TestNormalForm:
                 (("dim", 1), ("condition_number", 10**400)),
                 f"problem.condition_number must be a finite number, got 1{'0' * 79}",
             ),
+            # math.isfinite raised TypeError, which is no ValueError
+            ((("dim", 1), ("condition_number", "100")), "problem.condition_number must be a finite number, got '100'"),
         ],
-        ids=["float-dim", "nan-condition_number", "int-beyond-float-condition_number"],
+        ids=["float-dim", "nan-condition_number", "int-beyond-float-condition_number", "str-condition_number"],
     )
     def test_problem_parameter_without_config_text_refused_at_construction(self, params, message):
         # refused when the config is built, not first when run builds the problem
@@ -539,6 +541,13 @@ class TestRate:
         # not catch, and writing the text would spend an iterator
         with pytest.raises(ConfigError, match=f"^{key} must be a tuple or list of integers, got {shown}"):
             schedule(**{key: value})
+
+    @pytest.mark.parametrize("field", ["lr", "decay_factor"])
+    @pytest.mark.parametrize("value", ["0.1", None], ids=["str", "None"])
+    def test_rate_that_is_no_real_number_rejected_by_name(self, field, value):
+        # math.isfinite raised TypeError, which cli.main's boundary would not catch
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got {re.escape(repr(value))}$"):
+            schedule(**{field: value})
 
     def test_int_decay_factor_steps_at_the_rate_of_its_parsed_text(self):
         # 1e-3 * 10**23 and 1e-3 * 10.0**23 differ in the last bit

@@ -103,6 +103,22 @@ class TestHyperParams:
         with pytest.raises(ValueError, match=rf"^{field} must {re.escape(domain)}, got 1{'0' * 79}$"):
             HyperParams(**{field: 10**400})
 
+    @pytest.mark.parametrize(
+        "field, domain",
+        [
+            ("beta1", "lie in [0, 1)"),
+            ("beta2", "lie in [0, 1)"),
+            ("eps", "be non-negative and finite"),
+            ("weight_decay", "be non-negative and finite"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0.5", None, True], ids=["str", "None", "bool"])
+    def test_float_field_refuses_a_value_that_is_no_real_number(self, field, domain, value):
+        # float('0.5') would be held as 0.5 and float(True) as 1.0; float(None)
+        # raised TypeError, which cli.main's ValueError boundary does not catch
+        with pytest.raises(ValueError, match=rf"^{field} must {re.escape(domain)}, got {re.escape(repr(value))}$"):
+            HyperParams(**{field: value})
+
     def test_float_fields_are_held_as_floats(self):
         hp = HyperParams(beta1=np.float64(0.5), beta2=0, eps=0, weight_decay=np.float32(0.25))
         values = [hp.beta1, hp.beta2, hp.eps, hp.weight_decay]

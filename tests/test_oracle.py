@@ -1,5 +1,6 @@
 """Tests for the scalar replay oracle, its fixtures, and kernel/oracle agreement."""
 
+import hashlib
 import warnings
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -7,12 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaplus.cli import _selftest_streams
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import KERNEL_IDS, HyperParams, drive_stream
 from adaplus.oracle import _REPLAYS, MAX_DIM, _pack, replay
 from adaplus.transcript import ALL_FIELDS, FIELD_ORDER, StepTranscript, scaled_deviation
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# SHA-256 of every transcript (``t`` as an int64, then the nine fields'
+# bytes) that ``replay`` gives for the selftest's 48 streams, kernel by kernel
+ORACLE_SHA256 = "3f0589ef9ba6de40251a43e46db9a43375d38a89ab9b2dddbd7720116a8f60b7"
 
 getcontext().prec = 50
 
@@ -239,6 +245,14 @@ class TestReplayValidation:
         assert exc.value.stage == "second_moment"
         assert exc.value.step == 1
 
+    @pytest.mark.parametrize("kernel", ["adaplus", "adam"])
+    def test_first_failing_step_is_named_when_later_steps_fail_too(self, kernel):
+        # step 1 overflows the second moment at element 1, step 2 at element 0
+        stream = [[1.0, 1e200], [1e200, 1.0], [1e300, 1e300]]
+        with pytest.raises(NonFiniteValue) as exc:
+            replay(kernel, stream, [0.0, 0.0], HyperParams(), [1e-3] * 3)
+        assert (exc.value.stage, exc.value.step, exc.value.index) == ("second_moment", 1, 1)
+
     def test_zero_denominator_raises_only_the_structured_error(self):
         # with eps = 0 a zero gradient gives 0/0 in the update; numpy must
         # not warn about it before the NonFiniteValue
@@ -251,9 +265,9 @@ class TestReplayValidation:
 
 
 class TestPack:
-    """A step's extended-precision columns become float64 in one cast, element for element as ``float``."""
+    """A trajectory's extended-precision rows become float64 in one cast, element for element as ``float``."""
 
-    # positional field order of StepTranscript, the order _pack takes its columns in
+    # positional field order of StepTranscript, the order of the nine values in each row _pack takes
     COLUMNS = ("g", "m", "second_moment", "m_bar", "m_hat", "s_hat", "decay_applied", "delta_theta", "theta_after")
 
     def columns(self, rng, dim):
@@ -268,44 +282,90 @@ class TestPack:
         cols[0][:n] = specials[:n]
         return cols
 
+    @staticmethod
+    def rows(trajectory):
+        """Each step's nine columns as _pack takes them: one row per element."""
+        return [list(zip(*cols)) for cols in trajectory]
+
     def test_same_bits_as_float_element_by_element(self):
         rng = np.random.default_rng(21)
         assert set(self.COLUMNS) == set(ALL_FIELDS)
         for dim in (1, 6, 64):
-            cols = self.columns(rng, dim)
-            tr = _pack(5, *cols)
-            assert tr.t == 5
-            for name, col in zip(self.COLUMNS, cols):
-                want = np.array([float(x) for x in col])
-                assert getattr(tr, name).tobytes() == want.tobytes(), name
+            cols = [self.columns(rng, dim) for _ in range(5)]
+            transcripts = _pack(self.rows(cols))
+            assert [tr.t for tr in transcripts] == [1, 2, 3, 4, 5]
+            for tr, step in zip(transcripts, cols):
+                for name, col in zip(self.COLUMNS, step):
+                    want = np.array([float(x) for x in col])
+                    assert getattr(tr, name).tobytes() == want.tobytes(), (tr.t, name)
 
     def test_beyond_float64_range_raises_at_the_earliest_stage(self):
         rng = np.random.default_rng(22)
-        cols = self.columns(rng, 6)
-        cols[self.COLUMNS.index("theta_after")][0] = np.longdouble("1e400")
-        cols[self.COLUMNS.index("m_hat")][4] = np.longdouble("-1e400")
-        cols[self.COLUMNS.index("m_hat")][5] = np.longdouble("1e400")
+        cols = [self.columns(rng, 6) for _ in range(3)]
+        cols[2][self.COLUMNS.index("theta_after")][0] = np.longdouble("1e400")
+        cols[2][self.COLUMNS.index("m_hat")][4] = np.longdouble("-1e400")
+        cols[2][self.COLUMNS.index("m_hat")][5] = np.longdouble("1e400")
         # replay runs _pack with overflow warnings off
         with np.errstate(over="ignore"), pytest.raises(NonFiniteValue) as exc:
-            _pack(3, *cols)
+            _pack(self.rows(cols))
         assert (exc.value.stage, exc.value.index, exc.value.step) == ("m_hat", 4, 3)
 
     def test_nan_raises_at_its_stage(self):
         rng = np.random.default_rng(23)
-        cols = self.columns(rng, 3)
-        cols[self.COLUMNS.index("delta_theta")][2] = np.longdouble("nan")
+        cols = [self.columns(rng, 3) for _ in range(7)]
+        cols[6][self.COLUMNS.index("delta_theta")][2] = np.longdouble("nan")
         with pytest.raises(NonFiniteValue) as exc:
-            _pack(7, *cols)
+            _pack(self.rows(cols))
         assert (exc.value.stage, exc.value.index, exc.value.step) == ("delta_theta", 2, 7)
 
     def test_overflow_in_decay_alone_is_not_a_stage(self):
         # decay_applied is not in FIELD_ORDER: it is carried, not reported
         rng = np.random.default_rng(24)
-        cols = self.columns(rng, 2)
-        cols[self.COLUMNS.index("decay_applied")][1] = np.longdouble("1e400")
+        cols = [self.columns(rng, 2)]
+        cols[0][self.COLUMNS.index("decay_applied")][1] = np.longdouble("1e400")
         with np.errstate(over="ignore"):
-            tr = _pack(1, *cols)
+            (tr,) = _pack(self.rows(cols))
         assert tr.decay_applied[1] == np.inf
+
+    def test_first_failing_step_is_named_not_a_later_earlier_stage(self):
+        # step 1 overflows only in decay_applied; steps 2 and 3 both hold
+        # non-finite stages, and step 3's is the earlier stage and index
+        rng = np.random.default_rng(25)
+        cols = [self.columns(rng, 4) for _ in range(3)]
+        cols[0][self.COLUMNS.index("decay_applied")][0] = np.longdouble("1e400")
+        cols[1][self.COLUMNS.index("theta_after")][3] = np.longdouble("nan")
+        cols[1][self.COLUMNS.index("delta_theta")][2] = np.longdouble("-1e400")
+        cols[2][self.COLUMNS.index("g")][0] = np.longdouble("inf")
+        cols[2][self.COLUMNS.index("m")][1] = np.longdouble("nan")
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValue) as exc:
+            _pack(self.rows(cols))
+        assert (exc.value.stage, exc.value.index, exc.value.step) == ("delta_theta", 2, 2)
+
+
+class TestOracleBits:
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63, reason="the digest is of x87 80-bit extended precision"
+    )
+    def test_selftest_transcripts_match_pinned_digest(self):
+        """Every bit the oracle gives on the selftest's streams, for all six kernels.
+
+        The digest holds where ``np.longdouble`` is x87 extended precision
+        (a 63-bit mantissa, as on x86-64 Linux).  Elsewhere ``longdouble`` is
+        float64 or IEEE quad precision, the replay's intermediates round
+        differently, and some transcript bits differ by design.
+        """
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(20240901)  # the selftest's seed
+        count = 0
+        for kernel in KERNEL_IDS:
+            for stream, theta0, lrs in _selftest_streams(rng):
+                for tr in replay(kernel, stream, theta0, HyperParams(), lrs):
+                    digest.update(np.int64(tr.t).tobytes())
+                    for field in tr[1:]:
+                        digest.update(field.tobytes())
+                    count += 1
+        assert count == 3765
+        assert digest.hexdigest() == ORACLE_SHA256
 
 
 class TestFixtureFormat:

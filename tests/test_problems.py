@@ -1,5 +1,7 @@
 """Tests for the benchmark objectives, gradient checking, and noise wrappers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,24 @@ def test_non_finite_parameter_rejected_by_name(make, name):
 @pytest.mark.parametrize(
     "make, message",
     [
+        (lambda: quadratic(10, "100"), "condition_number must be >= 1 and finite, got '100'"),
+        (lambda: quadratic(10, 10**400), f"condition_number must be >= 1 and finite, got 1{'0' * 79}"),
+        (lambda: large_grad_small_curvature(None, 1.0), "g_mag must be positive and finite, got None"),
+        (lambda: large_grad_small_curvature(10.0, True), "curvature must be positive and finite, got True"),
+        (lambda: logistic_regression_synthetic(10, 2, "1"), "margin must be positive and finite, got '1'"),
+    ],
+    ids=["condition_number-str", "condition_number-int-beyond-float", "g_mag-None", "curvature-bool", "margin-str"],
+)
+def test_float_parameter_that_is_no_real_number_rejected_by_name(make, message):
+    # these raised TypeError (or, for the huge int, passed the domain check and
+    # failed in numpy), which cli.main's ValueError boundary does not catch
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
         (lambda: quadratic(2.5), "dim must be an integer, got 2.5"),
         (lambda: rosenbrock(4.0), "dim must be an integer, got 4.0"),
         (lambda: logistic_regression_synthetic(10.5, 2, 1.0), "n_samples must be an integer, got 10.5"),
@@ -282,6 +302,17 @@ class TestNoiseSpec:
         # GradientSource's generator would raise a TypeError naming no parameter
         with pytest.raises(ValueError, match=r"^noise\.seed must be an integer, got 1\.5$"):
             NoiseSpec("gaussian_additive", 0.1, seed=1.5)
+
+    @pytest.mark.parametrize("scale", ["0.1", None, True], ids=["str", "None", "bool"])
+    def test_rejects_a_scale_that_is_no_real_number(self, scale):
+        # comparing '0.1' or None with 0.0 raised TypeError
+        with pytest.raises(ConfigError, match=rf"^noise\.scale must be non-negative and finite, got {scale!r}$"):
+            NoiseSpec(kind="gaussian_additive", scale=scale)
+
+    def test_scale_is_held_as_a_float(self):
+        for scale in (1, np.float32(0.5)):
+            held = NoiseSpec(kind="gaussian_additive", scale=scale).scale
+            assert held == scale and type(held) is float
 
     def test_zero_scale_is_inactive(self):
         assert not NoiseSpec(kind="gaussian_additive", scale=0.0).active
