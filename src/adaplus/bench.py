@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, as_float, as_int
+from .errors import ConfigError, NonFiniteValue, as_float, as_int, positive
 from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, OptimizerState, ParamVector
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
@@ -88,10 +88,7 @@ def _format(key: str, conv, value) -> str:
     if conv is _parse_bool:
         return "true" if value else "false"
     if conv is _parse_float:
-        held = as_float(key, value)
-        if math.isfinite(held):
-            return repr(held)
-        raise ConfigError(f"{key} must be a finite number, got {value!r:.80}")
+        return repr(as_float(key, value))
     return str(value)
 
 
@@ -133,17 +130,13 @@ class RunConfig:
         # the schedule is held as parse_config reads it from that text
         object.__setattr__(self, "milestones", tuple(map(int, self.milestones)))
         for field in ("lr", "decay_factor"):
-            value = float(getattr(self, field))
-            if not value > 0.0:
-                raise ConfigError(f"{field} must be positive and finite, got {value}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, as_float(field, getattr(self, field), "be positive and finite", positive))
         if any(m <= 0 for m in self.milestones):
             raise ConfigError("milestones must be positive epoch indices")
         if any(b >= a for a, b in zip(self.milestones[1:], self.milestones)):
             raise ConfigError("milestones must be strictly increasing")
         for field in ("epochs", "steps_per_epoch", "log_every"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
+            as_int(field, getattr(self, field), "be >= 1", positive)
         # the rate is monotone in the number of milestones passed, so if the
         # last epoch's is positive and finite, so is every epoch's
         last_rate = self.rate(self.epochs - 1)

@@ -3,39 +3,68 @@
 Bad input has one family: ``ValueError``.  The kernels, the oracle and the
 problem constructors raise it for a value outside its domain, and
 ``ConfigError``, a ``ValueError``, is what the run-config, noise and record
-readers raise.  So ``except ValueError`` catches every one of them, and
-``as_int`` raises it for a size or seed that is not an integer or is a
-``bool``; ``as_float`` raises a ``ConfigError`` for a float value that is no
-real number or too large for a float.
+readers raise.  So ``except ValueError`` catches every one of them.
+
+A number given in code is read by one of two readers, each with its field's
+domain: ``as_int`` for sizes, counts and seeds, and ``as_float`` for the
+rest.  Both raise ``ConfigError`` for a value of the wrong type or outside
+the domain, naming the field: ``{name} must {domain}, got {value}``.
+``as_float``'s default domain is "finite".
 ``OptimizerError`` is the other family: a step that cannot be taken
 (``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
 """
 
+import math
 import numbers
 import operator
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an ``int`` by ``operator.index``; a float or other non-integer
-    raises ``ValueError`` naming ``name`` instead of being truncated, and so does
-    ``True`` or ``False``, which Python counts as integers but a config does not."""
+def as_int(name: str, value, domain: str = "be an integer", ok=None) -> int:
+    """``value`` as an ``int`` by ``operator.index``, if ``ok`` (when given) accepts it.
+
+    A float or other non-integer raises ``ConfigError`` (a ``ValueError``)
+    reading ``{name} must be an integer, got {value!r}`` instead of being
+    truncated, and so does ``True`` or ``False``, which Python counts as
+    integers but a config does not.  An integer that ``ok`` refuses raises
+    ``{name} must {domain}, got {value}``.
+    """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    held = operator.index(value)
+    if ok is None or ok(held):
+        return held
+    raise ConfigError(f"{name} must {domain}, got {held}")
 
 
-def as_float(name: str, value, domain: str = "be a finite number") -> float:
-    """``value`` as a ``float``.  A ``str``, ``None``, ``bool`` or other value that
-    is no real number raises ``ConfigError`` (a ``ValueError``) naming ``name``
-    instead of being read by ``float`` or raising ``TypeError``, and so does an
-    int too large for a float instead of raising ``OverflowError``; the message
-    is ``{name} must {domain}, got {value!r}``, the value cut to 80 characters."""
+def as_float(name: str, value, domain: str = "be a finite number", ok=math.isfinite) -> float:
+    """``value`` as a ``float``, if ``ok`` (when not ``None``) accepts that float.
+
+    A ``str``, ``None``, ``bool`` or other value that is no real number, an
+    int too large for a float, and a float that ``ok`` refuses all raise
+    ``ConfigError`` (a ``ValueError``) naming ``name``, instead of being read
+    by ``float`` or raising ``TypeError`` or ``OverflowError``.  The message
+    is ``{name} must {domain}, got {value!r}``, the value as given, cut to 80
+    characters.
+    """
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
-            return float(value)
+            held = float(value)
         except OverflowError:
             pass
+        else:
+            if ok is None or ok(held):
+                return held
     raise ConfigError(f"{name} must {domain}, got {value!r:.80}")
+
+
+def positive(x) -> bool:
+    """The domain of a size, a count, a rate or a step: ``0 < x < inf``."""
+    return 0 < x < math.inf
+
+
+def non_negative(x) -> bool:
+    """The domain of a seed, ``eps``, a weight decay or a noise scale: ``0 <= x < inf``."""
+    return 0 <= x < math.inf
 
 
 class OptimizerError(Exception):

@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, as_float, as_int
+from .errors import DimensionMismatch, NonFiniteValue, as_float, as_int, non_negative, positive
 from .transcript import FIELD_ORDER, StepTranscript
 
 
@@ -121,13 +121,9 @@ class HyperParams:
     def __post_init__(self):
         # each float field is checked and held as the float a step computes
         # with, so an int too large for a float is refused here, not by a step
-        for field, upper in (("beta1", 1.0), ("beta2", 1.0), ("eps", math.inf), ("weight_decay", math.inf)):
-            value = getattr(self, field)
-            domain = "lie in [0, 1)" if upper == 1.0 else "be non-negative and finite"
-            held = as_float(field, value, domain)
-            if not 0.0 <= held < upper:
-                raise ValueError(f"{field} must {domain}, got {value!r:.80}")
-            object.__setattr__(self, field, held)
+        beta, decay = ("lie in [0, 1)", lambda v: 0.0 <= v < 1.0), ("be non-negative and finite", non_negative)
+        for field, (domain, ok) in zip(("beta1", "beta2", "eps", "weight_decay"), (beta, beta, decay, decay)):
+            object.__setattr__(self, field, as_float(field, getattr(self, field), domain, ok))
         # a truthy string or int would switch a part on, but is no bool to a config
         for field in ("use_nesterov", "use_belief", "decoupled_decay"):
             value = getattr(self, field)
@@ -151,9 +147,7 @@ class OptimizerState:
     """
 
     def __init__(self, dim: int):
-        self.dim = as_int("dim", dim)
-        if self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim}")
+        self.dim = as_int("dim", dim, "be positive", positive)
         self.t = 0
         self.m = np.zeros(self.dim)
         self.second_moment = np.zeros(self.dim)
@@ -336,8 +330,9 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         raise DimensionMismatch("gradient", dim, g.size)
     if state.dim != dim:
         raise DimensionMismatch("state", dim, state.dim)
-    if not (math.isfinite(lr_t) and lr_t > 0):
-        raise ValueError(f"lr_t must be a positive finite real, got {lr_t}")
+    # a Python float is the rate every caller passes; only another type pays for the reader
+    if not (type(lr_t) is float and 0.0 < lr_t < math.inf):
+        lr_t = as_float("lr_t", lr_t, "be a positive finite real", positive)
     t = state.t + 1
 
     new_m, new_s, new_theta, a, k = state._next_m, state._next_s, state._theta, state._tmp, state._k

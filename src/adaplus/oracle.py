@@ -23,7 +23,7 @@ scan is repeated step by step, to name the first bad step.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue
+from .errors import DimensionMismatch, NonFiniteValue, as_float, positive
 from .kernels import HyperParams
 from .transcript import StepTranscript
 
@@ -59,13 +59,14 @@ def _validated(kernel_id, stream, theta0, lrs):
             if bad.size:
                 raise NonFiniteValue("gradient", index=int(bad[0]), step=step)
     rates = np.asarray(lrs)
-    # rates that numpy does not read as floats are judged one by one
-    if not (rates.dtype.kind == "f" and np.isfinite(rates).all() and (rates > 0).all()):
-        for step, lr in enumerate(lrs, start=1):
-            if not (np.isfinite(lr) and lr > 0):
-                raise ValueError(f"lr at step {step} must be a positive finite real, got {lr}")
+    # rates that numpy does not read as floats are read one by one
+    if rates.dtype.kind == "f" and np.isfinite(rates).all() and (rates > 0).all():
+        lrs = [float(lr) for lr in lrs]
+    else:
+        lrs = [as_float(f"lr at step {step}", lr, "be a positive finite real", positive)
+               for step, lr in enumerate(lrs, start=1)]
     # each gradient as an extended-precision row, converted once (exactly)
-    return [g.astype(_LD) for g in stream], theta0, [float(lr) for lr in lrs]
+    return [g.astype(_LD) for g in stream], theta0, lrs
 
 
 def _pack(steps):

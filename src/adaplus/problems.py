@@ -6,11 +6,12 @@ explicit seeds.  ``check_gradient`` compares analytic gradients against
 central finite differences coordinate by coordinate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, as_float, as_int
+from .errors import ConfigError, as_float, as_int, non_negative, positive
 
 NOISE_KINDS = ("none", "gaussian_additive", "minibatch_subset")
 
@@ -32,15 +33,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
-        scale = as_float("noise.scale", self.scale, "be non-negative and finite")
-        if not 0.0 <= scale < np.inf:
-            raise ConfigError(f"noise.scale must be non-negative and finite, got {scale}")
+        scale = as_float("noise.scale", self.scale, "be non-negative and finite", non_negative)
         object.__setattr__(self, "scale", scale)
         if self.kind == "minibatch_subset" and self.scale > 1:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
         # numpy's generators take no negative seed
-        if as_int("noise.seed", self.seed) < 0:
-            raise ConfigError(f"noise.seed must be non-negative, got {self.seed}")
+        as_int("noise.seed", self.seed, "be non-negative", non_negative)
 
     @property
     def active(self) -> bool:
@@ -124,12 +122,9 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
     Eigenvalues of ``D`` are log-spaced over ``[1, condition_number]``;
     the optimum value is 0 at the origin.
     """
-    dim = as_int("dim", dim)
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    condition_number = as_float("condition_number", condition_number, "be >= 1 and finite")
-    if not 1.0 <= condition_number < np.inf:
-        raise ValueError(f"condition_number must be >= 1 and finite, got {condition_number}")
+    dim = as_int("dim", dim, "be positive", positive)
+    condition_number = as_float("condition_number", condition_number, "be >= 1 and finite",
+                                lambda c: 1 <= c < math.inf)
     eigs = np.logspace(0.0, np.log10(condition_number), dim)
 
     def gradient(theta):
@@ -144,9 +139,7 @@ def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
 
 def rosenbrock(dim: int) -> Problem:
     """Chained Rosenbrock over independent coordinate pairs; optimum 0 at all-ones."""
-    dim = as_int("dim", dim)
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError(f"dim must be a positive even integer >= 2, got {dim}")
+    dim = as_int("dim", dim, "be a positive even integer >= 2", lambda n: n >= 2 and n % 2 == 0)
 
     def gradient(theta):
         x = theta[0::2]
@@ -173,12 +166,8 @@ def large_grad_small_curvature(g_mag: float, curvature: float) -> Problem:
     steps than variance-style ones.
     The minimum is ``-g_mag^2 / (2 * curvature)``, at ``x = -g_mag / curvature``.
     """
-    g_mag = as_float("g_mag", g_mag, "be positive and finite")
-    curvature = as_float("curvature", curvature, "be positive and finite")
-    if not 0.0 < g_mag < np.inf:
-        raise ValueError(f"g_mag must be positive and finite, got {g_mag}")
-    if not 0.0 < curvature < np.inf:
-        raise ValueError(f"curvature must be positive and finite, got {curvature}")
+    g_mag = as_float("g_mag", g_mag, "be positive and finite", positive)
+    curvature = as_float("curvature", curvature, "be positive and finite", positive)
 
     def gradient(theta):
         return np.array([g_mag + curvature * theta[0]])
@@ -197,17 +186,11 @@ def logistic_regression_synthetic(n_samples: int, dim: int, margin: float, seed:
     separating direction on each point's own side, so every sample satisfies
     ``|x . w*| >= margin``.  Generation is a pure function of ``seed``.
     """
-    n_samples, dim, seed = as_int("n_samples", n_samples), as_int("dim", dim), as_int("seed", seed)
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    margin = as_float("margin", margin, "be positive and finite")
-    if not 0.0 < margin < np.inf:
-        raise ValueError(f"margin must be positive and finite, got {margin}")
+    n_samples = as_int("n_samples", n_samples, "be at least 2", lambda n: n >= 2)
+    dim = as_int("dim", dim, "be positive", positive)
+    margin = as_float("margin", margin, "be positive and finite", positive)
     # numpy's generators take no negative seed
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = as_int("seed", seed, "be non-negative", non_negative)
 
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(dim)
@@ -230,10 +213,16 @@ PROBLEMS = {
 
 
 def check_gradient(problem: Problem, theta, h: float = 1e-6) -> float:
-    """Max absolute deviation of the analytic gradient from central differences."""
+    """Max absolute deviation of the analytic gradient from central differences.
+
+    ``h`` must be positive and finite.  A deviation that is not finite, as
+    from a NaN in the gradient or the loss, reads ``inf``: it may not read
+    as agreement.
+    """
+    h = as_float("h", h, "be positive and finite", positive)
     theta = np.asarray(theta, dtype=np.float64)
     _, grad = problem.evaluate(theta)
-    worst = 0.0
+    deviations = np.empty(problem.dim)
     for j in range(problem.dim):
         bumped = theta.copy()
         bumped[j] = theta[j] + h
@@ -241,8 +230,9 @@ def check_gradient(problem: Problem, theta, h: float = 1e-6) -> float:
         bumped[j] = theta[j] - h
         f_minus, _ = problem.evaluate(bumped)
         fd = (f_plus - f_minus) / (2.0 * h)
-        worst = max(worst, abs(fd - grad[j]))
-    return worst
+        deviations[j] = abs(fd - grad[j])
+    worst = float(deviations.max(initial=0.0))
+    return worst if math.isfinite(worst) else math.inf
 
 
 class GradientSource:

@@ -20,6 +20,7 @@ from adaplus.bench import (
     LogRow,
     RunRecord,
     RunSummary,
+    build_problem,
     compare,
     config_to_text,
     emit,
@@ -29,8 +30,8 @@ from adaplus.bench import (
     run,
 )
 from adaplus.errors import ConfigError
-from adaplus.kernels import OptimizerState
-from adaplus.problems import PROBLEMS, GradientSource, NoiseSpec, Problem, quadratic
+from adaplus.kernels import KERNEL_IDS, OptimizerState
+from adaplus.problems import NOISE_KINDS, PROBLEMS, GradientSource, NoiseSpec, Problem, quadratic
 
 QUAD_CONFIG = """
 # one-dimensional convex sanity run
@@ -342,15 +343,67 @@ DISAGREEING_SUMMARIES = pytest.mark.parametrize(
     "aborted, reason", [(False, "seed 1: boom"), (True, "")], ids=["finished-with-reason", "aborted-without"]
 )
 BOOL_FIELDS = ("use_nesterov", "use_belief", "decoupled_decay")
+HP_FLOAT_FIELDS = ("beta1", "beta2", "eps", "weight_decay")
+COUNT_FIELDS = ("epochs", "steps_per_epoch", "log_every")
+NOISE_KEYS = {"noise": "kind", "noise.scale": "scale", "noise.seed": "seed"}
+# a value outside its key's domain, for each key whose spoils are listed below
+OUT_OF_DOMAIN = {
+    "beta1": 1.0, "beta2": -0.5, "eps": -1e-8, "weight_decay": -1, "epochs": 0, "steps_per_epoch": -3,
+    "log_every": 0, "theta0": "random", "noise": "salt_and_pepper", "noise.scale": -0.1, "noise.seed": -1,
+}
+# for each of those keys, a str, None, a bool, NaN and its out-of-domain
+# value, and in a float key an int that no float holds, as {key: value} by id
+SPOILS = {
+    f"{key}-{label}": {key: value}
+    for key in OUT_OF_DOMAIN
+    for label, value in [("str", "0.5"), ("None", None), ("bool", True), ("nan", math.nan),
+                         ("out-of-domain", OUT_OF_DOMAIN[key])]
+    + ([("int-beyond-float", 10**400)] if key in HP_FLOAT_FIELDS + ("noise.scale",) else [])
+}
 # one value with no config text, by its key: an int that no float holds
 # (float() raises OverflowError on it), a bool field's value that is no bool,
-# an integer list that is no tuple or list, or a bool in an integer list
+# an integer list that is no tuple or list, a bool in an integer list, or
+# one of the spoils above
 NO_CONFIG_TEXT = st.one_of(
     st.fixed_dictionaries({"lr": st.integers(10**309, 10**400)}),
     st.fixed_dictionaries({"condition_number": st.integers(10**309, 10**400)}),
     st.sampled_from(BOOL_FIELDS).flatmap(lambda field: st.fixed_dictionaries({field: st.sampled_from(["no", 0, 1])})),
     st.sampled_from([{"seeds": 5}, {"milestones": 5}, {"milestones": (True,)}]),
+    st.sampled_from(list(SPOILS.values())),
 )
+
+
+def built_in_code(values):
+    """QUAD_CONFIG's run with the config keys in ``values`` replaced, each
+    given to the type that holds it; ``problem.dim`` is 1."""
+    base = parse_config(QUAD_CONFIG)
+    values = dict(values)
+    condition_number = values.pop("condition_number", 1.0)
+    hp = {field: values.pop(field) for field in BOOL_FIELDS + HP_FLOAT_FIELDS if field in values}
+    noise = {name: values.pop(key) for key, name in NOISE_KEYS.items() if key in values}
+    return replace(
+        base, problem_params=(("dim", 1), ("condition_number", condition_number)), hp=replace(base.hp, **hp),
+        noise=NoiseSpec(**noise), **values,
+    )
+
+
+def refusal_of(key):
+    """The start of the message that refuses a value of ``key``; the noise
+    kind's key is ``noise``, named as the kind of noise."""
+    return "^unknown noise kind" if key == "noise" else f"^(problem\\.)?{re.escape(key)} must "
+
+
+def floats_of_any_type(low, high):
+    """A float in ``[low, high]`` built as a float or a numpy float, or an int in that range."""
+    return st.one_of(
+        st.integers(math.ceil(low), math.floor(high)), st.floats(low, high), st.floats(low, high).map(np.float64)
+    )
+
+
+def ints_of_any_type(low, high):
+    return st.one_of(st.integers(low, high), st.integers(low, high).map(np.int64))
+
+
 # an integer list built in code as a tuple, a list, or numpy integers in a list
 INT_LIST_FORMS = st.sampled_from([tuple, list, lambda values: [np.int64(v) for v in values]])
 # an integer key's value built in code as true, each with the key it is refused by
@@ -367,42 +420,42 @@ class TestNormalForm:
 
     @settings(max_examples=100, deadline=None, derandomize=True, report_multiple_bugs=False)
     @given(
-        lr=st.one_of(st.integers(1, 3), st.floats(1e-6, 10.0), st.floats(1e-6, 10.0).map(np.float64)),
+        lr=floats_of_any_type(1e-6, 10.0),
         # ascending, as a schedule's milestones must be
         milestones=st.lists(st.integers(1, 10**6), max_size=3, unique=True).map(sorted),
         milestones_as=INT_LIST_FORMS,
-        decay_factor=st.one_of(st.integers(1, 3), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0).map(np.float64)),
+        decay_factor=floats_of_any_type(1e-3, 10.0),
         condition_number=st.one_of(st.integers(1, 10**6), st.floats(1.0, 1e6)),
         seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True),
         seeds_as=INT_LIST_FORMS,
         bools=st.fixed_dictionaries(
             dict.fromkeys(BOOL_FIELDS, st.sampled_from([True, False, np.bool_(True), np.bool_(False)]))
         ),
+        hp_floats=st.fixed_dictionaries(
+            {"beta1": floats_of_any_type(0.0, 0.999), "beta2": floats_of_any_type(0.0, 0.9999),
+             "eps": floats_of_any_type(0.0, 1.0), "weight_decay": floats_of_any_type(0.0, 3.0)}
+        ),
+        counts=st.fixed_dictionaries(dict.fromkeys(COUNT_FIELDS, ints_of_any_type(1, 10**6))),
+        theta0=st.sampled_from(["seeded", "zeros"]),
+        noise=st.fixed_dictionaries(
+            {"noise": st.sampled_from(NOISE_KINDS), "noise.scale": floats_of_any_type(0.0, 1.0),
+             "noise.seed": ints_of_any_type(0, 2**62)}
+        ),
         # in about one draw of four, one value is replaced by one with no config text
         spoiled=st.one_of(st.just({}), st.just({}), st.just({}), NO_CONFIG_TEXT),
     )
     def test_config_built_in_code_reads_back_from_its_text(
-        self, lr, milestones, milestones_as, decay_factor, condition_number, seeds, seeds_as, bools, spoiled
+        self, lr, milestones, milestones_as, decay_factor, condition_number, seeds, seeds_as, bools, hp_floats,
+        counts, theta0, noise, spoiled,
     ):
-        base = parse_config(QUAD_CONFIG)
         values = {"lr": lr, "milestones": milestones_as(milestones), "decay_factor": decay_factor,
-                  "seeds": seeds_as(seeds), **bools, **spoiled}
-        condition_number = values.pop("condition_number", condition_number)
-        hp_values = {field: values.pop(field) for field in BOOL_FIELDS}
-
-        def build():
-            return replace(
-                base,
-                problem_params=(("dim", 1), ("condition_number", condition_number)),
-                hp=replace(base.hp, **hp_values),
-                **values,
-            )
-
+                  "condition_number": condition_number, "seeds": seeds_as(seeds), "theta0": theta0,
+                  **bools, **hp_floats, **counts, **noise, **spoiled}
         if spoiled:
-            with pytest.raises(ValueError, match=f"^(problem\\.)?{next(iter(spoiled))} must be"):
-                build()
+            with pytest.raises(ValueError, match=refusal_of(next(iter(spoiled)))):
+                built_in_code(values)
             return
-        config = build()
+        config = built_in_code(values)
         assert all(type(getattr(config.hp, field)) is bool for field in BOOL_FIELDS)
         parsed = parse_config(config_to_text(config))
         assert parsed == config
@@ -410,7 +463,15 @@ class TestNormalForm:
         assert parsed.problem_id() == config.problem_id()
         assert config.seeds == tuple(sorted(seeds)) and all(type(s) is int for s in config.seeds)
         assert config.milestones == tuple(milestones) and all(type(m) is int for m in config.milestones)
-        assert type(config.lr) is float and type(config.decay_factor) is float
+        held = [config.lr, config.decay_factor, config.noise.scale, *(getattr(config.hp, f) for f in HP_FLOAT_FIELDS)]
+        assert all(type(value) is float for value in held)
+
+    @pytest.mark.parametrize("case", SPOILS)
+    def test_value_with_no_config_text_is_refused_by_key(self, case):
+        # each spoil the property above draws from, each alone
+        spoiled = SPOILS[case]
+        with pytest.raises(ValueError, match=refusal_of(next(iter(spoiled)))):
+            built_in_code(spoiled)
 
     @pytest.mark.parametrize("key", BOOLS_IN_INTEGER_KEYS)
     def test_integer_key_built_in_code_refuses_a_bool(self, key):
@@ -475,6 +536,72 @@ class TestNormalForm:
     def test_a_size_refuses_a_bool(self, make):
         with pytest.raises(ValueError, match="^dim must be an integer, got True$"):
             make()
+
+
+# a value text of each key's own kind, in its domain or near it; a size is at
+# most 64 or at least 10**20, which numpy refuses without allocating
+FLOAT_TEXT = st.one_of(st.floats(0.0, 0.999).map(repr), st.floats(1e-3, 1e3).map(repr), st.integers(1, 100).map(str))
+INT_TEXT = st.integers(1, 100).map(str)
+SIZE_TEXT = st.one_of(st.integers(-1, 64), st.integers(10**20, 10**400)).map(str)
+INT_LIST_TEXT = st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True).map(
+    lambda values: ",".join(map(str, sorted(values)))
+)
+KEY_TEXT = {
+    "optimizer": st.sampled_from(KERNEL_IDS),
+    **dict.fromkeys(("beta1", "beta2"), st.floats(0.0, 0.999).map(repr)),
+    **dict.fromkeys(("eps", "weight_decay", "lr", "decay_factor", "noise.scale"), FLOAT_TEXT),
+    **dict.fromkeys(BOOL_FIELDS, st.sampled_from(["true", "false", "True"])),
+    **dict.fromkeys(COUNT_FIELDS, INT_TEXT),
+    **dict.fromkeys(("milestones", "seeds"), INT_LIST_TEXT),
+    "theta0": st.sampled_from(["seeded", "zeros"]),
+    "noise": st.sampled_from(NOISE_KINDS),
+    "noise.seed": INT_TEXT,
+}
+PROBLEM_TEXT = {"dim": SIZE_TEXT, "n_samples": SIZE_TEXT, "seed": INT_TEXT}
+# characters that are no decimal digit in any script: int() and float() read those of every script
+NO_DIGITS = st.characters(exclude_categories=("Nd", "Cs"))
+# a value that no key reads, or that only some keys read: empty, an int
+# beyond float range, a float that overflows or is NaN, true, non-ASCII text,
+# and text holding '#' or '='
+ODD_TEXT = st.one_of(
+    st.just(""),
+    st.integers(10**20, 10**400).map(str),
+    st.sampled_from(["1e400", "-1e400", "nan", "true"]),
+    st.text(st.characters(min_codepoint=128, exclude_categories=("Nd", "Cs")), min_size=1, max_size=6),
+    st.tuples(st.text(NO_DIGITS, max_size=3), st.sampled_from("#="), st.text(NO_DIGITS, max_size=3)).map("".join),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """A config text over the README's key table: every required key, some
+    optional ones, up to two values replaced by odd ones, and in about one
+    draw of four a line given twice."""
+    problem = draw(st.sampled_from(sorted(PROBLEMS)))
+    names = inspect.signature(PROBLEMS[problem]).parameters
+    params = {f"problem.{name}": PROBLEM_TEXT.get(name, FLOAT_TEXT) for name in names}
+    required = ("optimizer", "epochs", "steps_per_epoch", "seeds")
+    items = draw(st.fixed_dictionaries(
+        {"problem": st.just(problem), **params, **{key: KEY_TEXT[key] for key in required}},
+        optional={key: text for key, text in KEY_TEXT.items() if key not in required},
+    ))
+    for key in draw(st.lists(st.sampled_from(sorted(items)), max_size=2, unique=True)):
+        items[key] = draw(ODD_TEXT)
+    lines = [f"{key} = {value}" for key, value in items.items()]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(lines)))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, report_multiple_bugs=False)
+@given(text=config_texts())
+def test_config_text_builds_its_problem_or_raises_a_value_error(text):
+    # run is never called: only the problem is built, at sizes numpy allocates
+    # at once (<= 64) or refuses without allocating (>= 10**20)
+    try:
+        build_problem(parse_config(text))
+    except ValueError:
+        pass
 
 
 def test_bad_input_of_every_reader_is_a_value_error(tmp_path):

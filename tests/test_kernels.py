@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,28 @@ class TestAdaPlusStep:
         state, params = fresh([1.0])
         with pytest.raises(ValueError):
             adaplus_step(state, params, [1.0], HyperParams(), 0.0)
+
+    @pytest.mark.parametrize(
+        "lr_t", ["0.1", None, 10**400, True, np.True_, 1j, np.nan, np.inf, -1e-3, np.float64(0.0)],
+        ids=["str", "None", "int-beyond-float", "bool", "numpy-bool", "complex", "nan", "inf", "negative", "numpy-zero"],
+    )
+    def test_rate_outside_its_domain_is_refused_by_name_and_nothing_moves(self, lr_t):
+        # '0.1' and None raised TypeError, 10**400 OverflowError, and True stepped at rate 1.0
+        state, params = fresh([1.0, -2.0])
+        message = rf"^lr_t must be a positive finite real, got {re.escape(repr(lr_t)[:80])}$"
+        with pytest.raises(ValueError, match=message):
+            adaplus_step(state, params, [0.5, 0.25], HyperParams(), lr_t)
+        assert state.t == 0
+        np.testing.assert_array_equal(state.m, [0.0, 0.0])
+        np.testing.assert_array_equal(state.second_moment, [0.0, 0.0])
+        np.testing.assert_array_equal(params.values, [1.0, -2.0])
+
+    @pytest.mark.parametrize("lr_t", [np.float64(0.5), np.float32(0.5), 1, Fraction(1, 2)],
+                             ids=["numpy-float64", "numpy-float32", "int", "fraction"])
+    def test_rate_of_another_real_type_steps_as_its_float(self, lr_t):
+        want = adaplus_step(*fresh([1.0, -2.0]), [0.5, 0.25], HyperParams(), float(lr_t), transcript=True)
+        got = adaplus_step(*fresh([1.0, -2.0]), [0.5, 0.25], HyperParams(), lr_t, transcript=True)
+        assert got == want
 
 
 class TestAdamStep:

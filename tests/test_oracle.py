@@ -1,6 +1,7 @@
 """Tests for the scalar replay oracle, its fixtures, and kernel/oracle agreement."""
 
 import hashlib
+import re
 import warnings
 from decimal import Decimal, getcontext
 from pathlib import Path
@@ -231,6 +232,13 @@ class TestReplayValidation:
     def test_first_bad_rate_is_named_by_step(self, bad):
         with pytest.raises(ValueError, match="lr at step 3 must be a positive finite real"):
             replay("adam", [[1.0]] * 4, [0.0], HyperParams(), [1e-3, 1e-3, bad, -1.0])
+
+    @pytest.mark.parametrize("bad", ["0.1", 10**400, True, None], ids=["str", "int-beyond-float", "bool", "None"])
+    def test_rate_that_is_no_positive_real_is_named_by_step(self, bad):
+        # '0.1' and 10**400 raised TypeError from np.isfinite, and True replayed at rate 1.0
+        message = f"^lr at step 1 must be a positive finite real, got {re.escape(repr(bad)[:80])}$"
+        with pytest.raises(ValueError, match=message):
+            replay("adam", [[1.0]] * 3, [0.0], HyperParams(), [bad] * 3)
 
     def test_rates_of_any_real_type_are_accepted(self):
         stream = [[0.5, -0.5]] * 3

@@ -282,6 +282,26 @@ class TestCheckGradient:
         )
         assert check_gradient(broken, np.array([1.0])) > 0.5
 
+    @pytest.mark.parametrize(
+        "h", [float("nan"), 0, -1e-6, float("inf"), "1e-6", None, True],
+        ids=["nan", "zero", "negative", "inf", "str", "None", "bool"],
+    )
+    def test_step_outside_its_domain_is_refused_by_name(self, h):
+        # nan read 0.0, 0 raised ZeroDivisionError and '1e-6' numpy's UFuncTypeError
+        with pytest.raises(ValueError, match=f"^h must be positive and finite, got {re.escape(repr(h))}$"):
+            check_gradient(quadratic(3), [1.0, 2.0, 3.0], h=h)
+
+    @pytest.mark.parametrize("where", ["gradient", "loss"])
+    def test_a_deviation_that_is_not_finite_reads_inf(self, where):
+        # max(worst, nan) kept worst, so a NaN in a gradient read as agreement
+        def loss_and_grad(theta):
+            grad = np.array([2 * theta[0], np.nan if where == "gradient" else 2 * theta[1]])
+            loss = float(theta @ theta) if where == "gradient" or theta[1] == 2.0 else np.nan
+            return loss, grad
+
+        broken = Problem(2, loss_and_grad, lambda theta: loss_and_grad(theta)[1])
+        assert check_gradient(broken, [1.0, 2.0]) == np.inf
+
 
 class TestNoiseSpec:
     def test_rejects_unknown_kind(self):
