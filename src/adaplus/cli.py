@@ -116,8 +116,8 @@ def _cmd_selftest(args) -> int:
     lrs = [1e-3] * 60
     for label, *sides in REDUCTIONS:
         left, right = (drive_stream(k, stream, theta0, HyperParams(**overrides), lrs) for k, overrides in sides)
-        # transcripts are equal when ``t`` and all nine fields are
-        ok = left == right
+        # every field of every step equal, as ``==`` reads floats
+        ok = np.array_equal(left, right)
         print(f"selftest reduction[{label}]: {'PASS' if ok else 'FAIL'}")
         failures += 0 if ok else 1
 

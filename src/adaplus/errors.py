@@ -9,7 +9,8 @@ A number given in code is read by one of two readers, each with its field's
 domain: ``as_int`` for sizes, counts and seeds, and ``as_float`` for the
 rest.  Both raise ``ConfigError`` for a value of the wrong type or outside
 the domain, naming the field: ``{name} must {domain}, got {value}``.
-``as_float``'s default domain is "finite".
+``as_float``'s default domain is "finite".  ``as_rate`` reads a step's
+learning rate, as the kernels and the oracle both take it.
 ``OptimizerError`` is the other family: a step that cannot be taken
 (``DimensionMismatch``) or whose result is not finite (``NonFiniteValue``).
 """
@@ -55,6 +56,15 @@ def as_float(name: str, value, domain: str = "be a finite number", ok=math.isfin
             if ok is None or ok(held):
                 return held
     raise ConfigError(f"{name} must {domain}, got {value!r:.80}")
+
+
+def as_rate(name: str, value) -> float:
+    """A step's learning rate: ``value`` itself when it is a Python ``float``
+    in ``(0, inf)``, the rate every caller passes; any other value is read by
+    ``as_float`` in the domain "be a positive finite real"."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
+    return as_float(name, value, "be a positive finite real", positive)
 
 
 def positive(x) -> bool:

@@ -47,26 +47,27 @@ Every failing step is attributed the same way.  The gradient is scanned
 first; if it is finite, the step is transcribed again one block at a time,
 from the untouched state, and the earliest stage in ``FIELD_ORDER`` that
 holds a non-finite value is raised at its first element.  Elements are
-independent, so this is the error ``first_non_finite`` gives over the whole
-vector, and the attribution holds no more than one block's transcript at a
-time.  A call that raises leaves ``t``, the moments and the parameters
-untouched.  The commit copies the new parameters into ``params.values`` in
-place, so that array keeps its identity and a caller may hold it across
-steps.  The moments are not copied: ``state.m`` and ``state.second_moment``
-trade places with the state's buffers for the next ones, so the arrays they
-named before are written by the next step.  Read them from the state after
-each step instead of holding them.
+independent, so this is the error ``transcript.first_non_finite`` gives over
+the whole vector, and the attribution holds no more than one block's
+transcript at a time.  A call that raises leaves ``t``, the moments and the
+parameters untouched.  The commit copies the new parameters into
+``params.values`` in place, so that array keeps its identity and a caller
+may hold it across steps.  The moments are not copied: ``state.m`` and
+``state.second_moment`` trade places with the state's buffers for the next
+ones, so the arrays they named before are written by the next step.  Read
+them from the state after each step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
-trajectories against the independent scalar reference in
-``adaplus.oracle``.  The core takes a destination for every quantity it
-computes: the lean step lets them share the state's four buffers, while a
-transcript passes the rows of one ``(9, dim)`` block, so each field is
-computed in place in its row and nothing is copied out; only the rows that
-restate another row or a constant (``m_bar`` without Nesterov, the
-momentum kernel's ``m_hat`` and zero second moment, ``decay_applied``) are
-filled after the core, and the state commits copies of the new moments.
+trajectories against the independent scalar reference in ``adaplus.oracle``;
+``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
+trajectory.  The core takes a destination for every quantity it computes: the
+lean step lets them share the state's four buffers, while a transcript
+passes the rows of one ``(9, dim)`` block, so each field is computed in
+place in its row and nothing is copied out; only the rows that restate
+another row or a constant (``m_bar`` without Nesterov, the momentum kernel's
+``m_hat`` and zero second moment, ``decay_applied``) are filled after the
+core, and the state commits copies of the new moments.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(b1, b2, eps, wd)`` and the step's rate ``lr_t``, which the caller's
@@ -95,8 +96,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, as_float, as_int, non_negative, positive
-from .transcript import FIELD_ORDER, StepTranscript
+from .errors import DimensionMismatch, NonFiniteValue, as_float, as_int, as_rate, non_negative, positive
+from .transcript import FIELD_ORDER, StepTranscript, first_non_finite
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,10 @@ def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
     found = []
     for lo in range(0, g.size, CHUNK):
         block = slice(lo, lo + CHUNK)
-        error = _transcribe(t, theta[block], g[block], m[block], s[block], k, rule, decay_rate).first_non_finite()
+        # the block's (9, n) transcript as a one-step trajectory; no name holds
+        # it, so it is freed before the next block's is made
+        error = first_non_finite(
+            _transcribe(t, theta[block], g[block], m[block], s[block], k, rule, decay_rate).g.base[None])
         if error is not None:
             found.append((FIELD_ORDER.index(error.stage), lo + error.index))
     stage, index = min(found)
@@ -330,9 +334,7 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         raise DimensionMismatch("gradient", dim, g.size)
     if state.dim != dim:
         raise DimensionMismatch("state", dim, state.dim)
-    # a Python float is the rate every caller passes; only another type pays for the reader
-    if not (type(lr_t) is float and 0.0 < lr_t < math.inf):
-        lr_t = as_float("lr_t", lr_t, "be a positive finite real", positive)
+    lr_t = as_rate("lr_t", lr_t)
     t = state.t + 1
 
     new_m, new_s, new_theta, a, k = state._next_m, state._next_s, state._theta, state._tmp, state._k
@@ -465,7 +467,7 @@ KERNEL_IDS = tuple(KERNEL_STEPS)
 
 # The exact reductions of the family, as ``(label, left, right)`` with each
 # side a ``(kernel id, HyperParams overrides)`` pair: driven over the same
-# stream, the two sides give equal transcripts, every field and ``t``.
+# stream, the two sides give equal trajectories, every field of every step.
 REDUCTIONS = (
     ("adaplus(no nesterov, wd=0) == adabelief",
      ("adaplus", {"use_nesterov": False, "weight_decay": 0.0}), ("adabelief", {})),
@@ -480,17 +482,24 @@ REDUCTIONS = (
 )
 
 
-def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[StepTranscript]:
-    """Feed a whole gradient stream through a fresh state and collect transcripts.
+def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.ndarray:
+    """Feed a whole gradient stream through a fresh state and return its trajectory.
 
-    Convenience harness for differential testing against ``oracle.replay``,
-    which takes the same arguments.
+    The trajectory is one ``(steps, 9, dim)`` float64 array whose ``[t - 1]``
+    holds step ``t``'s transcript fields as rows, in ``ALL_FIELDS`` order.
+    Harness for differential testing against ``oracle.replay``, which takes
+    the same arguments and returns the same form.  ``stream`` must be
+    non-empty.
     """
     if kernel_id not in KERNEL_STEPS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {KERNEL_IDS}")
+    if not len(stream):
+        raise ValueError("gradient stream must be non-empty")
     if len(lrs) != len(stream):
         raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
     params = ParamVector(theta0)
     state = OptimizerState(params.dim)
     step = KERNEL_STEPS[kernel_id]
-    return [step(state, params, g, hp, lr, transcript=True) for g, lr in zip(stream, lrs)]
+    # one public step per stream step; a transcript's fields are the rows of
+    # one (9, dim) block, its ``g`` row's base, and the blocks are stacked once
+    return np.stack([step(state, params, g, hp, lr, transcript=True).g.base for g, lr in zip(stream, lrs)])

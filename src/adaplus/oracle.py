@@ -9,23 +9,24 @@ restatement of the update rules, not a second client of
 ``adaplus.kernels``.
 
 Each gradient is converted to extended precision once, exactly, as one row.
-Each element of a step appends one row of its nine stages, in the field
-order of ``StepTranscript``, and the rows are held until the trajectory is
-cast: steps x dim x 9 scalars, with dim <= ``MAX_DIM``.  The whole
-trajectory is then rounded to float64 in a single call, which rounds each
-element exactly as converting it alone would.  The vectorized kernels are
-expected to reproduce every transcript field within 1e-12 (scaled relative
-deviation, see ``transcript.scaled_deviation``); they may reassociate
-arithmetic, the oracle must not.  Inputs are validated with one finiteness
-scan over the whole gradient stream and one over the rates; only a failing
-scan is repeated step by step, to name the first bad step.
+Each element of a step appends one row of its nine stages, in
+``ALL_FIELDS`` order, and the rows are held until the trajectory is cast:
+steps x dim x 9 scalars, with dim <= ``MAX_DIM``.  The whole trajectory is
+then rounded in a single call to one ``(steps, 9, dim)`` float64 array, the
+form ``kernels.drive_stream`` returns, which rounds each element exactly as
+converting it alone would.  The vectorized kernels are expected to
+reproduce every transcript field within 1e-12 (scaled relative deviation,
+see ``transcript.scaled_deviation``); they may reassociate arithmetic, the
+oracle must not.  The gradient stream is validated with one finiteness scan
+over all of it, repeated step by step only when it fails, to name the
+first bad step; each rate is read as a kernel step reads its ``lr_t``.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, as_float, positive
+from .errors import DimensionMismatch, NonFiniteValue, as_rate
 from .kernels import HyperParams
-from .transcript import StepTranscript
+from .transcript import first_non_finite
 
 # Replay rejects larger vectors: the oracle is a correctness tool, not a
 # production path.
@@ -49,8 +50,8 @@ def _validated(kernel_id, stream, theta0, lrs):
         raise ValueError(f"replay supports dim <= {MAX_DIM}, got {dim}")
     if len(lrs) != len(stream):
         raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
-    # one scan of the whole stream and one of the rates; only when either
-    # fails are they scanned step by step, to name the first failure
+    # one scan of the whole stream; only when it fails is it scanned step by
+    # step, to name the first failure
     if not (all(g.shape == (dim,) for g in stream) and np.isfinite(stream).all()):
         for step, g in enumerate(stream, start=1):
             if g.ndim != 1 or g.size != dim:
@@ -58,32 +59,22 @@ def _validated(kernel_id, stream, theta0, lrs):
             bad = np.flatnonzero(~np.isfinite(g))
             if bad.size:
                 raise NonFiniteValue("gradient", index=int(bad[0]), step=step)
-    rates = np.asarray(lrs)
-    # rates that numpy does not read as floats are read one by one
-    if rates.dtype.kind == "f" and np.isfinite(rates).all() and (rates > 0).all():
-        lrs = [float(lr) for lr in lrs]
-    else:
-        lrs = [as_float(f"lr at step {step}", lr, "be a positive finite real", positive)
-               for step, lr in enumerate(lrs, start=1)]
+    lrs = [as_rate(f"lr at step {step}", lr) for step, lr in enumerate(lrs, start=1)]
     # each gradient as an extended-precision row, converted once (exactly)
     return [g.astype(_LD) for g in stream], theta0, lrs
 
 
 def _pack(steps):
-    # steps[t - 1][i] is element i's row of step t, in StepTranscript's field
-    # order.  The trajectory becomes one extended-precision (steps, dim, 9)
-    # block, cast to (steps, 9, dim) float64 in one call (each element rounds
-    # as it would alone), and the transcripts are views of it.  Values beyond
-    # float64 range cast to inf here; the first step holding a non-finite
-    # stage is reported below as a structured error
-    block = np.array(steps, dtype=_LD).transpose(0, 2, 1).astype(np.float64, order="C")
-    transcripts = [StepTranscript(t, *fields) for t, fields in enumerate(block, start=1)]
-    if not np.isfinite(block).all():
-        for transcript in transcripts:
-            error = transcript.first_non_finite()
-            if error is not None:  # decay_applied is not a stage of its own
-                raise error
-    return transcripts
+    # steps[t - 1][i] is element i's row of step t, in ALL_FIELDS order.  The
+    # trajectory is one extended-precision (steps, dim, 9) block, cast to
+    # (steps, 9, dim) float64 in one call (each element rounds as it would
+    # alone).  Values beyond float64 range cast to inf here; the first step
+    # holding a non-finite stage is reported as a structured error
+    trajectory = np.array(steps, dtype=_LD).transpose(0, 2, 1).astype(np.float64, order="C")
+    error = first_non_finite(trajectory)
+    if error is not None:
+        raise error
+    return trajectory
 
 
 def _replay_adaplus(stream, theta0, hp, lrs):
@@ -295,12 +286,15 @@ _REPLAYS = {
 }
 
 
-def replay(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> list[StepTranscript]:
-    """Recompute a full trajectory for ``kernel_id`` and return its transcripts.
+def replay(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.ndarray:
+    """Recompute a full trajectory for ``kernel_id``: one ``(steps, 9, dim)``
+    float64 array whose ``[t - 1]`` holds step ``t``'s nine fields as rows,
+    in ``ALL_FIELDS`` order.
 
-    ``stream`` is a sequence of gradient vectors, ``lrs`` the per-step
-    positive learning rates (same length).  Pure: identical inputs produce
-    bit-identical transcripts.
+    ``stream`` is a non-empty sequence of gradient vectors, ``lrs`` the
+    per-step positive learning rates (same length); the arguments are those
+    of ``kernels.drive_stream``.  Pure: identical inputs produce a
+    bit-identical trajectory.
     """
     stream, theta0, lrs = _validated(kernel_id, stream, theta0, lrs)
     # a division by zero, an invalid operation or an overflow is raised as a

@@ -1,16 +1,19 @@
-"""Per-step transcripts of optimizer intermediates.
+"""Transcripts and trajectories of optimizer intermediates.
 
 A transcript records every quantity an update rule computes on the way from
-``theta_{t-1}`` to ``theta_t``, one value per parameter element.  Both the
-vectorized kernels and the scalar oracle emit the same record type so that
-trajectories can be diffed field by field.  Both build a step's fields as
-the rows of one ``(9, dim)`` float64 block, in the field order of
-``StepTranscript``.
+``theta_{t-1}`` to ``theta_t``, one value per parameter element: the nine
+fields of ``StepTranscript``, in ``ALL_FIELDS`` order.  A public kernel step
+returns one when asked, its fields the rows of one ``(9, dim)`` float64
+block.
 
-``scaled_deviation`` compares two trajectories in one pass: each side
-becomes one ``(steps, 9, dim)`` array, the per-field scales come from one
-maximum over it, and the scaled differences are formed once over the whole
-array, in place in those two arrays.
+A trajectory is one C-contiguous ``(steps, 9, dim)`` float64 array:
+``trajectory[t - 1]`` holds step ``t``'s nine fields as rows, in
+``ALL_FIELDS`` order, so a step's number is its position.
+``kernels.drive_stream`` and ``oracle.replay`` both return one, and every
+reader takes it as it is: two trajectories are equal when
+``np.array_equal`` says so, ``first_non_finite`` names the first failing
+step's earliest stage in one scan, and ``scaled_deviation`` compares two of
+them in one pass, forming the scaled differences once over the whole array.
 """
 
 import math
@@ -47,10 +50,6 @@ class StepTranscript(NamedTuple):
     delta_theta: np.ndarray
     theta_after: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.theta_after.size
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepTranscript):
             return NotImplemented
@@ -62,56 +61,59 @@ class StepTranscript(NamedTuple):
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
 
-    def first_non_finite(self) -> NonFiniteValue | None:
-        """The error naming the earliest stage in ``FIELD_ORDER`` that holds a
-        non-finite value, and its first such element; ``None`` if there is none."""
-        for name in FIELD_ORDER:
-            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
-            if bad.size:
-                return NonFiniteValue(name, index=int(bad[0]), step=self.t)
-        return None
-
 
 # Every per-element field, in constructor order, including the decay amount;
 # ``transcript[1:]`` holds them.
 ALL_FIELDS = StepTranscript._fields[1:]
 
 # Pipeline order of the computed fields, in which the earliest stage that
-# holds a non-finite value is reported.
+# holds a non-finite value is reported, and their rows in a step's block.
 FIELD_ORDER = tuple(f for f in ALL_FIELDS if f != "decay_applied")
+_STAGE_ROWS = [ALL_FIELDS.index(f) for f in FIELD_ORDER]
+
+
+def first_non_finite(trajectory) -> NonFiniteValue | None:
+    """The error naming the first step of ``trajectory`` that holds a
+    non-finite stage, its earliest stage in ``FIELD_ORDER`` and that stage's
+    first such element; ``None`` if there is none.
+
+    ``trajectory[t - 1]`` is step ``t``.  ``decay_applied`` is no stage of
+    its own and is not scanned.
+    """
+    # argwhere lists (step, stage, element) in C order: its first row is the
+    # answer.  The stage rows are picked from the boolean mask, which is an
+    # eighth of the size of the values
+    bad = np.argwhere(~np.isfinite(trajectory)[:, _STAGE_ROWS])
+    if not bad.size:
+        return None
+    step, stage, index = bad[0].tolist()
+    return NonFiniteValue(FIELD_ORDER[stage], index=index, step=step + 1)
 
 
 def scaled_deviation(got, want) -> float:
-    """Worst per-element deviation between two transcript sequences.
+    """Worst per-element deviation between two trajectories.
 
     Measured as ``|a - b| / (|b| + S)`` where ``S`` is the largest magnitude
-    the field reaches over the reference trajectory.  For elements of
-    ordinary size this is the relative error up to a factor of two; elements
-    passing through zero are measured against the field's working scale,
-    which is the finest comparison float64 arithmetic supports there.  A
-    field whose reference is zero throughout has no scale: any difference
-    in it counts as ``inf``.  Returns ``inf`` on mismatched lengths, steps,
-    or shapes, when either side holds a NaN or an infinity, and when a
-    difference and its denominator both overflow: none of these may read as
-    agreement.  Two empty sequences agree (``0.0``).
+    the field reaches over the reference trajectory ``want``.  For elements
+    of ordinary size this is the relative error up to a factor of two;
+    elements passing through zero are measured against the field's working
+    scale, which is the finest comparison float64 arithmetic supports there.
+    A field whose reference is zero throughout has no scale: any difference
+    in it counts as ``inf``.  Returns ``inf`` on mismatched shapes (steps or
+    dim), when either side holds a NaN or an infinity, and when a difference
+    and its denominator both overflow: none of these may read as agreement.
+    Both trajectories must hold at least one step.  Neither input is written.
     """
-    got, want = list(got), list(want)
-    if len(got) != len(want):
+    if got.shape != want.shape:
         return math.inf
-    if any(a.t != b.t or a.dim != b.dim for a, b in zip(got, want)):
-        return math.inf
-    if not got:
-        return 0.0
-    # (steps, 9, dim) per side; every later array is formed in place in one
-    # of these two
-    x = np.array([tr[1:] for tr in got], dtype=np.float64)
-    y = np.array([tr[1:] for tr in want], dtype=np.float64)
     # a NaN or an infinity on either side, like a difference and a
     # denominator that both overflow, leaves a NaN or an inf in the maximum
     # below (a NaN scale is not zero), so no separate scan is needed
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(np.subtract(x, y, out=x), out=x)
-        size = np.abs(y, out=y)
+        # every later array is formed in place in one of these two
+        diff = np.subtract(got, want)
+        np.abs(diff, out=diff)
+        size = np.abs(want)
         # over the steps, then over the elements: much faster than one call over both axes
         scale = size.max(axis=0).max(axis=1)
         zero = scale == 0.0

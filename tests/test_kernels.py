@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trajectories import by_step
 
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import (
@@ -386,7 +387,7 @@ class TestSgdmStep:
         stream, theta0, lrs = random_stream(rng, 3, 20, lr=0.05)
         classical = drive_stream("sgdm", stream, theta0, HyperParams(use_nesterov=False), lrs)
         nesterov = drive_stream("sgdm", stream, theta0, HyperParams(use_nesterov=True), lrs)
-        assert not np.allclose(classical[-1].theta_after, nesterov[-1].theta_after)
+        assert not np.allclose(by_step(classical)[-1].theta_after, by_step(nesterov)[-1].theta_after)
 
     def test_zero_gradient_freezes_theta(self):
         for use_nesterov in (False, True):
@@ -401,11 +402,8 @@ class TestReductionLattice:
     N_STREAMS = 20
 
     def assert_identical(self, left, right):
-        assert len(left) == len(right)
-        for a, b in zip(left, right):
-            assert a.t == b.t
-            for field in ALL_FIELDS:
-                np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        # every field of every step; a step's number is its position
+        np.testing.assert_array_equal(left, right, strict=True)
 
     def streams(self):
         rng = np.random.default_rng(2024)
@@ -441,6 +439,41 @@ class TestDriveStream:
         with pytest.raises(ValueError, match=re.escape(message)):
             drive_stream(kernel, [[1.0]], [0.0], HyperParams(), lrs)
 
+    @pytest.mark.parametrize("stream", [[], np.empty((0, 1))], ids=["list", "array"])
+    def test_rejects_an_empty_stream_as_replay_does(self, stream):
+        # a trajectory has at least one step
+        with pytest.raises(ValueError, match="^gradient stream must be non-empty$"):
+            drive_stream("adam", stream, [0.0], HyperParams(), [])
+
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_trajectory_holds_each_public_steps_rows(self, kernel):
+        rng = np.random.default_rng(9)
+        stream, theta0, lrs = random_stream(rng, 4, 12)
+        trajectory = drive_stream(kernel, stream, theta0, HyperParams(), lrs)
+        assert trajectory.shape == (12, 9, 4) and trajectory.dtype == np.float64
+        assert trajectory.flags.c_contiguous
+        state, params = fresh(theta0)
+        for t, (g, lr) in enumerate(zip(stream, lrs), start=1):
+            tr = KERNEL_STEPS[kernel](state, params, g, HyperParams(), lr, transcript=True)
+            assert tr.t == t
+            assert trajectory[t - 1].tobytes() == np.array(tr[1:]).tobytes(), t
+
+    @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(use_nesterov=False, decoupled_decay=True)])
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_transcript_fields_are_the_rows_of_one_block(self, kernel, hp):
+        # drive_stream stacks each step's block, found as the base of its g row
+        rng = np.random.default_rng(10)
+        for dim in (1, 5):
+            stream, theta0, lrs = random_stream(rng, dim, 3)
+            state, params = fresh(theta0)
+            for g, lr in zip(stream, lrs):
+                tr = KERNEL_STEPS[kernel](state, params, g, hp, lr, transcript=True)
+                block = tr.g.base
+                assert block.shape == (9, dim) and block.dtype == np.float64 and block.flags.c_contiguous
+                for row, field in enumerate(ALL_FIELDS):
+                    # the same memory, shape and strides: the field is that row
+                    assert getattr(tr, field).__array_interface__ == block[row].__array_interface__, field
+
 
 class TestKernelProperties:
     def test_positive_gradients_never_increase_theta(self):
@@ -449,7 +482,7 @@ class TestKernelProperties:
         for kernel in KERNEL_IDS:
             stream = [np.abs(rng.standard_normal(1)) + 1e-6 for _ in range(100)]
             transcripts = drive_stream(kernel, stream, [0.3], HyperParams(weight_decay=0.0), [1e-3] * 100)
-            for tr in transcripts:
+            for tr in by_step(transcripts):
                 assert tr.delta_theta[0] <= 0.0, kernel
 
     def test_decay_law_matches_geometric_shrinkage(self):
@@ -466,8 +499,8 @@ class TestKernelProperties:
         # kernels share the same readjusted numerator
         stream = [np.array([3.0])] * 60
         lrs = [1e-3] * 60
-        belief = drive_stream("adaplus", stream, [0.0], HyperParams(weight_decay=0.0), lrs)
-        variance = drive_stream("nadam", stream, [0.0], HyperParams(), lrs)
+        belief = by_step(drive_stream("adaplus", stream, [0.0], HyperParams(weight_decay=0.0), lrs))
+        variance = by_step(drive_stream("nadam", stream, [0.0], HyperParams(), lrs))
         for t in range(10, 61):
             assert belief[t - 1].second_moment[0] < variance[t - 1].second_moment[0]
             assert abs(belief[t - 1].delta_theta[0]) > abs(variance[t - 1].delta_theta[0])
@@ -479,7 +512,7 @@ class TestKernelProperties:
         base = drive_stream("adaplus", stream, theta0, hp, lrs)
         for factor in (1e-3, 1e3):
             scaled = drive_stream("adaplus", [g * factor for g in stream], theta0, hp, lrs)
-            for a, b in zip(base, scaled):
+            for a, b in zip(by_step(base), by_step(scaled)):
                 np.testing.assert_allclose(b.delta_theta, a.delta_theta, rtol=1e-10)
 
     def test_identical_inputs_give_bit_identical_trajectories(self):
@@ -488,14 +521,14 @@ class TestKernelProperties:
         for kernel in KERNEL_IDS:
             first = drive_stream(kernel, stream, theta0, HyperParams(), lrs)
             second = drive_stream(kernel, stream, theta0, HyperParams(), lrs)
-            for a, b in zip(first, second):
-                assert a == b
+            # StepTranscript's equality over every step at once
+            assert np.array_equal(first, second)
 
     def test_transcript_field_shapes_match_dim(self):
         rng = np.random.default_rng(31)
         stream, theta0, lrs = random_stream(rng, 7, 5)
         for kernel in KERNEL_IDS:
-            for tr in drive_stream(kernel, stream, theta0, HyperParams(), lrs):
+            for tr in by_step(drive_stream(kernel, stream, theta0, HyperParams(), lrs)):
                 for field in ALL_FIELDS:
                     assert getattr(tr, field).shape == (7,)
 

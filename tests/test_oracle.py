@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from trajectories import by_step
 
 from adaplus.cli import _selftest_streams
 from adaplus.errors import DimensionMismatch, NonFiniteValue
@@ -17,8 +18,9 @@ from adaplus.transcript import ALL_FIELDS, FIELD_ORDER, StepTranscript, scaled_d
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# SHA-256 of every transcript (``t`` as an int64, then the nine fields'
-# bytes) that ``replay`` gives for the selftest's 48 streams, kernel by kernel
+# SHA-256 of every step (``t`` as an int64, then the bytes of the
+# trajectory's ``[t - 1]``, its nine fields in order) that ``replay`` gives
+# for the selftest's 48 streams, kernel by kernel
 ORACLE_SHA256 = "3f0589ef9ba6de40251a43e46db9a43375d38a89ab9b2dddbd7720116a8f60b7"
 
 getcontext().prec = 50
@@ -119,7 +121,7 @@ class TestFixtures:
         fixture = load_fixture(name)
         got = replay(kernel, [[gradient]], [theta0], HyperParams(weight_decay=0.0), [1e-3])
         assert len(got) == len(fixture)
-        for a, b in zip(got, fixture):
+        for a, b in zip(by_step(got), fixture):
             for field in FIELD_ORDER:
                 np.testing.assert_allclose(
                     getattr(a, field), getattr(b, field), rtol=1e-15, atol=0, err_msg=field
@@ -139,7 +141,7 @@ class TestFixtures:
         fixture = load_fixture(name)
         hp = HyperParams(weight_decay=0.0)
         got = drive_stream(kernel, [[g] for g in gradients], [theta0], hp, [1e-3] * len(gradients))
-        for a, b in zip(got, fixture):
+        for a, b in zip(by_step(got), fixture):
             for field in FIELD_ORDER:
                 np.testing.assert_allclose(
                     getattr(a, field), getattr(b, field), rtol=1e-12, atol=0, err_msg=field
@@ -148,7 +150,7 @@ class TestFixtures:
 
 class TestReplayBasics:
     def test_zero_gradient_trivial_transcript(self):
-        tr = replay("adaplus", [[0.0]], [1.0], HyperParams(weight_decay=0.0), [1e-3])[0]
+        (tr,) = by_step(replay("adaplus", [[0.0]], [1.0], HyperParams(weight_decay=0.0), [1e-3]))
         np.testing.assert_array_equal(tr.m, [0.0])
         np.testing.assert_array_equal(tr.second_moment, [1e-8])
         np.testing.assert_array_equal(tr.delta_theta, [0.0])
@@ -160,8 +162,8 @@ class TestReplayBasics:
         lrs = [1e-3] * 50
         adam = replay("adam", stream, theta0, HyperParams(), lrs)
         adamw = replay("adamw", stream, theta0, HyperParams(weight_decay=0.0), lrs)
-        for a, b in zip(adam, adamw):
-            assert a == b
+        # StepTranscript's equality over every step at once
+        assert np.array_equal(adam, adamw)
 
     def test_replay_is_pure(self):
         rng = np.random.default_rng(42)
@@ -171,8 +173,7 @@ class TestReplayBasics:
         for kernel in KERNEL_IDS:
             first = replay(kernel, stream, theta0, hp, [1e-3] * 20)
             second = replay(kernel, stream, theta0, hp, [1e-3] * 20)
-            for a, b in zip(first, second):
-                assert a == b
+            assert np.array_equal(first, second)
 
     def test_replay_does_not_mutate_inputs(self):
         stream = [np.array([1.0, -2.0])]
@@ -243,8 +244,16 @@ class TestReplayValidation:
     def test_rates_of_any_real_type_are_accepted(self):
         stream = [[0.5, -0.5]] * 3
         want = replay("adam", stream, [0.0, 0.0], HyperParams(), [1.0, 2.0, 1.0])
-        for lrs in ([1, 2, 1], [np.float32(1), 2, True], np.array([1.0, 2.0, 1.0])):
-            assert replay("adam", stream, [0.0, 0.0], HyperParams(), lrs) == want
+        for lrs in ([1, 2, 1], [np.float32(1), 2, np.int64(1)], np.array([1.0, 2.0, 1.0])):
+            assert np.array_equal(replay("adam", stream, [0.0, 0.0], HyperParams(), lrs), want)
+
+    def test_a_bool_among_float_rates_is_refused_by_both_sides(self):
+        # each rate is read alone, as a step reads its lr_t: a bool is no rate, whatever its neighbours
+        args = ("adam", [[0.5, -0.5]] * 3, [0.0, 0.0], HyperParams(), [0.1, True, 0.1])
+        with pytest.raises(ValueError, match="^lr at step 2 must be a positive finite real, got True$"):
+            replay(*args)
+        with pytest.raises(ValueError, match="^lr_t must be a positive finite real, got True$"):
+            drive_stream(*args)
 
     def test_non_finite_intermediate_reports_stage(self):
         # a gradient of 1e200 overflows the squared-gradient EMA
@@ -300,9 +309,9 @@ class TestPack:
         assert set(self.COLUMNS) == set(ALL_FIELDS)
         for dim in (1, 6, 64):
             cols = [self.columns(rng, dim) for _ in range(5)]
-            transcripts = _pack(self.rows(cols))
-            assert [tr.t for tr in transcripts] == [1, 2, 3, 4, 5]
-            for tr, step in zip(transcripts, cols):
+            trajectory = _pack(self.rows(cols))
+            assert trajectory.shape == (5, 9, dim) and trajectory.flags.c_contiguous
+            for tr, step in zip(by_step(trajectory), cols):
                 for name, col in zip(self.COLUMNS, step):
                     want = np.array([float(x) for x in col])
                     assert getattr(tr, name).tobytes() == want.tobytes(), (tr.t, name)
@@ -332,7 +341,7 @@ class TestPack:
         cols = [self.columns(rng, 2)]
         cols[0][self.COLUMNS.index("decay_applied")][1] = np.longdouble("1e400")
         with np.errstate(over="ignore"):
-            (tr,) = _pack(self.rows(cols))
+            (tr,) = by_step(_pack(self.rows(cols)))
         assert tr.decay_applied[1] == np.inf
 
     def test_first_failing_step_is_named_not_a_later_earlier_stage(self):
@@ -367,10 +376,9 @@ class TestOracleBits:
         count = 0
         for kernel in KERNEL_IDS:
             for stream, theta0, lrs in _selftest_streams(rng):
-                for tr in replay(kernel, stream, theta0, HyperParams(), lrs):
-                    digest.update(np.int64(tr.t).tobytes())
-                    for field in tr[1:]:
-                        digest.update(field.tobytes())
+                for t, fields in enumerate(replay(kernel, stream, theta0, HyperParams(), lrs), start=1):
+                    digest.update(np.int64(t).tobytes())
+                    digest.update(fields.tobytes())
                     count += 1
         assert count == 3765
         assert digest.hexdigest() == ORACLE_SHA256

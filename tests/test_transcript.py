@@ -1,4 +1,5 @@
-"""Tests for ``scaled_deviation``, the one-pass measure, against a per-field reference loop, and for transcript equality."""
+"""Tests for ``scaled_deviation``, the one-pass measure, against a per-field reference loop, for
+``first_non_finite`` over a trajectory, and for transcript equality."""
 
 import math
 
@@ -8,22 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adaplus.transcript import ALL_FIELDS, StepTranscript, scaled_deviation
+from trajectories import by_step
 
-
-def transcripts(values, first_t=1):
-    """One transcript per leading row of a ``(steps, 9, dim)`` array, fields in ALL_FIELDS order."""
-    return [StepTranscript(first_t + i, **dict(zip(ALL_FIELDS, step))) for i, step in enumerate(values)]
+from adaplus.errors import NonFiniteValue
+from adaplus.transcript import ALL_FIELDS, FIELD_ORDER, StepTranscript, first_non_finite, scaled_deviation
 
 
 def reference_deviation(got, want):
-    """The deviation rule written out field by field, one stacked array per field."""
-    if len(got) != len(want) or any(a.t != b.t or a.dim != b.dim for a, b in zip(got, want)):
+    """The deviation rule written out field by field, one ``(steps, dim)`` array per field."""
+    if got.shape != want.shape:
         return math.inf
     worst = 0.0
-    for field in ALL_FIELDS:
-        x = np.array([getattr(tr, field) for tr in got])
-        y = np.array([getattr(tr, field) for tr in want])
+    for field in range(len(ALL_FIELDS)):
+        x = got[:, field]
+        y = want[:, field]
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             return math.inf
         scale = float(np.abs(y).max())
@@ -57,7 +56,7 @@ def transcript_pairs(draw):
             want[:, field] = 0.0
         if kind == "zero":
             got[:, field] = 0.0
-    return transcripts(got), transcripts(want)
+    return got, want
 
 
 class TestScaledDeviation:
@@ -71,22 +70,22 @@ class TestScaledDeviation:
     def test_identical_transcripts_agree(self):
         values = np.random.default_rng(0).standard_normal((4, 9, 3))
         values[:, 6] = 0.0  # a zero-scale field that both sides share
-        assert scaled_deviation(transcripts(values), transcripts(values.copy())) == 0.0
+        assert scaled_deviation(values, values.copy()) == 0.0
 
     def test_zero_scale_field_with_a_difference_is_infinite(self):
         want = np.random.default_rng(1).standard_normal((3, 9, 2))
         want[:, 2] = 0.0
         got = want.copy()
         got[1, 2, 0] = 1e-300
-        assert scaled_deviation(transcripts(got), transcripts(want)) == math.inf
+        assert scaled_deviation(got, want) == math.inf
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_on_either_side_is_infinite(self, bad):
         finite = np.random.default_rng(2).standard_normal((3, 9, 4))
         broken = finite.copy()
         broken[2, ALL_FIELDS.index("theta_after"), 1] = bad
-        assert scaled_deviation(transcripts(broken), transcripts(finite)) == math.inf
-        assert scaled_deviation(transcripts(finite), transcripts(broken)) == math.inf
+        assert scaled_deviation(broken, finite) == math.inf
+        assert scaled_deviation(finite, broken) == math.inf
 
     def test_overflowing_difference_over_overflowing_denominator_is_infinite(self):
         # |x - y| and |y| + scale both overflow: inf / inf is NaN, not agreement
@@ -94,22 +93,54 @@ class TestScaledDeviation:
         want[1, 4, 0] = 1.5e308
         got = want.copy()
         got[1, 4, 0] = -1.5e308
-        assert scaled_deviation(transcripts(got), transcripts(want)) == math.inf
+        assert scaled_deviation(got, want) == math.inf
 
     def test_mismatched_length_is_infinite(self):
         values = np.random.default_rng(3).standard_normal((3, 9, 2))
-        assert scaled_deviation(transcripts(values), transcripts(values[:2])) == math.inf
-
-    def test_mismatched_step_is_infinite(self):
-        values = np.random.default_rng(4).standard_normal((3, 9, 2))
-        assert scaled_deviation(transcripts(values), transcripts(values, first_t=2)) == math.inf
+        assert scaled_deviation(values, values[:2]) == math.inf
 
     def test_mismatched_dim_is_infinite(self):
         values = np.random.default_rng(5).standard_normal((3, 9, 3))
-        assert scaled_deviation(transcripts(values), transcripts(values[:, :, :2])) == math.inf
+        assert scaled_deviation(values, values[:, :, :2]) == math.inf
 
-    def test_empty_sequences_agree(self):
-        assert scaled_deviation([], []) == 0.0
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(6)
+        got, want = rng.standard_normal((2, 3, 9, 2))
+        kept = got.tobytes(), want.tobytes()
+        scaled_deviation(got, want)
+        assert (got.tobytes(), want.tobytes()) == kept
+
+
+class TestFirstNonFinite:
+    """The first step holding a non-finite stage, then its earliest stage in FIELD_ORDER, then its lowest element."""
+
+    def test_finite_trajectory_has_none(self):
+        assert first_non_finite(np.ones((3, 9, 2))) is None
+
+    def test_earliest_step_wins_over_an_earlier_stage_and_element(self):
+        values = np.ones((3, 9, 4))
+        values[2, ALL_FIELDS.index("g"), 0] = np.nan
+        values[1, ALL_FIELDS.index("theta_after"), 3] = np.inf
+        error = first_non_finite(values)
+        assert (error.stage, error.step, error.index) == ("theta_after", 2, 3)
+
+    @pytest.mark.parametrize("earlier, later", zip(FIELD_ORDER, FIELD_ORDER[1:]))
+    def test_earliest_stage_of_the_step_wins_over_a_lower_element(self, earlier, later):
+        values = np.ones((2, 9, 4))
+        values[1, ALL_FIELDS.index(later), 0] = -np.inf
+        values[1, ALL_FIELDS.index(earlier), 2] = np.nan
+        values[1, ALL_FIELDS.index(earlier), 3] = np.inf
+        error = first_non_finite(values)
+        assert isinstance(error, NonFiniteValue)
+        assert (error.stage, error.step, error.index) == (earlier, 2, 2)
+
+    def test_decay_applied_is_no_stage(self):
+        values = np.ones((2, 9, 2))
+        values[0, ALL_FIELDS.index("decay_applied"), 0] = np.inf
+        assert first_non_finite(values) is None
+        values[1, ALL_FIELDS.index("s_hat"), 1] = np.nan
+        error = first_non_finite(values)
+        assert (error.stage, error.step, error.index) == ("s_hat", 2, 1)
 
 
 class TestEquality:
@@ -118,40 +149,40 @@ class TestEquality:
     values = np.random.default_rng(3).standard_normal((9, 3))
 
     def test_identical_fields_and_step_are_equal(self):
-        assert transcripts([self.values])[0] == transcripts([self.values.copy()])[0]
+        assert by_step([self.values])[0] == by_step([self.values.copy()])[0]
 
     def test_other_step_is_unequal(self):
-        assert transcripts([self.values])[0] != transcripts([self.values], first_t=2)[0]
+        assert by_step([self.values])[0] != StepTranscript(2, *self.values)
 
     @pytest.mark.parametrize("field", range(9))
     def test_one_ulp_in_any_field_is_unequal(self, field):
         other = self.values.copy()
         other[field, 1] = np.nextafter(other[field, 1], np.inf)
-        assert transcripts([self.values])[0] != transcripts([other])[0]
+        assert by_step([self.values])[0] != by_step([other])[0]
 
     def test_signed_zeros_are_equal(self):
-        a, b = transcripts([np.zeros((9, 2))])[0], transcripts([-np.zeros((9, 2))])[0]
+        a, b = by_step([np.zeros((9, 2))])[0], by_step([-np.zeros((9, 2))])[0]
         assert a == b
 
     def test_nan_is_unequal_to_itself(self):
         values = np.ones((9, 2))
         values[4, 0] = np.nan
-        a = transcripts([values])[0]
+        a = by_step([values])[0]
         assert a != a
 
     def test_not_equal_operator_reads_equality(self):
-        a = transcripts([self.values])[0]
-        assert not (a != transcripts([self.values.copy()])[0])
-        assert a != transcripts([self.values + 1.0])[0]
+        a = by_step([self.values])[0]
+        assert not (a != by_step([self.values.copy()])[0])
+        assert a != by_step([self.values + 1.0])[0]
 
     def test_fields_cannot_be_assigned(self):
-        tr = transcripts([self.values])[0]
+        tr = by_step([self.values])[0]
         with pytest.raises(AttributeError):
             tr.t = 2
         with pytest.raises(AttributeError):
             tr.theta_after = np.zeros(3)
 
     def test_other_dim_is_unequal(self):
-        a, b = transcripts([np.ones((9, 2))])[0], transcripts([np.ones((9, 3))])[0]
+        a, b = by_step([np.ones((9, 2))])[0], by_step([np.ones((9, 3))])[0]
         assert a != b
         assert a != "not a transcript"

@@ -1,0 +1,10 @@
+"""Per-step views of a trajectory, for tests that read a step's fields by name."""
+
+from adaplus.transcript import StepTranscript
+
+
+def by_step(trajectory):
+    """One ``StepTranscript`` of views per leading row of a ``(steps, 9, dim)``
+    array, fields in ``ALL_FIELDS`` order: ``by_step(trajectory)[t - 1]`` is step
+    ``t``."""
+    return [StepTranscript(t, *fields) for t, fields in enumerate(trajectory, start=1)]
