@@ -11,7 +11,7 @@ Six update rules from one adaptive family:
 
 All six run through one core.  A step call validates its inputs once,
 computes into buffers that its ``OptimizerState`` allocated when it was
-made, checks that the new parameters and second moment are finite, and only
+made, checks that the new parameters and ``s_hat`` are finite, and only
 then commits and increments ``t``.  A committing step allocates nothing.
 
 At small dims a step's cost is the number of numpy calls, so the core keeps
@@ -21,27 +21,32 @@ each call cheap.  Every scalar operand (``b1``, ``1 - b1``, ``b2``,
 float64 array owned by the state and passed to the ufuncs as a 0-d view,
 which numpy takes faster than a Python float.  Every ufunc gets its output
 as a positional argument, and the core's five ufuncs are module globals.
-The finiteness check is one dot product: an inf or NaN in the new
-parameters or second moment (the parameters with themselves for ``sgdm``)
-makes ``new_theta . new_s`` non-finite, and only then, since finite terms
-can overflow, are the two arrays scanned exactly.  The step sets numpy's
-error state (all errors ignored) for its own call, as a decorator: numpy's
-warnings and ``FloatingPointError`` would only duplicate the structured
-``NonFiniteValue``, and the caller's error state is the same after the call.
+The finiteness check is one dot product over the two stages that every
+non-finite value reaches: an inf or NaN in the new parameters or in
+``s_hat`` (the parameters with themselves for ``sgdm``) makes
+``new_theta . s_hat`` non-finite, and only then, since finite terms can
+overflow, are the two arrays scanned exactly.  ``s_hat`` is read rather
+than the second moment because it can overflow alone (it is the second
+moment divided by ``1 - b2^t`` <= 1), and then the update is -0 and the
+parameter stays finite; a finite ``s_hat`` means a finite second moment.
+The step sets numpy's error state (all errors ignored) for its own call, as
+a decorator: numpy's warnings and ``FloatingPointError`` would only
+duplicate the structured ``NonFiniteValue``, and the caller's error state
+is the same after the call.
 
 Above ``CHUNK`` (16384) elements the same core runs over consecutive blocks
 of that many elements, so its ~20 elementwise passes find their operands in
 L2 instead of streaming whole vectors through memory, and the temporary
-shrinks to one block.  One block of the eight vectors the core touches is
-1 MiB, half of a 2 MiB per-core L2; on such a host a step at dim 2^20 costs
-about the same with blocks of 16 Ki to 64 Ki elements, more with 256 Ki and
-up (out of L2) and more with 8 Ki and down (per-call overhead).  Each
-element sees the same operations in the same order, so the bits are those of
-one whole-vector call.  The finiteness check is then one dot per block,
-taken while the block's new parameters and second moment are still in cache
-instead of reading both whole vectors again after the sweep; the first block
-that fails it ends the sweep.  The transcript path runs the core over the
-whole vector as one block.
+shrinks to one block.  One block of the nine vectors the core touches is
+1.1 MiB, about half of a 2 MiB per-core L2; on such a host a step at dim
+2^20 costs about the same with blocks of 16 Ki to 64 Ki elements, more with
+256 Ki and up (out of L2) and more with 8 Ki and down (per-call overhead).
+Each element sees the same operations in the same order, so the bits are
+those of one whole-vector call.  The finiteness check is then one dot per
+block, taken while the block's new parameters and ``s_hat`` are still in
+cache instead of reading the whole parameter vector again after the sweep;
+the first block that fails it ends the sweep.  The transcript path runs the
+core over the whole vector as one block.
 
 Every failing step is attributed the same way.  The gradient is scanned
 first; if it is finite, the step is transcribed again one block at a time,
@@ -153,9 +158,9 @@ class OptimizerState:
         self.m = np.zeros(self.dim)
         self.second_moment = np.zeros(self.dim)
         # the next m and second moment, which trade places with the two
-        # above at a commit, the next theta, and one block's temporary
+        # above at a commit, the next theta, and one block's temporary and s_hat
         self._next_m, self._next_s, self._theta = np.empty((3, self.dim))
-        self._tmp = np.empty(min(self.dim, CHUNK))
+        self._tmp, self._s_hat = np.empty((2, min(self.dim, CHUNK)))
         # the ten step coefficients, and a 0-d view of each for the ufuncs
         self._coefficients = np.empty(10)
         self._k = tuple(self._coefficients[i, ...] for i in range(10))
@@ -197,13 +202,13 @@ class _Rule(NamedTuple):
     use_nesterov: bool
 
 
-def _all_finite(new_theta: np.ndarray, new_s: np.ndarray | None) -> bool:
+def _all_finite(new_theta: np.ndarray, s_hat: np.ndarray | None) -> bool:
     # an inf or NaN in either operand makes the dot product non-finite; an
     # overflow among finite terms can too, and falls through to the exact test
-    other = new_theta if new_s is None else new_s
+    other = new_theta if s_hat is None else s_hat
     if math.isfinite(new_theta.dot(other)):
         return True
-    return bool(np.isfinite(new_theta).all()) and (new_s is None or bool(np.isfinite(new_s).all()))
+    return bool(np.isfinite(new_theta).all()) and (s_hat is None or bool(np.isfinite(s_hat).all()))
 
 
 # the core's ufuncs, bound once: a module global is found faster than ``np.<name>``
@@ -217,8 +222,9 @@ def _core(theta, g, m, s, out, k, rule):
     destination for each quantity the core computes, ``step`` being the
     negated update ``-delta_theta``.  Destinations may share a buffer where
     a quantity is dead once the next one is formed: the lean step passes the
-    state's four buffers as ``(new_m, new_s, a, a, new_theta, a, new_theta)``,
-    the transcript a row of its block for each.  ``step`` and ``new_theta``
+    state's five buffers as ``(new_m, new_s, a, a, s_hat, a, new_theta)``,
+    the transcript a row of its block for each.  ``s_hat`` outlives the core
+    in both, for the finiteness check.  ``step`` and ``new_theta``
     also serve as temporaries before they get their values.  The new second
     moment and ``m_hat`` are not written for momentum, nor ``m_bar`` where
     it equals ``new_m`` (no Nesterov readjustment).  ``k`` holds the step
@@ -337,19 +343,20 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     lr_t = as_rate("lr_t", lr_t)
     t = state.t + 1
 
-    new_m, new_s, new_theta, a, k = state._next_m, state._next_s, state._theta, state._tmp, state._k
+    new_m, new_s, new_theta, a, sh, k = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat, state._k
     # each coefficient is computed in Python floats and stored exactly, so
     # the ufuncs see the operand values of the update rules
     b1, b2, decay_rate = hp.beta1, hp.beta2, lr_t * hp.weight_decay
     state._coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t,
                                 1.0 - b2**t, lr_t, 1.0 - decay_rate)
     m, s = state.m, state.second_moment
-    # the second moment that is checked and committed; momentum keeps none
-    kept_s = None if rule.momentum else new_s
     # every non-finite value, the gradient's included, reaches the new
-    # parameter or the second moment (an inf denominator turns the update
-    # into -0, so the parameter alone can hide one), so the finiteness check
-    # covers every stage
+    # parameter or s_hat (an inf s_hat turns the update into -0, so the
+    # parameter alone can hide one), so the finiteness check, which reads
+    # those two stages, covers every stage.  A finite s_hat means a finite
+    # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
+    # second moment, and its check reads the parameter alone
+    adaptive = not rule.momentum
     tr = None
     if transcript:
         tr = _transcribe(t, theta, g, m, s, k, rule, decay_rate)
@@ -357,18 +364,18 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         new_m[...] = tr.m
         new_s[...] = tr.second_moment
         new_theta = tr.theta_after
-        finite = _all_finite(new_theta, kept_s)
+        finite = _all_finite(new_theta, tr.s_hat if adaptive else None)
     elif dim <= CHUNK:
         # no slicing: at small dims it would cost more than the arithmetic
-        _core(theta, g, m, s, (new_m, new_s, a, a, new_theta, a, new_theta), k, rule)
-        finite = _all_finite(new_theta, kept_s)
+        _core(theta, g, m, s, (new_m, new_s, a, a, sh, a, new_theta), k, rule)
+        finite = _all_finite(new_theta, sh if adaptive else None)
     else:
         for lo in range(0, dim, CHUNK):
             hi = min(lo + CHUNK, dim)
-            bm, bs, bt, ba = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo]
-            _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bt, ba, bt), k, rule)
+            bm, bs, bt, ba, bh = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo], sh[: hi - lo]
+            _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bh, ba, bt), k, rule)
             # checked while the block is still in cache; a failure ends the sweep
-            finite = _all_finite(bt, None if kept_s is None else bs)
+            finite = _all_finite(bt, bh if adaptive else None)
             if not finite:
                 break
     if not finite:
@@ -382,7 +389,7 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # state's buffers for the next ones, which costs no copy
     theta[...] = new_theta
     state.m, state._next_m = new_m, m
-    if kept_s is not None:
+    if adaptive:
         state.second_moment, state._next_s = new_s, s
     state.t = t
     return tr
@@ -482,24 +489,51 @@ REDUCTIONS = (
 )
 
 
+def read_stream(stream, theta0, lrs) -> tuple[np.ndarray, ParamVector, list[float]]:
+    """The one reader of a differential run's arguments, for ``drive_stream`` and ``oracle.replay``.
+
+    Checked in this order, before any arithmetic: ``theta0``, as a
+    ``ParamVector`` is made; an empty stream; ``lrs`` and ``stream`` of
+    different lengths; the first bad gradient row in step order, a wrong
+    length raising ``DimensionMismatch("gradient at step k", ...)`` and a
+    non-finite element ``NonFiniteValue("gradient", index, step)``; then each
+    rate, read as ``lr at step k`` by ``as_rate``.  Returns the gradients as
+    one ``(steps, dim)`` float64 array, the parameters and the rates as floats.
+    """
+    params = ParamVector(theta0)
+    if not len(stream):
+        raise ValueError("gradient stream must be non-empty")
+    if len(lrs) != len(stream):
+        raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
+    dim = params.dim
+    rows = [np.asarray(g, dtype=np.float64) for g in stream]
+    # the rows before the first one of a wrong length, scanned in one call;
+    # the first non-finite element among them, in step order, comes first
+    n = next((k for k, g in enumerate(rows) if g.shape != (dim,)), len(rows))
+    grads = np.array(rows[:n]).reshape(n, dim)
+    bad = np.flatnonzero(~np.isfinite(grads))
+    if bad.size:
+        step, index = divmod(int(bad[0]), dim)
+        raise NonFiniteValue("gradient", index=index, step=step + 1)
+    if n < len(rows):
+        raise DimensionMismatch(f"gradient at step {n + 1}", dim, rows[n].size)
+    return grads, params, [as_rate(f"lr at step {k}", lr) for k, lr in enumerate(lrs, start=1)]
+
+
 def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.ndarray:
     """Feed a whole gradient stream through a fresh state and return its trajectory.
 
     The trajectory is one ``(steps, 9, dim)`` float64 array whose ``[t - 1]``
     holds step ``t``'s transcript fields as rows, in ``ALL_FIELDS`` order.
     Harness for differential testing against ``oracle.replay``, which takes
-    the same arguments and returns the same form.  ``stream`` must be
-    non-empty.
+    the same arguments, reads them with the same ``read_stream`` and returns
+    the same form.
     """
     if kernel_id not in KERNEL_STEPS:
         raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {KERNEL_IDS}")
-    if not len(stream):
-        raise ValueError("gradient stream must be non-empty")
-    if len(lrs) != len(stream):
-        raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
-    params = ParamVector(theta0)
+    grads, params, lrs = read_stream(stream, theta0, lrs)
     state = OptimizerState(params.dim)
     step = KERNEL_STEPS[kernel_id]
     # one public step per stream step; a transcript's fields are the rows of
     # one (9, dim) block, its ``g`` row's base, and the blocks are stacked once
-    return np.stack([step(state, params, g, hp, lr, transcript=True).g.base for g, lr in zip(stream, lrs)])
+    return np.stack([step(state, params, g, hp, lr, transcript=True).g.base for g, lr in zip(grads, lrs)])

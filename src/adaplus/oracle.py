@@ -6,26 +6,27 @@ update stage, no vectorization and no algebraic rearrangement.  The six
 per-kernel replay functions deliberately repeat each other instead of
 sharing a parameterized core: this module must stay an independent
 restatement of the update rules, not a second client of
-``adaplus.kernels``.
+``adaplus.kernels``.  It takes from there only ``HyperParams`` and
+``read_stream``, the reader of a run's arguments that ``drive_stream`` calls
+too, so that both sides refuse the same input with the same error.  The
+reader computes no update.
 
-Each gradient is converted to extended precision once, exactly, as one row.
-Each element of a step appends one row of its nine stages, in
-``ALL_FIELDS`` order, and the rows are held until the trajectory is cast:
-steps x dim x 9 scalars, with dim <= ``MAX_DIM``.  The whole trajectory is
-then rounded in a single call to one ``(steps, 9, dim)`` float64 array, the
-form ``kernels.drive_stream`` returns, which rounds each element exactly as
-converting it alone would.  The vectorized kernels are expected to
-reproduce every transcript field within 1e-12 (scaled relative deviation,
-see ``transcript.scaled_deviation``); they may reassociate arithmetic, the
-oracle must not.  The gradient stream is validated with one finiteness scan
-over all of it, repeated step by step only when it fails, to name the
-first bad step; each rate is read as a kernel step reads its ``lr_t``.
+The gradient stream, found finite by the reader, is cast to extended
+precision in one call, exactly.  Each element of a step extends the step's
+flat row by its nine stages, in ``ALL_FIELDS`` order, and the rows are held
+until the trajectory is cast: steps x dim x 9 scalars, with dim <=
+``MAX_DIM``.  The whole trajectory is then rounded in a single call to one
+``(steps, 9, dim)`` float64 array, the form ``kernels.drive_stream``
+returns, which rounds each element exactly as converting it alone would.
+The vectorized kernels are expected to reproduce every transcript field
+within 1e-12 (scaled relative deviation, see
+``transcript.scaled_deviation``); they may reassociate arithmetic, the
+oracle must not.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, as_rate
-from .kernels import HyperParams
+from .kernels import HyperParams, read_stream
 from .transcript import first_non_finite
 
 # Replay rejects larger vectors: the oracle is a correctness tool, not a
@@ -36,41 +37,14 @@ _LD = np.longdouble
 _sqrt = np.sqrt
 
 
-def _validated(kernel_id, stream, theta0, lrs):
-    if kernel_id not in _REPLAYS:
-        raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {tuple(_REPLAYS)}")
-    stream = [np.asarray(g, dtype=np.float64) for g in stream]
-    if not stream:
-        raise ValueError("gradient stream must be non-empty")
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    dim = theta0.size
-    if dim < 1 or theta0.ndim != 1:
-        raise ValueError("theta0 must be a non-empty 1-D vector")
-    if dim > MAX_DIM:
-        raise ValueError(f"replay supports dim <= {MAX_DIM}, got {dim}")
-    if len(lrs) != len(stream):
-        raise ValueError(f"lrs has length {len(lrs)}, stream has length {len(stream)}")
-    # one scan of the whole stream; only when it fails is it scanned step by
-    # step, to name the first failure
-    if not (all(g.shape == (dim,) for g in stream) and np.isfinite(stream).all()):
-        for step, g in enumerate(stream, start=1):
-            if g.ndim != 1 or g.size != dim:
-                raise DimensionMismatch(f"gradient at step {step}", dim, g.size)
-            bad = np.flatnonzero(~np.isfinite(g))
-            if bad.size:
-                raise NonFiniteValue("gradient", index=int(bad[0]), step=step)
-    lrs = [as_rate(f"lr at step {step}", lr) for step, lr in enumerate(lrs, start=1)]
-    # each gradient as an extended-precision row, converted once (exactly)
-    return [g.astype(_LD) for g in stream], theta0, lrs
-
-
 def _pack(steps):
-    # steps[t - 1][i] is element i's row of step t, in ALL_FIELDS order.  The
-    # trajectory is one extended-precision (steps, dim, 9) block, cast to
+    # steps[t - 1] is step t's flat row: each element's nine stages in turn,
+    # in ALL_FIELDS order.  The trajectory is one extended-precision
+    # (steps, dim * 9) block, read as (steps, dim, 9) and cast to
     # (steps, 9, dim) float64 in one call (each element rounds as it would
     # alone).  Values beyond float64 range cast to inf here; the first step
     # holding a non-finite stage is reported as a structured error
-    trajectory = np.array(steps, dtype=_LD).transpose(0, 2, 1).astype(np.float64, order="C")
+    trajectory = np.array(steps, dtype=_LD).reshape(len(steps), -1, 9).transpose(0, 2, 1).astype(np.float64, order="C")
     error = first_non_finite(trajectory)
     if error is not None:
         raise error
@@ -112,7 +86,7 @@ def _replay_adaplus(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(s_hat) + eps)
             theta_new = theta_d + delta
             m[i], s[i], theta[i] = m_new, s_new, theta_new
-            rows.append((g, m_new, s_new, m_bar, m_hat, s_hat, decay, delta, theta_new))
+            rows.extend((g, m_new, s_new, m_bar, m_hat, s_hat, decay, delta, theta_new))
         out.append(rows)
     return out
 
@@ -141,7 +115,7 @@ def _replay_adam(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta[i] + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            rows.append((g, m_new, v_new, m_new, m_hat, v_hat, zero, delta, theta_new))
+            rows.extend((g, m_new, v_new, m_new, m_hat, v_hat, zero, delta, theta_new))
         out.append(rows)
     return out
 
@@ -172,7 +146,7 @@ def _replay_adamw(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta_d + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            rows.append((g, m_new, v_new, m_new, m_hat, v_hat, decay, delta, theta_new))
+            rows.extend((g, m_new, v_new, m_new, m_hat, v_hat, decay, delta, theta_new))
         out.append(rows)
     return out
 
@@ -206,7 +180,7 @@ def _replay_nadam(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(v_hat) + eps)
             theta_new = theta[i] + delta
             m[i], v[i], theta[i] = m_new, v_new, theta_new
-            rows.append((g, m_new, v_new, m_bar, m_hat, v_hat, zero, delta, theta_new))
+            rows.extend((g, m_new, v_new, m_bar, m_hat, v_hat, zero, delta, theta_new))
         out.append(rows)
     return out
 
@@ -244,7 +218,7 @@ def _replay_adabelief(stream, theta0, hp, lrs):
             delta = -(lr * m_hat) / (_sqrt(s_hat) + eps)
             theta_new = theta_d + delta
             m[i], s[i], theta[i] = m_new, s_new, theta_new
-            rows.append((g, m_new, s_new, m_new, m_hat, s_hat, decay, delta, theta_new))
+            rows.extend((g, m_new, s_new, m_new, m_hat, s_hat, decay, delta, theta_new))
         out.append(rows)
     return out
 
@@ -271,7 +245,7 @@ def _replay_sgdm(stream, theta0, hp, lrs):
                 delta = -(lr * m_bar)
             theta_new = theta[i] + delta
             m[i], theta[i] = m_new, theta_new
-            rows.append((g, m_new, zero, m_bar, m_bar, zero, zero, delta, theta_new))
+            rows.extend((g, m_new, zero, m_bar, m_bar, zero, zero, delta, theta_new))
         out.append(rows)
     return out
 
@@ -293,14 +267,20 @@ def replay(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.ndarray:
 
     ``stream`` is a non-empty sequence of gradient vectors, ``lrs`` the
     per-step positive learning rates (same length); the arguments are those
-    of ``kernels.drive_stream``.  Pure: identical inputs produce a
-    bit-identical trajectory.
+    of ``kernels.drive_stream``, read by the same ``kernels.read_stream``,
+    and only a ``dim`` above ``MAX_DIM`` is refused here alone.  Pure:
+    identical inputs produce a bit-identical trajectory.
     """
-    stream, theta0, lrs = _validated(kernel_id, stream, theta0, lrs)
+    if kernel_id not in _REPLAYS:
+        raise ValueError(f"unknown kernel id {kernel_id!r}; expected one of {tuple(_REPLAYS)}")
+    grads, params, lrs = read_stream(stream, theta0, lrs)
+    if params.dim > MAX_DIM:
+        raise ValueError(f"replay supports dim <= {MAX_DIM}, got {params.dim}")
     # a division by zero, an invalid operation or an overflow is raised as a
     # structured ``NonFiniteValue`` once the trajectory is packed; numpy's
     # own warnings would only come before it.  Past a failing step the replay
     # goes on in extended precision alone, and the error named is the first
-    # failing step's
+    # failing step's.  The gradients are cast to extended precision in one
+    # call, exactly
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _pack(_REPLAYS[kernel_id](stream, theta0, hp, lrs))
+        return _pack(_REPLAYS[kernel_id](grads.astype(_LD), params.values, hp, lrs))

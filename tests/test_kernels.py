@@ -29,6 +29,7 @@ from adaplus.kernels import (
     adaplus_step,
     drive_stream,
     nadam_step,
+    read_stream,
     sgdm_step,
 )
 from adaplus.transcript import ALL_FIELDS
@@ -445,6 +446,14 @@ class TestDriveStream:
         with pytest.raises(ValueError, match="^gradient stream must be non-empty$"):
             drive_stream("adam", stream, [0.0], HyperParams(), [])
 
+    def test_read_stream_gives_one_array_the_parameters_and_float_rates(self):
+        stream = [[1, 2], np.array([3.0, -4.0], dtype=np.float32)]
+        grads, params, lrs = read_stream(stream, (0, 1), [np.float32(0.5), 2])
+        assert grads.dtype == np.float64 and grads.shape == (2, 2) and grads.flags.c_contiguous
+        np.testing.assert_array_equal(grads, [[1.0, 2.0], [3.0, -4.0]])
+        assert isinstance(params, ParamVector) and params.values.tolist() == [0.0, 1.0]
+        assert lrs == [0.5, 2.0] and all(type(lr) is float for lr in lrs)
+
     @pytest.mark.parametrize("kernel", KERNEL_IDS)
     def test_trajectory_holds_each_public_steps_rows(self, kernel):
         rng = np.random.default_rng(9)
@@ -693,6 +702,27 @@ class TestOverflowingCheck:
             state, params = fresh(np.resize([1e200, -1e200], dim))
             assert attempt(KERNEL_STEPS[kernel], state, params, np.full(dim, 1e150), HyperParams(), 1e-3) is None
             assert state.t == 1 and np.isfinite(params.values).all()
+
+
+class TestSHatOverflow:
+    """A step whose second moment is finite but whose ``s_hat`` is not is refused.
+
+    The update over an infinite ``s_hat`` is -0, so the new parameter alone
+    would let such a step commit with its parameter frozen."""
+
+    @pytest.mark.parametrize("dim", (1, 2 * CHUNK + 3))
+    @pytest.mark.parametrize("transcript", (False, True))
+    @pytest.mark.parametrize("kernel", [k for k in KERNEL_IDS if k != "sgdm"])
+    def test_step_is_refused_and_nothing_moves(self, kernel, transcript, dim):
+        # at t = 1 the last element's second moment is about 3e305, and
+        # s_hat, that over 1 - b2 = 1e-3, overflows
+        state, params = fresh(np.ones(dim))
+        g = np.full(dim, 0.1)
+        g[-1] = 2e154
+        before = snapshot(state, params)
+        error = attempt(KERNEL_STEPS[kernel], state, params, g, HyperParams(), 1e-3, transcript=transcript)
+        assert error == ("s_hat", 1, dim - 1)
+        assert snapshot(state, params) == before
 
 
 def overflowing_step(dim):

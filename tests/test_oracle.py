@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from trajectories import by_step
 
 from adaplus.cli import _selftest_streams
-from adaplus.errors import DimensionMismatch, NonFiniteValue
+from adaplus.errors import DimensionMismatch, NonFiniteValue, OptimizerError
 from adaplus.kernels import KERNEL_IDS, HyperParams, drive_stream
 from adaplus.oracle import _REPLAYS, MAX_DIM, _pack, replay
 from adaplus.transcript import ALL_FIELDS, FIELD_ORDER, StepTranscript, scaled_deviation
@@ -202,7 +204,7 @@ class TestReplayValidation:
             replay("adam", [[1.0], [1.0]], [0.0], HyperParams(), [1e-3])
 
     def test_theta0_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="theta0 must be a non-empty 1-D vector"):
+        with pytest.raises(ValueError, match="^parameter vector must be a non-empty 1-D array$"):
             replay("adam", [[1.0]], [[0.0]], HyperParams(), [1e-3])
 
     def test_dim_cap(self):
@@ -250,10 +252,9 @@ class TestReplayValidation:
     def test_a_bool_among_float_rates_is_refused_by_both_sides(self):
         # each rate is read alone, as a step reads its lr_t: a bool is no rate, whatever its neighbours
         args = ("adam", [[0.5, -0.5]] * 3, [0.0, 0.0], HyperParams(), [0.1, True, 0.1])
-        with pytest.raises(ValueError, match="^lr at step 2 must be a positive finite real, got True$"):
-            replay(*args)
-        with pytest.raises(ValueError, match="^lr_t must be a positive finite real, got True$"):
-            drive_stream(*args)
+        for run in (replay, drive_stream):
+            with pytest.raises(ValueError, match="^lr at step 2 must be a positive finite real, got True$"):
+                run(*args)
 
     def test_non_finite_intermediate_reports_stage(self):
         # a gradient of 1e200 overflows the squared-gradient EMA
@@ -279,6 +280,74 @@ class TestReplayValidation:
                 replay("adaplus", [[1e-300, 0.0]] * 3, [0.5, 0.5], HyperParams(eps=0.0), [1e-3] * 3)
         assert exc.value.stage == "delta_theta"
         assert exc.value.step == 1
+
+
+def outcome(run, kernel, stream, theta0, lrs):
+    """What ``run`` does with a run's arguments: the type and text of its error, or None."""
+    try:
+        run(kernel, stream, theta0, HyperParams(), lrs)
+    except (ValueError, OptimizerError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def corrupted_runs(draw):
+    """A small run whose arguments are corrupted in at most one place, at one step."""
+    kernel = draw(st.sampled_from(KERNEL_IDS))
+    dim, steps = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    vector = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    stream = [draw(vector) for _ in range(steps)]
+    theta0 = draw(vector)
+    lrs = draw(st.lists(st.floats(1e-4, 1.0), min_size=steps, max_size=steps))
+    k, i = draw(st.integers(0, steps - 1)), draw(st.integers(0, dim - 1))
+    non_finite = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    where = draw(st.sampled_from(["nothing", "theta0", "row length", "row element", "rate"]))
+    if where == "theta0":
+        theta0 = draw(st.sampled_from([theta0[:i] + [non_finite] + theta0[i + 1:], [theta0], []]))
+    elif where == "row length":
+        stream[k] = draw(st.sampled_from([stream[k][:-1], stream[k] + [0.0]]))
+    elif where == "row element":
+        stream[k][i] = non_finite
+    elif where == "rate":
+        lrs[k] = draw(st.sampled_from([0.0, -1e-3, np.nan, np.inf, True, "0.1", None, 10**400]))
+    return kernel, stream, theta0, lrs
+
+
+class TestRefusalParity:
+    """``drive_stream`` and ``replay`` read their arguments with one reader: an
+    input refused by one is refused by the other, with the same error."""
+
+    CASES = {
+        "theta0-inf": ("adam", [[1.0]], [np.inf], [1e-3]),
+        "theta0-2d": ("adam", [[1.0]], [[0.0]], [1e-3]),
+        "short-row-at-step-2": ("adam", [[1.0, 1.0], [1.0]], [0.0, 0.0], [1e-3, 1e-3]),
+        "nan-gradient-and-bool-rate": ("adam", [[np.nan]], [0.0], [True]),
+        "theta0-inf-and-long-row": ("adam", [[1.0, 1.0]], [np.inf], [1e-3]),
+        "negative-rate-then-nan-gradient": ("adam", [[1.0], [np.nan]], [0.0], [-1.0, 1e-3]),
+        "bool-among-float-rates": ("adam", [[0.5, -0.5]] * 3, [0.0, 0.0], [0.1, True, 0.1]),
+        "empty-stream": ("adam", [], [0.0], []),
+        "length-mismatch": ("adam", [[1.0], [1.0]], [0.0], [1e-3]),
+        "unknown-kernel": ("lion", [[1.0]], [0.0], [1e-3]),
+    }
+
+    @pytest.mark.parametrize("args", CASES.values(), ids=CASES)
+    def test_both_sides_raise_the_same_error(self, args):
+        refused = outcome(drive_stream, *args)
+        assert refused is not None
+        assert outcome(replay, *args) == refused
+
+    @pytest.mark.parametrize("kernel", [k for k in KERNEL_IDS if k != "sgdm"])
+    def test_overflowing_s_hat_is_refused_by_both_sides(self, kernel):
+        # the second moment is finite at about 3e305; s_hat, that over 1 - b2, is not
+        args = (kernel, [[2e154]], [1.0], [1e-3])
+        want = (NonFiniteValue, "non-finite value in s_hat at step 1, element 0")
+        assert outcome(drive_stream, *args) == outcome(replay, *args) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run=corrupted_runs())
+    def test_a_corrupted_run_is_refused_alike(self, run):
+        assert outcome(drive_stream, *run) == outcome(replay, *run)
 
 
 class TestPack:
