@@ -10,7 +10,8 @@ Subcommands:
   reduction of ``kernels.REDUCTIONS``.
 
 Exit codes: 0 success; 1 for a failed selftest and, in ``main`` alone, for
-any ``ValueError`` or ``OSError`` (one ``error:`` line); 2 a numerical abort.
+any ``ValueError``, ``OSError`` or ``MemoryError`` (one ``error:`` line; a
+problem too large to allocate is bad input); 2 a numerical abort.
 """
 
 import argparse
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

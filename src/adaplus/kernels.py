@@ -64,11 +64,14 @@ them from the state after each step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
-trajectories against the independent scalar reference in ``adaplus.oracle``;
+trajectories against the independent scalar reference in ``adaplus.oracle``.
+A transcript is the named rows of one ``(9, dim)`` block and nothing else:
+it carries no step number (its step is ``state.t`` after the call) and is
+compared through its block with ``np.array_equal``, as trajectories are.
 ``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
 trajectory.  The core takes a destination for every quantity it computes: the
 lean step lets them share the state's four buffers, while a transcript
-passes the rows of one ``(9, dim)`` block, so each field is computed in
+passes its rows by field name, so each field is computed in
 place in its row and nothing is copied out; only the rows that restate
 another row or a constant (``m_bar`` without Nesterov, the momentum kernel's
 ``m_hat`` and zero second moment, ``decay_applied``) are filled after the
@@ -285,26 +288,26 @@ def _core(theta, g, m, s, out, k, rule):
     return step
 
 
-def _transcribe(t, theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
-    """Step ``t`` over the elements given, as a transcript whose fields are
+def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
+    """One step over the elements given, as a transcript whose fields are
     the rows of one ``(9, n)`` block: the core computes into the rows, and
     the rows that restate another row or a constant are filled after it."""
-    g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta = np.empty((9, g.size))
+    tr = StepTranscript._make(np.empty((9, g.size)))
     # copies are slice assignments, which at small dims cost a third of np.copyto
-    g_row[...] = g
-    step = _core(theta, g, m, s, (new_m, new_s, m_bar, m_hat, s_hat, delta, new_theta), k, rule)
-    np.negative(step, delta)
+    tr.g[...] = g
+    out = (tr.m, tr.second_moment, tr.m_bar, tr.m_hat, tr.s_hat, tr.delta_theta, tr.theta_after)
+    np.negative(_core(theta, g, m, s, out, k, rule), tr.delta_theta)
     if not rule.use_nesterov:
-        m_bar[...] = new_m
+        tr.m_bar[...] = tr.m
     if rule.momentum:
-        m_hat[...] = m_bar
-        new_s.fill(0.0)
-        s_hat.fill(0.0)
+        tr.m_hat[...] = tr.m_bar
+        tr.second_moment.fill(0.0)
+        tr.s_hat.fill(0.0)
     if rule.apply_decay:
-        np.multiply(theta, decay_rate, decay)
+        np.multiply(theta, decay_rate, tr.decay_applied)
     else:
-        decay.fill(0.0)
-    return StepTranscript(t, g_row, new_m, new_s, m_bar, m_hat, s_hat, decay, delta, new_theta)
+        tr.decay_applied.fill(0.0)
+    return tr
 
 
 def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
@@ -317,7 +320,7 @@ def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
         # the block's (9, n) transcript as a one-step trajectory; no name holds
         # it, so it is freed before the next block's is made
         error = first_non_finite(
-            _transcribe(t, theta[block], g[block], m[block], s[block], k, rule, decay_rate).g.base[None])
+            _transcribe(theta[block], g[block], m[block], s[block], k, rule, decay_rate).g.base[None])
         if error is not None:
             found.append((FIELD_ORDER.index(error.stage), lo + error.index))
     stage, index = min(found)
@@ -359,7 +362,7 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     adaptive = not rule.momentum
     tr = None
     if transcript:
-        tr = _transcribe(t, theta, g, m, s, k, rule, decay_rate)
+        tr = _transcribe(theta, g, m, s, k, rule, decay_rate)
         # the fields are the caller's: the state commits copies of them
         new_m[...] = tr.m
         new_s[...] = tr.second_moment

@@ -3,8 +3,11 @@
 A transcript records every quantity an update rule computes on the way from
 ``theta_{t-1}`` to ``theta_t``, one value per parameter element: the nine
 fields of ``StepTranscript``, in ``ALL_FIELDS`` order.  A public kernel step
-returns one when asked, its fields the rows of one ``(9, dim)`` float64
-block.
+returns one when asked, and it is nothing but the named rows of one
+``(9, dim)`` float64 block.  It carries no step number: a transcript is of
+the step that left its state at ``state.t``, as a trajectory's step is its
+position.  Two transcripts are compared through their blocks with
+``np.array_equal``, as trajectories are.
 
 A trajectory is one C-contiguous ``(steps, 9, dim)`` float64 array:
 ``trajectory[t - 1]`` holds step ``t``'s nine fields as rows, in
@@ -37,9 +40,11 @@ class StepTranscript(NamedTuple):
 
     For the momentum kernel ``m`` holds the velocity, ``m_bar``/``m_hat``
     hold the applied update direction, and the second-moment fields are zero.
+
+    Compare two transcripts with ``np.array_equal``: a tuple's own ``==``
+    would compare the arrays elementwise.
     """
 
-    t: int
     g: np.ndarray
     m: np.ndarray
     second_moment: np.ndarray
@@ -50,21 +55,9 @@ class StepTranscript(NamedTuple):
     delta_theta: np.ndarray
     theta_after: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StepTranscript):
-            return NotImplemented
-        # each side's nine fields compared as one (9, dim) array
-        return self.t == other.t and np.array_equal(self[1:], other[1:])
 
-    def __ne__(self, other) -> bool:
-        # a tuple's own ``!=`` would compare the arrays elementwise
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-
-# Every per-element field, in constructor order, including the decay amount;
-# ``transcript[1:]`` holds them.
-ALL_FIELDS = StepTranscript._fields[1:]
+# Every per-element field, in constructor order, including the decay amount
+ALL_FIELDS = StepTranscript._fields
 
 # Pipeline order of the computed fields, in which the earliest stage that
 # holds a non-finite value is reported, and their rows in a step's block.

@@ -82,6 +82,16 @@ NEGATIVE_SEED_CONFIGS = {
 # out of their key's domain and lines that are not 'key = value'; with the
 # error each must report
 RUN_REJECTED_CONFIGS = {
+    # 711 PiB, beyond any 64-bit address space, so the request fails without
+    # touching memory: in the problem (quadratic) or at the start point (rosenbrock)
+    "quadratic_too_large_to_allocate": (
+        QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 100000000000000000"), "Unable to allocate",
+    ),
+    "rosenbrock_too_large_to_allocate": (
+        QUAD_CONFIG.replace("problem = quadratic", "problem = rosenbrock")
+        .replace("problem.dim = 1", "problem.dim = 100000000000000000"),
+        "Unable to allocate",
+    ),
     "zero_dim": (QUAD_CONFIG.replace("problem.dim = 1", "problem.dim = 0"), "problem quadratic: dim"),
     "odd_rosenbrock_dim": (
         QUAD_CONFIG.replace("problem = quadratic\nproblem.dim = 1", "problem = rosenbrock\nproblem.dim = 3"),

@@ -1,6 +1,7 @@
 """Tests for the scalar replay oracle, its fixtures, and kernel/oracle agreement."""
 
 import hashlib
+import itertools
 import re
 import warnings
 from decimal import Decimal, getcontext
@@ -29,13 +30,14 @@ getcontext().prec = 50
 
 
 def parse_transcripts(text: str) -> list[StepTranscript]:
-    """Parse the fixture format into transcripts.
+    """Parse the fixture format into transcripts, step ``t`` at index ``t - 1``.
 
     One record per parameter element per step::
 
         t idx g m s mbar mhat shat dtheta theta
 
-    The format does not carry the decay column; parsed transcripts get an
+    The steps must run 1..n, as a transcript's step is its position.  The
+    format does not carry the decay column; parsed transcripts get an
     all-zero ``decay_applied``.
     """
     per_step: dict[int, list[list[float]]] = {}
@@ -52,13 +54,15 @@ def parse_transcripts(text: str) -> list[StepTranscript]:
             raise ValueError(f"fixture line {lineno}: element index {idx} out of order")
         rows.append([float(tok) for tok in tokens[2:]])
 
+    if sorted(per_step) != list(range(1, len(per_step) + 1)):
+        raise ValueError(f"fixture steps {sorted(per_step)} do not run 1..{len(per_step)}")
     transcripts = []
     for t in sorted(per_step):
         cols = np.array(per_step[t], dtype=np.float64)
         arrays = {name: cols[:, j].copy() for j, name in enumerate(FIELD_ORDER)}
         if not np.isfinite(arrays["theta_after"]).all():
             raise ValueError(f"fixture step {t}: non-finite theta")
-        transcripts.append(StepTranscript(t=t, decay_applied=np.zeros(cols.shape[0]), **arrays))
+        transcripts.append(StepTranscript(decay_applied=np.zeros(cols.shape[0]), **arrays))
     return transcripts
 
 
@@ -164,7 +168,6 @@ class TestReplayBasics:
         lrs = [1e-3] * 50
         adam = replay("adam", stream, theta0, HyperParams(), lrs)
         adamw = replay("adamw", stream, theta0, HyperParams(weight_decay=0.0), lrs)
-        # StepTranscript's equality over every step at once
         assert np.array_equal(adam, adamw)
 
     def test_replay_is_pure(self):
@@ -380,10 +383,10 @@ class TestPack:
             cols = [self.columns(rng, dim) for _ in range(5)]
             trajectory = _pack(self.rows(cols))
             assert trajectory.shape == (5, 9, dim) and trajectory.flags.c_contiguous
-            for tr, step in zip(by_step(trajectory), cols):
+            for t, (tr, step) in enumerate(zip(by_step(trajectory), cols), start=1):
                 for name, col in zip(self.COLUMNS, step):
                     want = np.array([float(x) for x in col])
-                    assert getattr(tr, name).tobytes() == want.tobytes(), (tr.t, name)
+                    assert getattr(tr, name).tobytes() == want.tobytes(), (t, name)
 
     def test_beyond_float64_range_raises_at_the_earliest_stage(self):
         rng = np.random.default_rng(22)
@@ -469,6 +472,12 @@ class TestFixtureFormat:
         with pytest.raises(ValueError, match="fixture step 1: non-finite theta"):
             parse_transcripts(line + "\n")
 
+    @pytest.mark.parametrize("steps", [(1, 3), (2,), (0, 1)], ids=["gap", "no-first", "zero"])
+    def test_rejects_steps_that_do_not_run_from_one(self, steps):
+        text = "".join(f"{t} 0 " + " ".join(["0.5"] * 8) + "\n" for t in steps)
+        with pytest.raises(ValueError, match="do not run 1"):
+            parse_transcripts(text)
+
     def test_skips_comments_and_blanks(self):
         text = "# comment\n\n1 0 " + " ".join(["0.25"] * 8) + "\n"
         parsed = parse_transcripts(text)
@@ -509,6 +518,21 @@ class TestDifferentialAgreement:
             got = drive_stream(kernel, stream, theta0, hp, lrs)
             want = replay(kernel, stream, theta0, hp, lrs)
             assert scaled_deviation(got, want) <= 1e-12, (kernel, hp)
+
+    def test_betas_at_zero_and_near_one_match_oracle(self):
+        # betas closer to 1 leave the bound's domain (see the oracle module docstring)
+        rng = np.random.default_rng(102)
+        betas = (0.0, 0.5, 0.9, 0.999, 1.0 - 1e-4)
+        for beta1, beta2 in itertools.product(betas, repeat=2):
+            hp = HyperParams(beta1=beta1, beta2=beta2)
+            for kernel in KERNEL_IDS:
+                dim = int(rng.integers(1, 9))
+                stream = rng.standard_normal((80, dim))
+                theta0 = rng.standard_normal(dim)
+                lrs = list(rng.uniform(1e-4, 1e-2, size=80))
+                got = drive_stream(kernel, stream, theta0, hp, lrs)
+                want = replay(kernel, stream, theta0, hp, lrs)
+                assert scaled_deviation(got, want) <= 1e-12, (kernel, beta1, beta2)
 
     def test_deviation_helper_flags_real_differences(self):
         rng = np.random.default_rng(101)

@@ -7,4 +7,4 @@ def by_step(trajectory):
     """One ``StepTranscript`` of views per leading row of a ``(steps, 9, dim)``
     array, fields in ``ALL_FIELDS`` order: ``by_step(trajectory)[t - 1]`` is step
     ``t``."""
-    return [StepTranscript(t, *fields) for t, fields in enumerate(trajectory, start=1)]
+    return [StepTranscript._make(fields) for fields in trajectory]
