@@ -567,12 +567,13 @@ class ComparisonTable:
 def compare(records) -> ComparisonTable:
     """Aggregate records over seeds into one table row each; lowest means get marked.
 
-    All records must describe the same problem over the same seeds and the
-    same step budget, and none may be aborted: a partial record's losses are
-    not comparable with a finished one's.  Each record's rows must cover
-    exactly the seeds its config names, and every row's loss must be finite.
-    A row is labelled by its optimizer, and by its config hash's prefix as
-    well when another record shares the optimizer.
+    All records must describe the same problem over the same seeds, the
+    same step budget and the same log cadence, and none may be aborted: a
+    partial record's losses are not comparable with a finished one's.  Each
+    record's rows must cover exactly the seeds its config names, and every
+    row's loss must be finite.  A row is labelled by its optimizer, and by
+    its config hash's prefix as well when another record shares the
+    optimizer.
     """
     records = list(records)
     if not records:
@@ -596,10 +597,14 @@ def compare(records) -> ComparisonTable:
             raise ConfigError(f"{name}: the loss of seed {bad.seed} at step {bad.step} is {bad.loss!r}, not finite")
     seed_sets = {record.config.seeds for record in records}
     budgets = {(record.config.epochs, record.config.steps_per_epoch) for record in records}
+    cadences = {record.config.log_every for record in records}
     if len(seed_sets) != 1:
         raise ConfigError(f"records use different seed sets: {sorted(map(list, seed_sets))}")
     if len(budgets) != 1:
         raise ConfigError(f"records use different step budgets (epochs, steps_per_epoch): {sorted(budgets)}")
+    # a best loss is the lowest over logged rows, so it depends on the cadence
+    if len(cadences) != 1:
+        raise ConfigError(f"records log at different cadences (log_every): {sorted(cadences)}")
 
     optimizers = [record.optimizer_id for record in records]
     rows = []

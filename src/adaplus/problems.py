@@ -78,18 +78,22 @@ class LogisticProblem(Problem):
     """Binary logistic regression over a fixed synthetic dataset.
 
     Labels live in {-1, +1}; the loss is the mean of
-    ``log(1 + exp(-y * x.theta))``.  Supports subset gradients for
-    minibatch noise.
+    ``log(1 + exp(-y * x.theta))``.  A finite-sum problem: it has
+    ``n_samples`` and ``minibatch_gradient``, and every gradient it gives,
+    full-batch or over a sample subset, is the mean over a row set
+    computed by one function, so ``gradient`` and ``evaluate`` agree bit
+    for bit by construction.
     """
 
     def __init__(self, features, labels):
         self.features = features
         self.labels = labels
         self.n_samples = features.shape[0]
-        super().__init__(features.shape[1], self._full_loss_and_grad, self._full_gradient)
+        super().__init__(features.shape[1], self._loss_and_grad_all, lambda theta: self._margins_grad(theta)[1])
 
-    @staticmethod
-    def _margins_grad_on(features, labels, theta):
+    def _margins_grad(self, theta, rows=slice(None)):
+        """``(margins, mean gradient)`` over the samples ``rows`` selects, every one by default."""
+        features, labels = self.features[rows], self.labels[rows]
         margins = labels * (features @ theta)
         # sigmoid(-m), evaluated on the non-overflowing branch per sign
         sig = np.empty_like(margins)
@@ -100,20 +104,14 @@ class LogisticProblem(Problem):
         grad = -(labels[:, None] * features * sig[:, None]).mean(axis=0)
         return margins, grad
 
-    def _full_gradient(self, theta):
-        return self._margins_grad_on(self.features, self.labels, theta)[1]
-
-    def _full_loss_and_grad(self, theta):
-        margins, grad = self._margins_grad_on(self.features, self.labels, theta)
+    def _loss_and_grad_all(self, theta):
+        margins, grad = self._margins_grad(theta)
         # log(1 + exp(-m)) via logaddexp for overflow safety
         return float(np.mean(np.logaddexp(0.0, -margins))), grad
 
     def minibatch_gradient(self, theta, indices):
         """Exact mean gradient over the sample subset ``indices``."""
-        theta = self._checked(theta)
-        idx = np.asarray(indices, dtype=np.intp)
-        _, grad = self._margins_grad_on(self.features[idx], self.labels[idx], theta)
-        return grad
+        return self._margins_grad(self._checked(theta), np.asarray(indices, dtype=np.intp))[1]
 
 
 def quadratic(dim: int, condition_number: float = 1.0) -> Problem:
@@ -241,6 +239,9 @@ class GradientSource:
     Draws are deterministic given the noise spec and ``replica_seed``.  With
     an inactive spec (kind ``none`` or ``scale == 0``) the source returns the
     noiseless gradient bit-exactly and never touches a generator.
+    ``minibatch_subset`` noise asks the problem for the finite-sum
+    capability, ``n_samples`` and ``minibatch_gradient(theta, indices)``,
+    not for a class, and refuses a problem without it.
     """
 
     def __init__(self, problem: Problem, noise: NoiseSpec | None = None, replica_seed: int = 0):
@@ -249,7 +250,7 @@ class GradientSource:
         if self.noise is not None:
             self._rng = np.random.default_rng([self.noise.seed, replica_seed])
             if self.noise.kind == "minibatch_subset":
-                if not isinstance(problem, LogisticProblem):
+                if not (hasattr(problem, "n_samples") and hasattr(problem, "minibatch_gradient")):
                     raise ConfigError("minibatch_subset noise needs a finite-sample problem")
                 self._batch = max(1, round(self.noise.scale * problem.n_samples))
 

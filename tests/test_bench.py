@@ -1163,6 +1163,14 @@ class TestCompare:
             with pytest.raises(ConfigError, match="step budgets"):
                 compare([a, b])
 
+    def test_different_log_cadences_rejected(self):
+        # the trajectories are the same, but a best loss is the lowest logged row's
+        a = run(parse_config(QUAD_CONFIG))
+        b = run(parse_config(QUAD_CONFIG.replace("log_every = 50", "log_every = 1")))
+        assert a.rows[-1] == b.rows[-1] and min(r.loss for r in b.rows) < min(r.loss for r in a.rows)
+        with pytest.raises(ConfigError, match=re.escape("records log at different cadences (log_every): [1, 50]")):
+            compare([a, b])
+
     def test_belief_kernel_beats_variance_kernel_on_ramp(self):
         records = [
             run(parse_config(LGSC_TEMPLATE.format(optimizer=opt)))
@@ -1366,6 +1374,17 @@ log_every = 1
         code = cli.main(["compare", "--inputs", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
         assert code == 1
         assert "step budgets" in capsys.readouterr().err
+
+    def test_compare_different_log_cadences_exits_one(self, tmp_path, capsys):
+        cfg_a = self.write_config(tmp_path, QUAD_CONFIG, name="a.cfg")
+        cfg_b = self.write_config(tmp_path, QUAD_CONFIG.replace("log_every = 50", "log_every = 1"), name="b.cfg")
+        for cfg in (cfg_a, cfg_b):
+            cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"])
+        capsys.readouterr()
+        code = cli.main(["compare", "--inputs", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: records log at different cadences (log_every): [1, 50]\n"
 
     def test_compare_malformed_record_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, QUAD_CONFIG)

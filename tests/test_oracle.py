@@ -15,7 +15,15 @@ from trajectories import by_step
 
 from adaplus.cli import _selftest_streams
 from adaplus.errors import DimensionMismatch, NonFiniteValue, OptimizerError
-from adaplus.kernels import KERNEL_IDS, HyperParams, drive_stream
+from adaplus.kernels import (
+    KERNEL_IDS,
+    KERNEL_STEPS,
+    REDUCTIONS,
+    HyperParams,
+    OptimizerState,
+    ParamVector,
+    drive_stream,
+)
 from adaplus.oracle import _REPLAYS, MAX_DIM, _pack, replay
 from adaplus.transcript import ALL_FIELDS, FIELD_ORDER, StepTranscript, scaled_deviation
 
@@ -544,3 +552,121 @@ class TestDifferentialAgreement:
         same = replay("adam", stream, theta0, HyperParams(), lrs)
         assert scaled_deviation(adam, nadam) > 1e-3
         assert scaled_deviation(adam, same) <= 1e-12
+
+
+# Any beta, for the properties that hold bit for bit
+BETAS = st.sampled_from([0.0, 1.0 - 1e-12]) | st.floats(0.0, 1.0, exclude_max=True)
+# Betas where the kernels agree with ``replay`` within 1e-12 (the oracle module
+# docstring gives the bound's domain): not between about 1 - 1e-6 and 1 - 1e-11,
+# where float64's ``1 - b**t`` rounds too coarsely, nor in (0, 0.01), where the
+# belief residual ``g - m`` loses digits to cancellation at every step
+BOUND_BETAS = st.sampled_from([0.0, 1.0 - 1e-12]) | st.floats(0.01, 1.0 - 1e-5, exclude_max=True)
+
+
+@st.composite
+def hyper_params(draw, betas, toggles=True):
+    """The float fields of a ``HyperParams``, and its three toggles unless ``toggles`` is false."""
+    fields = {
+        "beta1": draw(betas),
+        "beta2": draw(betas),
+        "eps": draw(st.sampled_from([0.0, 1e-300, 1e-8])),
+        # a smaller decay can make lr * wd * theta subnormal in float64 alone
+        "weight_decay": draw(st.just(0.0) | st.floats(1e-6, 0.1)),
+    }
+    if toggles:
+        for field in ("use_nesterov", "use_belief", "decoupled_decay"):
+            fields[field] = draw(st.booleans())
+    return fields
+
+
+@st.composite
+def oracle_runs(draw):
+    """A kernel and hyper-parameters inside the 1e-12 bound's domain, and a drawn run."""
+    kernel, hp = draw(st.sampled_from(KERNEL_IDS)), draw(hyper_params(BOUND_BETAS))
+    if kernel == "adabelief" or kernel == "adaplus" and hp["use_belief"]:
+        # at beta2 = 0 the belief denominator is this step's |g - m| alone,
+        # and a g near m leaves it little but the rounding of m
+        hp["beta2"] = draw(BOUND_BETAS.filter(bool))
+    stream, theta0, lrs = draw(streams())
+    return kernel, stream, theta0, HyperParams(**hp), lrs
+
+
+@st.composite
+def streams(draw):
+    """``(stream, theta0, lrs)`` from a drawn seed: a normal stream at one drawn magnitude, some
+    of whose columns may be zero (with ``eps = 0``, a 0/0), perhaps one non-finite element, and
+    rates mixing ``float``, ``np.float64`` and ``int``, perhaps with one ``bool``.
+
+    The magnitude keeps ``(1 - b2) * g**2`` inside float64's normal range for every beta drawn,
+    where the oracle's 80-bit arithmetic neither overflows nor underflows where float64 does.
+    """
+    dim, steps = draw(st.integers(1, 64)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # half the magnitudes are 1, where eps = 1e-8 is not lost in the denominator
+    stream = rng.standard_normal((steps, dim)) * 10.0 ** draw(st.just(0) | st.integers(-120, 140))
+    stream[:, draw(st.lists(st.integers(0, dim - 1), max_size=2))] = 0.0
+    rates = rng.uniform(1e-4, 1.0, steps)
+    lrs = [(float, np.float64, lambda r: 1 + int(2 * r))[kind](r) for kind, r in zip(rng.integers(0, 3, steps), rates)]
+    k, i = rng.integers(steps), rng.integers(dim)
+    where = draw(st.sampled_from(["nothing"] * 4 + ["element", "rate"]))
+    if where == "element":
+        stream[k, i] = rng.choice([np.nan, np.inf, -np.inf])
+    elif where == "rate":
+        lrs[k] = bool(rng.integers(2))
+    return stream, rng.standard_normal(dim), lrs
+
+
+def differential_outcome(run, kernel, stream, theta0, hp, lrs):
+    """A run's trajectory, or what stopped it: a ``NonFiniteValue``'s (stage, step, index) or a
+    ``ValueError``'s text."""
+    try:
+        return run(kernel, stream, theta0, hp, lrs)
+    except NonFiniteValue as exc:
+        return exc.stage, exc.step, exc.index
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestKernelOracleProperties:
+    """The kernels against ``replay`` on drawn runs, each property at most 100 examples."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(run=oracle_runs())
+    def test_kernel_agrees_with_oracle_or_both_raise_alike(self, run):
+        got, want = differential_outcome(drive_stream, *run), differential_outcome(replay, *run)
+        assert type(got) is type(want), (got, want)
+        if isinstance(want, np.ndarray):
+            assert scaled_deviation(got, want) <= 1e-12
+        else:
+            assert got == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kernel=st.sampled_from(KERNEL_IDS), hp=hyper_params(BETAS), run=streams(), transcript=st.booleans())
+    def test_a_raising_step_leaves_state_and_params_as_they_were(self, kernel, hp, run, transcript):
+        stream, theta0, lrs = run
+        step, hp = KERNEL_STEPS[kernel], HyperParams(**hp)
+        state, params = OptimizerState(theta0.size), ParamVector(theta0)
+
+        def snapshot():
+            return state.t, state.m.tobytes(), state.second_moment.tobytes(), params.values.tobytes()
+
+        for g, lr in zip(stream, lrs):
+            before = snapshot()
+            try:
+                step(state, params, g, hp, lr, transcript=transcript)
+            except (ValueError, OptimizerError):
+                # the next step starts from the state the raising one found
+                assert snapshot() == before
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hp=hyper_params(BETAS, toggles=False), run=streams())
+    def test_reductions_hold_on_drawn_streams(self, hp, run):
+        stream, theta0, lrs = run
+        for label, *sides in REDUCTIONS:
+            got, want = (differential_outcome(drive_stream, kernel, stream, theta0, HyperParams(**{**hp, **overrides}), lrs)
+                         for kernel, overrides in sides)
+            assert type(got) is type(want), (label, got, want)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), label
+            else:
+                assert got == want, label

@@ -117,6 +117,14 @@ class TestLogisticRegressionSynthetic:
         singles = np.array([p.minibatch_gradient(theta, [i]) for i in range(p.n_samples)])
         np.testing.assert_allclose(full, singles.mean(axis=0), rtol=1e-12, atol=1e-15)
 
+    def test_every_row_as_a_minibatch_is_the_full_gradient_bit_for_bit(self):
+        # one row-set function computes both, so their bytes agree, not only their values
+        p = logistic_regression_synthetic(30, 3, 0.5, seed=5)
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            theta = rng.standard_normal(3)
+            assert p.minibatch_gradient(theta, np.arange(p.n_samples)).tobytes() == p.gradient(theta).tobytes()
+
     def test_separable_with_margin(self):
         p = logistic_regression_synthetic(200, 8, 0.5, seed=9)
 
@@ -376,3 +384,21 @@ class TestGradientSource:
     def test_minibatch_requires_finite_sample_problem(self):
         with pytest.raises(ConfigError):
             GradientSource(quadratic(2, 1.0), NoiseSpec(kind="minibatch_subset", scale=0.5))
+
+    def test_minibatch_asks_for_the_finite_sum_capability_not_a_class(self):
+        logistic = logistic_regression_synthetic(40, 3, 0.5, seed=8)
+        spec = NoiseSpec(kind="minibatch_subset", scale=0.25, seed=5)
+
+        def plain_problem(**capability):
+            problem = Problem(3, logistic.evaluate, logistic.gradient)
+            problem.__dict__.update(capability)
+            return problem
+
+        # a problem of another class with n_samples and minibatch_gradient draws the same batches
+        finite_sum = plain_problem(n_samples=logistic.n_samples, minibatch_gradient=logistic.minibatch_gradient)
+        got = GradientSource(finite_sum, spec, replica_seed=9).gradient(np.ones(3))
+        assert got.tobytes() == GradientSource(logistic, spec, replica_seed=9).gradient(np.ones(3)).tobytes()
+        # half the capability is refused with the message a quadratic gets
+        for partial in (plain_problem(n_samples=40), plain_problem(minibatch_gradient=logistic.minibatch_gradient)):
+            with pytest.raises(ConfigError, match=r"^minibatch_subset noise needs a finite-sample problem$"):
+                GradientSource(partial, spec)
