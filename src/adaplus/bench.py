@@ -312,8 +312,8 @@ class LogRow:
 
 @dataclass(frozen=True)
 class RunSummary:
-    final_loss: float
-    best_loss: float
+    """What a run's rows do not give: its wall time and abort state.  Its losses are the rows' (``seed_losses``)."""
+
     wall_time_s: float
     aborted: bool = False
     abort_reason: str = ""
@@ -385,19 +385,22 @@ def _run_replica(config: RunConfig, problem: Problem, seed: int):
                     return rows, f"seed {seed}: {exc}"
                 if global_step % config.log_every == 0 or global_step == total:
                     loss, full_grad = problem.evaluate(theta)
-                    if not np.isfinite(loss):
-                        return rows, f"seed {seed}: non-finite loss at step {global_step}"
                     grad_norm = float(np.linalg.norm(full_grad))
                     del full_grad
-                    rows.append(LogRow(seed, epoch, global_step, lr_t, loss, grad_norm, float(np.linalg.norm(theta))))
+                    row = LogRow(seed, epoch, global_step, lr_t, loss, grad_norm, float(np.linalg.norm(theta)))
+                    # a norm squares the elements, so it can overflow where they and the loss do not
+                    for name in ("loss", "grad_norm", "param_norm"):
+                        if not math.isfinite(getattr(row, name)):
+                            return rows, f"seed {seed}: non-finite {name} at step {global_step}"
+                    rows.append(row)
     return rows, None
 
 
 def run(config: RunConfig) -> RunRecord:
     """Execute every seed replica, one after another in seed order, and assemble the record.
 
-    A non-finite loss or parameter aborts its replica and flags the partial
-    record.  A problem parameter the problem rejects raises ``ConfigError``.
+    A non-finite parameter, or a non-finite loss or norm in a row to be logged, aborts its replica
+    and flags the partial record.  A problem parameter the problem rejects raises ``ConfigError``.
     """
     started = time.perf_counter()
     problem = build_problem(config)
@@ -408,14 +411,11 @@ def run(config: RunConfig) -> RunRecord:
         rows.extend(replica_rows)
         if reason is not None:
             abort_reasons.append(reason)
-    _, finals, bests = seed_losses(rows)
     return RunRecord(
         **config.record_ids(),
         config=config,
         rows=tuple(rows),
         summary=RunSummary(
-            final_loss=float(np.mean(finals)) if finals.size else float("nan"),
-            best_loss=float(np.mean(bests)) if bests.size else float("nan"),
             wall_time_s=time.perf_counter() - started,
             aborted=bool(abort_reasons),
             abort_reason="; ".join(abort_reasons),

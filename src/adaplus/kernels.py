@@ -350,8 +350,12 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # each coefficient is computed in Python floats and stored exactly, so
     # the ufuncs see the operand values of the update rules
     b1, b2, decay_rate = hp.beta1, hp.beta2, lr_t * hp.weight_decay
-    state._coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, 1.0 - b1**t,
-                                1.0 - b2**t, lr_t, 1.0 - decay_rate)
+    # the bias correction 1 - b^t: where it is small, b^t's rounding is large
+    # against it, so it is taken as -expm1(t log b), with b - 1 exact
+    bc1 = -math.expm1(t * math.log1p(b1 - 1.0)) if t * (1.0 - b1) < 1e-3 else 1.0 - b1**t
+    bc2 = -math.expm1(t * math.log1p(b2 - 1.0)) if t * (1.0 - b2) < 1e-3 else 1.0 - b2**t
+    state._coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, bc1, bc2, lr_t,
+                                1.0 - decay_rate)
     m, s = state.m, state.second_moment
     # every non-finite value, the gradient's included, reaches the new
     # parameter or s_hat (an inf s_hat turns the update into -0, so the

@@ -212,6 +212,15 @@ def ramp_record():
     return run(bench.load_config(CONFIGS / "ramp_adaplus.cfg"))
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no ``NaN``, ``Infinity`` or ``-Infinity``."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def with_last_loss(record, loss):
     """``record`` with the loss of its last row set to ``loss``."""
     return replace(record, rows=(*record.rows[:-1], replace(record.rows[-1], loss=loss)))
@@ -529,7 +538,7 @@ class TestNormalForm:
         config = parse_config(TWO_SEED_CONFIG)
         old_text = "\n".join(f"{k}={'2,1' if k == 'seeds' else v}" for k, v in config.canonical_items())
         old_hash = hashlib.sha256(old_text.encode("utf-8")).hexdigest()
-        summary = RunSummary(final_loss=0.0, best_loss=0.0, wall_time_s=0.0)
+        summary = RunSummary(wall_time_s=0.0)
         record = RunRecord(**config.record_ids(), config=config, rows=(), summary=summary)
         path = write_edited_record(tmp_path / "old.json", record, ("config.seeds", "2,1"), ("config_hash", old_hash))
         with pytest.raises(ConfigError) as exc:
@@ -796,7 +805,7 @@ class TestRun:
     def test_one_dimensional_quadratic_converges(self):
         record = run(parse_config(QUAD_CONFIG))
         assert not record.summary.aborted
-        assert record.summary.final_loss < 1e-6
+        assert bench.seed_losses(record.rows)[1].mean() < 1e-6
 
     def test_identical_configs_give_identical_records(self):
         config = parse_config(QUAD_CONFIG)
@@ -841,6 +850,24 @@ log_every = 1
         assert "seed 1" in record.summary.abort_reason
         assert len(record.rows) < 100
 
+    def test_an_overflowing_parameter_norm_aborts_the_replica(self):
+        # on a problem of zero loss and unit gradient, one adam step of rate
+        # 1e308 moves each of four elements by about 1e308: every element,
+        # the loss and the gradient's norm stay finite, but the parameter's
+        # norm, which squares them, does not
+        config = parse_config("""
+problem = quadratic
+problem.dim = 4
+optimizer = adam
+lr = 1e308
+epochs = 1
+steps_per_epoch = 1
+seeds = 1
+""")
+        problem = Problem(4, lambda theta: (0.0, np.ones(4)), lambda theta: np.ones(4))
+        rows, reason = bench._run_replica(config, problem, 1)
+        assert rows == [] and reason == "seed 1: non-finite param_norm at step 1"
+
     def test_replica_holds_no_full_size_array_past_its_last_use(self):
         # besides the problem's own arrays a replica needs 7 arrays of
         # 8 * dim bytes at a time: params, m, s, the kernel's three scratch
@@ -875,7 +902,7 @@ class TestEmit:
             optimizer_id=config.optimizer,
             config=config,
             rows=tuple(rows),
-            summary=RunSummary(final_loss=1.0, best_loss=0.5, wall_time_s=0.1),
+            summary=RunSummary(wall_time_s=0.1),
         )
 
     def test_empty_record_gives_header_only_csv(self):
@@ -916,7 +943,7 @@ class TestEmit:
             optimizer_id=record.optimizer_id,
             config=record.config,
             rows=record.rows,
-            summary=RunSummary(1.0, 0.5, 0.1, aborted=True, abort_reason="boom"),
+            summary=RunSummary(0.1, aborted=True, abort_reason="boom"),
         )
         with pytest.raises(ValueError, match="aborted"):
             emit(flagged, "csv", tmp_path / "x.csv")
@@ -928,7 +955,7 @@ class TestEmit:
         # compare would take a finished summary with a reason as finished
         message = f"summary field 'aborted' is {aborted!r}, but 'abort_reason' is {reason!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            RunSummary(1.0, 1.0, 0.0, aborted=aborted, abort_reason=reason)
+            RunSummary(0.0, aborted=aborted, abort_reason=reason)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -988,7 +1015,7 @@ class TestLoadRecord:
     @pytest.mark.parametrize(
         "field, value",
         [("problem_id", ["quadratic"]), ("config_hash", 1), ("optimizer_id", ["adaplus"]), ("config.seeds", [1]),
-         ("summary.aborted", "false"), ("summary.final_loss", "x"), ("summary.abort_reason", 0)],
+         ("summary.aborted", "false"), ("summary.wall_time_s", "x"), ("summary.abort_reason", 0)],
     )
     def test_value_of_the_wrong_type(self, tmp_path, doc, field, value):
         edit_record(doc, field, value)
@@ -1025,7 +1052,7 @@ class TestLoadRecord:
     @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.cfg")))
     def test_shipped_config_reads_back_as_its_run_config(self, tmp_path, name):
         config = bench.load_config(CONFIGS / name)
-        summary = RunSummary(final_loss=0.0, best_loss=0.0, wall_time_s=0.0)
+        summary = RunSummary(wall_time_s=0.0)
         emit(RunRecord(**config.record_ids(), config=config, rows=(), summary=summary), "json", tmp_path / "record.json")
         assert load_record(tmp_path / "record.json").config == config
 
@@ -1070,12 +1097,15 @@ class TestLoadRecord:
 
 class TestCompare:
     def test_single_record_table_equals_summary(self):
-        record = run(parse_config(QUAD_CONFIG))
+        record = run(parse_config(TWO_SEED_CONFIG))
         table = compare([record])
         assert len(table.rows) == 1
         row = table.rows[0]
-        assert row.final_mean == pytest.approx(record.summary.final_loss, rel=1e-15)
-        assert row.best_mean == pytest.approx(record.summary.best_loss, rel=1e-15)
+        # each seed's final and best loss, taken from its own rows
+        losses = [[r.loss for r in record.rows if r.seed == seed] for seed in record.config.seeds]
+        finals, bests = [seed[-1] for seed in losses], [min(seed) for seed in losses]
+        assert row.final_mean == pytest.approx(np.mean(finals), rel=1e-15)
+        assert row.best_mean == pytest.approx(np.mean(bests), rel=1e-15)
         assert table.best("final_mean").label == "adaplus"
 
     def test_zero_stddev_for_identical_trajectories(self):
@@ -1116,7 +1146,7 @@ class TestCompare:
     def test_seed_sets_compare_as_sets(self):
         a = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2,3")))
         b = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 3,1,2")))
-        assert a.rows == b.rows and a.summary.final_loss == b.summary.final_loss
+        assert a.rows == b.rows
         table = compare([a, b])
         assert table.rows[0].final_mean == table.rows[1].final_mean
         c = run(parse_config(QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2,4")))
@@ -1303,7 +1333,7 @@ log_every = 1
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 2
         flagged = out / "diverge.aborted.json"
         assert flagged.exists()
-        assert json.loads(flagged.read_text())["summary"]["aborted"] is True
+        assert strict_json(flagged.read_text())["summary"]["aborted"] is True
         assert not (out / "diverge.csv").exists()
 
     def test_kernel_abort_exits_two_naming_each_seed_in_seed_order(self, tmp_path, capsys):
@@ -1313,11 +1343,49 @@ log_every = 1
         cfg = self.write_config(tmp_path, text + "beta1 = 0\neps = 0\n", name="zero.cfg")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        doc = json.loads((out / "zero.aborted.json").read_text())
+        doc = strict_json((out / "zero.aborted.json").read_text())
         assert doc["rows"] == [] and doc["summary"]["aborted"] is True
         reason = "; ".join(f"seed {seed}: non-finite value in delta_theta at step 1, element 0" for seed in (1, 2))
         assert doc["summary"]["abort_reason"] == reason
         assert capsys.readouterr().err.startswith(f"error: run aborted ({reason})\n")
+
+    def test_loss_abort_of_every_seed_writes_strict_json(self, tmp_path, capsys):
+        # the first step's rate overflows the loss of both seeds, so no seed logs a row
+        text = """
+problem = quadratic
+problem.dim = 2
+optimizer = adam
+lr = 1e300
+epochs = 1
+steps_per_epoch = 3
+seeds = 1,2
+"""
+        cfg = self.write_config(tmp_path, text, name="overflow.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        doc = strict_json((out / "overflow.aborted.json").read_text())
+        reason = "seed 1: non-finite loss at step 1; seed 2: non-finite loss at step 1"
+        assert doc["rows"] == [] and doc["summary"]["abort_reason"] == reason
+
+    def test_overflowing_gradient_norm_aborts_instead_of_writing_inf(self, tmp_path, capsys):
+        # after one step the loss, 4.5e306, and every gradient element are
+        # finite, but the gradient's norm squares them and overflows
+        text = """
+problem = quadratic
+problem.dim = 2
+problem.condition_number = 100
+optimizer = adam
+lr = 3e152
+epochs = 1
+steps_per_epoch = 1
+seeds = 1
+"""
+        cfg = self.write_config(tmp_path, text, name="steep.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 2
+        assert not (out / "steep.csv").exists()
+        doc = strict_json((out / "steep.aborted.json").read_text())
+        assert doc["rows"] == [] and doc["summary"]["abort_reason"] == "seed 1: non-finite grad_norm at step 1"
 
     def test_compare_command(self, tmp_path, capsys):
         paths = []
@@ -1443,7 +1511,7 @@ log_every = 1
          ("problem_id", ["quadratic"], "field 'problem_id' must be str"),
          ("config.seeds", [1], "field 'config.seeds' must be str"),
          ("summary.aborted", "false", "field 'summary.aborted' must be bool"),
-         ("summary.final_loss", "x", "field 'summary.final_loss' must be float"),
+         ("summary.wall_time_s", "x", "field 'summary.wall_time_s' must be float"),
          ("config.epochs", None, "missing required key 'epochs'")],
     )
     def test_compare_mistyped_record_exits_one_with_one_error_line(self, tmp_path, capsys, field, value, message):

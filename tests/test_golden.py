@@ -34,9 +34,9 @@ GOLDEN_SHA256 = {
 }
 
 GOLDEN_JSON_SHA256 = {
-    "quadratic_adaplus.cfg": "0d8c537c5d90ae522f81f4f934483a99e9e9fa4c49433580d0e3d91b293d871f",
-    "ramp_adaplus.cfg": "9af2ad66418eda005681578576b99aee43216be62aee5433f02d1eed58f3bcb3",
-    "ramp_adamw.cfg": "b2638b2e408d028e8981c2e213b3597514c414c91854f5255e8c8b8897010345",
+    "quadratic_adaplus.cfg": "f1cd25b15d638e61e8e6bdd06b7117ff15aecf2b2ff8ee7b4a5ce65506e1f20d",
+    "ramp_adaplus.cfg": "894ea72306780ee3ed9203a962d15269f8fc1388ea5cbf453940b6d2868bc444",
+    "ramp_adamw.cfg": "d09af6d516a7e130a9ccfd1a5c7a22152348aaeb105213645fcf9b13deb4b9b9",
 }
 
 CONFIG_HASHES = {

@@ -528,19 +528,26 @@ class TestDifferentialAgreement:
             assert scaled_deviation(got, want) <= 1e-12, (kernel, hp)
 
     def test_betas_at_zero_and_near_one_match_oracle(self):
-        # betas closer to 1 leave the bound's domain (see the oracle module docstring)
         rng = np.random.default_rng(102)
-        betas = (0.0, 0.5, 0.9, 0.999, 1.0 - 1e-4)
-        for beta1, beta2 in itertools.product(betas, repeat=2):
-            hp = HyperParams(beta1=beta1, beta2=beta2)
+
+        def check(hp, steps):
             for kernel in KERNEL_IDS:
                 dim = int(rng.integers(1, 9))
-                stream = rng.standard_normal((80, dim))
+                stream = rng.standard_normal((steps, dim))
                 theta0 = rng.standard_normal(dim)
-                lrs = list(rng.uniform(1e-4, 1e-2, size=80))
+                lrs = list(rng.uniform(1e-4, 1e-2, size=steps))
                 got = drive_stream(kernel, stream, theta0, hp, lrs)
                 want = replay(kernel, stream, theta0, hp, lrs)
-                assert scaled_deviation(got, want) <= 1e-12, (kernel, beta1, beta2)
+                assert scaled_deviation(got, want) <= 1e-12, (kernel, hp.beta1, hp.beta2, steps)
+
+        betas = (0.0, 0.5, 0.9, 0.999, 1.0 - 1e-4)
+        for beta1, beta2 in itertools.product(betas, repeat=2):
+            check(HyperParams(beta1=beta1, beta2=beta2), 80)
+        # nearer 1 the bias correction 1 - b^t stays small against the
+        # rounding of b^t for hundreds of steps; each beta is varied alone
+        for beta in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+            check(HyperParams(beta1=beta), 400)
+            check(HyperParams(beta2=beta), 400)
 
     def test_deviation_helper_flags_real_differences(self):
         rng = np.random.default_rng(101)
@@ -557,10 +564,10 @@ class TestDifferentialAgreement:
 # Any beta, for the properties that hold bit for bit
 BETAS = st.sampled_from([0.0, 1.0 - 1e-12]) | st.floats(0.0, 1.0, exclude_max=True)
 # Betas where the kernels agree with ``replay`` within 1e-12 (the oracle module
-# docstring gives the bound's domain): not between about 1 - 1e-6 and 1 - 1e-11,
-# where float64's ``1 - b**t`` rounds too coarsely, nor in (0, 0.01), where the
-# belief residual ``g - m`` loses digits to cancellation at every step
-BOUND_BETAS = st.sampled_from([0.0, 1.0 - 1e-12]) | st.floats(0.01, 1.0 - 1e-5, exclude_max=True)
+# docstring gives the bound's domain): 0, and 0.01 up to the largest float
+# below 1, log-uniform in 1 - beta; not in (0, 0.01), where the belief
+# residual ``g - m`` loses digits to cancellation at every step
+BOUND_BETAS = st.just(0.0) | st.floats(-16.0, 0.0).map(lambda e: 1.0 - 0.99 * 10.0**e)
 
 
 @st.composite
