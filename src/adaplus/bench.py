@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValue, as_float, as_int, positive
-from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, OptimizerState, ParamVector
+from .kernels import KERNEL_IDS, KERNEL_STEPS, HyperParams, OptimizerState, ParamVector, normal_form
 from .problems import PROBLEMS, GradientSource, NoiseSpec, Problem
 
 
@@ -156,6 +156,11 @@ class RunConfig:
             raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
         if self.theta0 not in _THETA0_MODES:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
+        # one config per computation: what the run never reads is held at its
+        # default, after the checks above, so a bad value there is still refused
+        object.__setattr__(self, "hp", normal_form(self.optimizer, self.hp))
+        # a cadence at or past the last step logs that step alone
+        object.__setattr__(self, "log_every", min(self.log_every, self.epochs * self.steps_per_epoch))
 
     def rate(self, epoch: int) -> float:
         """The rate of ``epoch``: ``lr * decay_factor ** (#milestones <= epoch)``."""
@@ -510,6 +515,11 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _refuse_constant(name: str):
+    """``json``'s hook for ``NaN``, ``Infinity`` and ``-Infinity``, which are no JSON: it raises ``ConfigError``."""
+    raise ConfigError(f"{name} is not JSON")
+
+
 def load_record(path) -> RunRecord:
     """Read back a JSON record emitted by :func:`emit`.
 
@@ -519,12 +529,15 @@ def load_record(path) -> RunRecord:
     strings, which go as they are to ``_read_config``, the reader of
     ``parse_config``'s pairs, so no flat-file syntax applies in them; its ids
     must be that config's.  Anything else, text that is not UTF-8 or not JSON
-    included, raises ``ConfigError`` naming the file; so does JSON nested too
-    deep for the decoder, which raises ``RecursionError``.
+    included, raises ``ConfigError`` naming the file: so do the constants
+    ``NaN``, ``Infinity`` and ``-Infinity``, which ``json`` reads but no
+    record ``run`` writes holds, and JSON nested too deep for the decoder,
+    which raises ``RecursionError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _read(json.load(fh, object_pairs_hook=_unique_keys), RunRecord, "record")
+            doc = json.load(fh, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant)
+        return _read(doc, RunRecord, "record")
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

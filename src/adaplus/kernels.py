@@ -93,13 +93,16 @@ schedule gives::
 The baselines drop or swap individual lines: the classical numerator uses
 ``m`` instead of ``mbar``, the variance denominator uses the EMA of ``g^2``
 without the in-recursion ``eps``, and kernels without decoupled decay skip
-the first parameter line.  ``KERNEL_STEPS`` maps each kernel id to its step
+the first parameter line.  ``_RULES`` maps each kernel id to the rule it
+steps by, a function of its hyper-parameters; it is the one place that says
+which lines a kernel runs, and so which ``HyperParams`` fields it reads
+(``normal_form``).  ``KERNEL_STEPS`` maps each kernel id to its step
 function, and ``REDUCTIONS`` lists the settings under which one kernel
 equals another bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,6 +120,8 @@ class HyperParams:
     ``decoupled_decay`` enables decay in the belief baseline, which runs
     without decay by default.  Weight decay in ``adaplus_step`` and
     ``adamw_step`` is structural and controlled by ``weight_decay`` alone.
+    Which fields each kernel reads follows from its rule in ``_RULES``;
+    ``normal_form`` holds the others at their defaults.
     """
 
     beta1: float = 0.9
@@ -203,6 +208,37 @@ class _Rule(NamedTuple):
     use_belief: bool
     recursion_eps: float
     use_nesterov: bool
+
+
+# The rule each kernel steps by, from its hyper-parameters: the one source of
+# which lines a kernel runs, and so of which fields it reads (``normal_form``)
+_RULES = {
+    "adaplus": lambda hp: _Rule(False, True, hp.use_belief, hp.eps, hp.use_nesterov),
+    "adam": lambda hp: _Rule(False, False, False, 0.0, False),
+    "adamw": lambda hp: _Rule(False, True, False, 0.0, False),
+    "nadam": lambda hp: _Rule(False, False, False, 0.0, hp.use_nesterov),
+    "adabelief": lambda hp: _Rule(False, hp.decoupled_decay, True, hp.eps, False),
+    "sgdm": lambda hp: _Rule(True, False, False, 0.0, hp.use_nesterov),
+}
+
+
+def normal_form(kernel_id: str, hp: HyperParams) -> HyperParams:
+    """``hp`` with every field that kernel ``kernel_id`` does not read at its ``HyperParams()`` default.
+
+    The reads are probed from the kernel's rule: ``beta1`` always, ``beta2``
+    and ``eps`` unless the rule is momentum, ``weight_decay`` where the rule
+    applies decay, and a toggle where flipping it changes the rule.  So two
+    ``HyperParams`` with one normal form step alike on every stream.  Values
+    that only cancel (``weight_decay = 0`` with decay applied) are kept.
+    """
+    rule_of = _RULES[kernel_id]
+    rule = rule_of(hp)
+    reads = {"beta1"} if rule.momentum else {"beta1", "beta2", "eps"}
+    if rule.apply_decay:
+        reads.add("weight_decay")
+    reads |= {f for f in ("use_nesterov", "use_belief", "decoupled_decay")
+              if rule_of(replace(hp, **{f: not getattr(hp, f)})) != rule}
+    return HyperParams(**{f: getattr(hp, f) for f in reads})
 
 
 def _all_finite(new_theta: np.ndarray, s_hat: np.ndarray | None) -> bool:
@@ -420,30 +456,27 @@ def adaplus_step(
     step's ``StepTranscript`` when ``transcript`` is set, else ``None``; the
     same holds for every ``*_step`` function.
     """
-    rule = _Rule(False, True, hp.use_belief, hp.eps, hp.use_nesterov)
-    return _step(state, params, grads, hp, lr_t, rule, transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["adaplus"](hp), transcript)
 
 
 def adam_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Classical adaptive baseline: variance denominator, no decay."""
-    return _step(state, params, grads, hp, lr_t, _Rule(False, False, False, 0.0, False), transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["adam"](hp), transcript)
 
 
 def adamw_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Adam preceded by decoupled weight decay ``theta *= 1 - lr_t * weight_decay``."""
-    return _step(state, params, grads, hp, lr_t, _Rule(False, True, False, 0.0, False), transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["adamw"](hp), transcript)
 
 
 def nadam_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Adam with the Nesterov-readjusted numerator (toggled by ``hp.use_nesterov``)."""
-    rule = _Rule(False, False, False, 0.0, hp.use_nesterov)
-    return _step(state, params, grads, hp, lr_t, rule, transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["nadam"](hp), transcript)
 
 
 def adabelief_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
     """Belief denominator with the classical numerator; decay only if ``hp.decoupled_decay``."""
-    rule = _Rule(False, hp.decoupled_decay, True, hp.eps, False)
-    return _step(state, params, grads, hp, lr_t, rule, transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["adabelief"](hp), transcript)
 
 
 def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript: bool = False):
@@ -464,7 +497,7 @@ def sgdm_step(state, params, grads, hp: HyperParams, lr_t: float, *, transcript:
     second-moment fields are zero and ``m_bar``/``m_hat`` hold the applied
     update direction.
     """
-    return _step(state, params, grads, hp, lr_t, _Rule(True, False, False, 0.0, hp.use_nesterov), transcript)
+    return _step(state, params, grads, hp, lr_t, _RULES["sgdm"](hp), transcript)
 
 
 # The kernel table: kernel id -> public step function.

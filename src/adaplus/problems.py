@@ -7,7 +7,7 @@ central finite differences coordinate by coordinate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ class NoiseSpec:
     ``scale`` is the additive noise standard deviation for
     ``gaussian_additive`` and the subset fraction of the dataset for
     ``minibatch_subset``.  ``scale == 0`` always means the noiseless
-    gradient, whatever the kind.
+    gradient, whatever the kind, and such a spec is held as ``NoiseSpec()``.
     """
 
     kind: str = "none"
@@ -39,6 +39,11 @@ class NoiseSpec:
             raise ConfigError(f"minibatch fraction must lie in [0, 1], got {self.scale}")
         # numpy's generators take no negative seed
         as_int("noise.seed", self.seed, "be non-negative", non_negative)
+        # inactive noise is the noiseless gradient whatever its kind, scale
+        # and seed, so after the checks above it is held as the default spec
+        if not self.active:
+            for field in fields(self):
+                object.__setattr__(self, field.name, field.default)
 
     @property
     def active(self) -> bool:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reads import HP_FIELDS, HYPER_PARAMS, reads
 
 from adaplus import bench, cli
 from adaplus.bench import (
@@ -170,6 +171,32 @@ CONFIGS = README.parent / "configs"
 # overflows at step 200, after three finite log rows
 DIVERGING_SGDM_CONFIG = QUAD_CONFIG.replace("optimizer = adaplus", "optimizer = sgdm\nlr = 5")
 TWO_SEED_CONFIG = QUAD_CONFIG.replace("seeds = 1", "seeds = 1,2")
+RAMP_ADAMW = (CONFIGS / "ramp_adamw.cfg").read_text()
+QUAD_ADAPLUS = (CONFIGS / "quadratic_adaplus.cfg").read_text()
+# two config texts that differ only in what their run never reads, with the
+# hash both now have; at 5,000 steps, any cadence from 5,000 on logs the last step alone
+ONE_COMPUTATION = {
+    "adamw-toggles": (RAMP_ADAMW + "use_nesterov = false\nuse_belief = false\n", RAMP_ADAMW, "4563858a0bfb"),
+    "adamw-decoupled_decay": (RAMP_ADAMW + "decoupled_decay = true\n", RAMP_ADAMW, "4563858a0bfb"),
+    "noise-of-scale-0": (QUAD_ADAPLUS + "noise = gaussian_additive\nnoise.scale = 0\n", QUAD_ADAPLUS, "35d54dbc3728"),
+    "noise.seed-without-noise": (QUAD_ADAPLUS + "noise.seed = 5\n", QUAD_ADAPLUS, "35d54dbc3728"),
+    "log_every-past-the-last-step": (
+        QUAD_ADAPLUS.replace("log_every = 100", "log_every = 9000"),
+        QUAD_ADAPLUS.replace("log_every = 100", "log_every = 5000"),
+        "12dff99f0aeb",
+    ),
+}
+# a quadratic run short enough to run twice per drawn example
+SHORT_CONFIG = """
+problem = quadratic
+problem.dim = 3
+optimizer = adaplus
+lr = 1e-2
+epochs = 1
+steps_per_epoch = 6
+seeds = 1,2
+log_every = 4
+"""
 # edits of ramp_adamw.cfg's JSON record, each with the error compare reports
 # for the edited record, or None where the edit leaves the record's config as it was
 EDITED_RAMP_RECORDS = {
@@ -541,6 +568,52 @@ class TestNormalForm:
         summary = RunSummary(wall_time_s=0.0)
         record = RunRecord(**config.record_ids(), config=config, rows=(), summary=summary)
         path = write_edited_record(tmp_path / "old.json", record, ("config.seeds", "2,1"), ("config_hash", old_hash))
+        with pytest.raises(ConfigError) as exc:
+            load_record(path)
+        assert str(exc.value) == (
+            f"{path}: field 'config_hash' is {old_hash!r}, its config gives {config.config_hash()!r}"
+        )
+
+    @pytest.mark.parametrize("case", ONE_COMPUTATION)
+    def test_what_the_run_never_reads_moves_no_hash(self, case):
+        text, other, digest = ONE_COMPUTATION[case]
+        config = parse_config(text)
+        assert config == parse_config(other)
+        assert config.config_hash()[:12] == digest
+        # the config's text drops what its run ignores, and reads back as the same config
+        assert config_to_text(config) == config_to_text(parse_config(other))
+        assert parse_config(config_to_text(config)) == config
+
+    @settings(max_examples=100, deadline=None, derandomize=True, report_multiple_bugs=False)
+    @given(kernel=st.sampled_from(KERNEL_IDS), hp=HYPER_PARAMS, redrawn=HYPER_PARAMS)
+    def test_redrawing_what_the_kernel_ignores_moves_no_hash_and_no_row(self, kernel, hp, redrawn):
+        config = replace(parse_config(SHORT_CONFIG), optimizer=kernel, hp=hp)
+        ignored = set(HP_FIELDS) - reads(kernel, hp)
+        other = replace(config, hp=replace(hp, **{field: getattr(redrawn, field) for field in ignored}))
+        assert other.config_hash() == config.config_hash()
+        first, second = run(config), run(other)
+        # eps = 0 can abort a run with a 0/0, and an aborted record has no CSV
+        assert first.rows == second.rows and first.summary.abort_reason == second.summary.abort_reason
+        if not first.summary.aborted:
+            assert record_to_csv(first) == record_to_csv(second)
+
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_a_value_out_of_domain_is_refused_where_the_run_ignores_it(self, kernel):
+        # the checks run before the normal form, so no kernel lets beta2 = 1.5 through
+        with pytest.raises(ConfigError, match=r"^beta2 must lie in \[0, 1\), got 1\.5$"):
+            parse_config(QUAD_CONFIG.replace("adaplus", kernel) + "beta2 = 1.5\n")
+
+    def test_record_of_an_ignored_field_and_its_old_hash_refused(self, tmp_path):
+        # records written before the normal form hashed the toggles adamw ignores
+        config = parse_config(RAMP_ADAMW)
+        old_items = dict(config.canonical_items()) | {"use_belief": "false", "use_nesterov": "false"}
+        old_hash = hashlib.sha256("\n".join(map("=".join, sorted(old_items.items()))).encode("utf-8")).hexdigest()
+        assert old_hash.startswith("57a96d5d0188")
+        record = RunRecord(**config.record_ids(), config=config, rows=(), summary=RunSummary(wall_time_s=0.0))
+        path = write_edited_record(
+            tmp_path / "old.json", record, ("config.use_belief", "false"), ("config.use_nesterov", "false"),
+            ("config_hash", old_hash),
+        )
         with pytest.raises(ConfigError) as exc:
             load_record(path)
         assert str(exc.value) == (
@@ -1559,7 +1632,8 @@ seeds = 1
 
     @NON_FINITE_LOSSES
     def test_compare_record_with_a_non_finite_loss_exits_one(self, tmp_path, capsys, ramp_record, loss):
-        # json writes the loss as NaN, Infinity or -Infinity, and reads it back
+        # json writes the loss as NaN, Infinity or -Infinity, none of which is
+        # JSON, so load_record refuses the record naming the file and the constant
         path = tmp_path / "edited.json"
         emit(with_last_loss(ramp_record, loss), "json", path)
         with warnings.catch_warnings():
@@ -1567,8 +1641,20 @@ seeds = 1
             code = cli.main(["compare", "--inputs", str(path)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        name = f"record adaplus ({ramp_record.config_hash[:12]})"
-        assert captured.err == f"error: {name}: the loss of seed 1 at step 50 is {loss!r}, not finite\n"
+        constant = json.dumps(loss)
+        assert captured.err == f"error: {path}: {constant} is not JSON\n"
+
+    def test_compare_record_holding_non_json_constants_exits_one(self, tmp_path, capsys):
+        # json.load reads Infinity and NaN; a record holding them is refused naming the first
+        assert cli.main(["run", "--config", str(CONFIGS / "ramp_adamw.cfg"), "--out", str(tmp_path), "--format", "json"]) == 0
+        good = tmp_path / "ramp_adamw.json"
+        bad = write_edited_record(
+            tmp_path / "bad.json", load_record(good), ("rows.3.5", math.inf), ("summary.wall_time_s", math.nan)
+        )
+        capsys.readouterr()
+        assert cli.main(["compare", "--inputs", str(bad), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {bad}: Infinity is not JSON\n"
 
     def test_selftest_passes(self, capsys):
         assert cli.main(["selftest"]) == 0

@@ -4,7 +4,7 @@ import itertools
 import re
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_reads import HP_FIELDS, HYPER_PARAMS, reads
 from trajectories import by_step
 
 from adaplus.errors import DimensionMismatch, NonFiniteValue
@@ -29,6 +30,7 @@ from adaplus.kernels import (
     adaplus_step,
     drive_stream,
     nadam_step,
+    normal_form,
     read_stream,
     sgdm_step,
 )
@@ -776,6 +778,74 @@ TOGGLES = [
     {"use_nesterov": nesterov, "use_belief": belief, "decoupled_decay": decay}
     for nesterov, belief, decay in itertools.product((True, False), repeat=3)
 ]
+
+
+def with_other(hp, field, factor=0.5):
+    """``hp`` with ``field`` moved: a toggle flipped, a float scaled by ``factor``."""
+    value = getattr(hp, field)
+    return replace(hp, **{field: not value if type(value) is bool else value * factor})
+
+
+# a generic point: every float field positive and away from the others' scale,
+# so that moving one read field by a factor moves some bit of the trajectory
+GENERIC_HP = st.builds(
+    HyperParams,
+    beta1=st.floats(0.1, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    eps=st.floats(1e-6, 1e-2),
+    weight_decay=st.floats(1e-2, 1.0),
+    use_nesterov=st.booleans(),
+    use_belief=st.booleans(),
+    decoupled_decay=st.booleans(),
+)
+
+
+class TestNormalForm:
+    """``normal_form`` holds exactly the fields a kernel does not read at their defaults."""
+
+    @pytest.mark.parametrize("toggles", TOGGLES, ids=lambda t: "-".join(k for k, v in t.items() if v) or "none")
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_keeps_the_fields_each_kernel_reads(self, kernel, toggles):
+        # every float field off its default, so a kept one shows
+        hp = HyperParams(beta1=0.5, beta2=0.6, eps=0.1, weight_decay=0.2, **toggles)
+        kept = {field: getattr(hp if field in reads(kernel, hp) else HyperParams(), field) for field in HP_FIELDS}
+        assert asdict(normal_form(kernel, hp)) == kept
+        # a field is read exactly when moving it moves the normal form
+        moved = {f for f in HP_FIELDS if normal_form(kernel, with_other(hp, f)) != normal_form(kernel, hp)}
+        assert moved == reads(kernel, hp)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kernel=st.sampled_from(KERNEL_IDS), hp=HYPER_PARAMS, seed=st.integers(0, 2**32 - 1))
+    def test_steps_as_the_hyper_parameters_it_was_made_from(self, kernel, hp, seed):
+        # equal trajectories, or one error where a step fails (eps = 0 can make a 0/0)
+        stream, theta0, lrs = random_stream(np.random.default_rng(seed), 3, 5, lr=1e-2)
+
+        def outcome(hp):
+            try:
+                return drive_stream(kernel, stream, theta0, hp, lrs).tobytes()
+            except NonFiniteValue as exc:
+                return str(exc)
+
+        assert outcome(hp) == outcome(normal_form(kernel, hp))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kernel=st.sampled_from(KERNEL_IDS),
+        hp=GENERIC_HP,
+        field=st.sampled_from(HP_FIELDS),
+        factor=st.floats(0.5, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_merges_no_two_computations(self, kernel, hp, field, factor, seed):
+        # from a generic point, moving one field moves the trajectory exactly
+        # when it moves the normal form: a read field always does
+        moved = with_other(hp, field, factor)
+        stream, theta0, lrs = random_stream(np.random.default_rng(seed), 3, 5, lr=1e-2)
+        same_steps = np.array_equal(
+            drive_stream(kernel, stream, theta0, hp, lrs), drive_stream(kernel, stream, theta0, moved, lrs)
+        )
+        assert same_steps == (normal_form(kernel, moved) == normal_form(kernel, hp))
+        assert same_steps == (field not in reads(kernel, hp))
 
 
 def blocks(dim):

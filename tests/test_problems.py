@@ -347,6 +347,21 @@ class TestNoiseSpec:
         assert NoiseSpec(kind="gaussian_additive", scale=0.1).active
         assert not NoiseSpec().active
 
+    @pytest.mark.parametrize(
+        "kind, scale, seed",
+        [("gaussian_additive", 0.0, 5), ("minibatch_subset", 0, 3), ("none", 0.7, 9)],
+        ids=["gaussian-scale-0", "minibatch-scale-0", "none-with-scale"],
+    )
+    def test_inactive_spec_is_held_as_the_default(self, kind, scale, seed):
+        # the noiseless gradient has one spec, so one config text and one hash
+        held = NoiseSpec(kind, scale, seed)
+        assert held == NoiseSpec() and type(held.scale) is float
+
+    @pytest.mark.parametrize("scale, seed, field", [(-1.0, 0, "noise.scale"), (0.0, -1, "noise.seed")])
+    def test_inactive_spec_still_refuses_a_value_out_of_its_domain(self, scale, seed, field):
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be non-negative"):
+            NoiseSpec("none", scale, seed)
+
 
 class TestGradientSource:
     def test_zero_scale_reproduces_noiseless_gradient_bit_exactly(self):
