@@ -157,13 +157,20 @@ class RunConfig:
         if self.theta0 not in _THETA0_MODES:
             raise ConfigError(f"theta0 must be one of {_THETA0_MODES}, got {self.theta0!r}")
         # one config per computation: what the run never reads is held at its
-        # default, after the checks above, so a bad value there is still refused
+        # default, after the checks above, so a bad value there is still refused.
+        # A milestone at epoch `epochs` or later is passed in no epoch of the run,
+        # and with no milestone left the decay factor is never applied
         object.__setattr__(self, "hp", normal_form(self.optimizer, self.hp))
+        object.__setattr__(self, "milestones", tuple(m for m in self.milestones if m < self.epochs))
+        if not self.milestones:
+            object.__setattr__(self, "decay_factor", RunConfig.decay_factor)  # the class holds the default
         # a cadence at or past the last step logs that step alone
         object.__setattr__(self, "log_every", min(self.log_every, self.epochs * self.steps_per_epoch))
 
     def rate(self, epoch: int) -> float:
-        """The rate of ``epoch``: ``lr * decay_factor ** (#milestones <= epoch)``."""
+        """The rate of ``epoch`` in ``range(epochs)``: ``lr * decay_factor ** (#milestones <= epoch)``."""
+        if not 0 <= epoch < self.epochs:
+            raise ValueError(f"epoch {epoch!r} is outside the run's epochs 0..{self.epochs - 1}")
         passed = sum(1 for m in self.milestones if m <= epoch)
         return self.lr * self.decay_factor**passed
 

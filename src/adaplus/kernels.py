@@ -9,58 +9,76 @@ Six update rules from one adaptive family:
   two of those ingredients.
 - ``sgdm_step``: classical momentum, with an optional Nesterov form.
 
-All six run through one core.  A step call validates its inputs once,
-computes into buffers that its ``OptimizerState`` allocated when it was
-made, checks that the new parameters and ``s_hat`` are finite, and only
-then commits and increments ``t``.  A committing step allocates nothing.
+All six run through one update rule, written twice: ``_core`` in ufuncs
+over arrays and ``_scalar_core`` in Python floats over lists.  A step call
+validates its inputs once, computes into buffers that its ``OptimizerState``
+allocated when it was made, checks that the new parameters and ``s_hat`` are
+finite, and only then commits and increments ``t``.  A committing step
+allocates no array.
 
-At small dims a step's cost is the number of numpy calls, so the core keeps
-each call cheap.  Every scalar operand (``b1``, ``1 - b1``, ``b2``,
+At small dims a step's cost is its calls, not its arithmetic: each of the
+core's ~20 ufunc calls costs about 0.4 us whatever the length, while a
+Python float operation costs about 20 ns.  So the lean step
+(``transcript=False``) picks one of two paths by the size of the work:
+
+- At ``dim <= SCALAR_MAX`` it runs ``_scalar_core`` over the values as
+  Python floats, read with ``tolist()`` and written back by slice
+  assignment.  Each element sees ``_core``'s operations in ``_core``'s order
+  on the same ten coefficients, and IEEE addition, subtraction,
+  multiplication, division and square root are correctly rounded in Python
+  as in numpy, so every value has the bits of the ufuncs'.  Where a ufunc
+  gives a non-finite value Python may raise instead (``eps = 0`` over a zero
+  ``s_hat`` divides by zero), and that counts as non-finite.
+- Above it, the block sweep runs ``_core`` over consecutive blocks of at
+  most ``CHUNK`` (16384) elements; a shorter vector is one block.
+
+In the ufunc paths every scalar operand (``b1``, ``1 - b1``, ``b2``,
 ``1 - b2``, the recursion ``eps``, ``eps``, ``1 - b1^t``, ``1 - b2^t``,
 ``lr_t`` and ``1 - lr_t * wd``) is written each step into a ten-element
 float64 array owned by the state and passed to the ufuncs as a 0-d view,
 which numpy takes faster than a Python float.  Every ufunc gets its output
 as a positional argument, and the core's five ufuncs are module globals.
-The finiteness check is one dot product over the two stages that every
-non-finite value reaches: an inf or NaN in the new parameters or in
-``s_hat`` (the parameters with themselves for ``sgdm``) makes
-``new_theta . s_hat`` non-finite, and only then, since finite terms can
-overflow, are the two arrays scanned exactly.  ``s_hat`` is read rather
+The finiteness check reads the two stages that every non-finite value
+reaches: an inf or NaN in the new parameters or in ``s_hat`` (the
+parameters alone for ``sgdm``).  The scalar path tests each element; the
+ufunc paths take one dot product, ``new_theta . s_hat`` (the parameters
+with themselves for ``sgdm``), and only if it is non-finite, since finite
+terms can overflow, scan the two arrays exactly.  ``s_hat`` is read rather
 than the second moment because it can overflow alone (it is the second
 moment divided by ``1 - b2^t`` <= 1), and then the update is -0 and the
 parameter stays finite; a finite ``s_hat`` means a finite second moment.
-The step sets numpy's error state (all errors ignored) for its own call, as
-a decorator: numpy's warnings and ``FloatingPointError`` would only
-duplicate the structured ``NonFiniteValue``, and the caller's error state
-is the same after the call.
+The ufunc paths set numpy's error state (all errors ignored) for their own
+call, as a decorator: numpy's warnings and ``FloatingPointError`` would only
+duplicate the structured ``NonFiniteValue``, and the caller's error state is
+the same after the call.  The scalar path calls no ufunc.
 
-Above ``CHUNK`` (16384) elements the same core runs over consecutive blocks
-of that many elements, so its ~20 elementwise passes find their operands in
-L2 instead of streaming whole vectors through memory, and the temporary
-shrinks to one block.  One block of the nine vectors the core touches is
-1.1 MiB, about half of a 2 MiB per-core L2; on such a host a step at dim
-2^20 costs about the same with blocks of 16 Ki to 64 Ki elements, more with
-256 Ki and up (out of L2) and more with 8 Ki and down (per-call overhead).
-Each element sees the same operations in the same order, so the bits are
-those of one whole-vector call.  The finiteness check is then one dot per
-block, taken while the block's new parameters and ``s_hat`` are still in
-cache instead of reading the whole parameter vector again after the sweep;
-the first block that fails it ends the sweep.  The transcript path runs the
-core over the whole vector as one block.
+The blocks of the sweep keep the core's ~20 elementwise passes over
+operands in L2 instead of streaming whole vectors through memory, and the
+temporary shrinks to one block.  One block of the nine vectors the core
+touches is 1.1 MiB, about half of a 2 MiB per-core L2; on such a host a step
+at dim 2^20 costs about the same with blocks of 16 Ki to 64 Ki elements,
+more with 256 Ki and up (out of L2) and more with 8 Ki and down (per-call
+overhead).  Each element sees the same operations in the same order, so the
+bits are those of one whole-vector call.  The finiteness check is then one
+dot per block, taken while the block's new parameters and ``s_hat`` are
+still in cache instead of reading the whole parameter vector again after the
+sweep; the first block that fails it ends the sweep.  The transcript path
+runs the core over the whole vector as one block, at every dim.
 
-Every failing step is attributed the same way.  The gradient is scanned
-first; if it is finite, the step is transcribed again one block at a time,
-from the untouched state, and the earliest stage in ``FIELD_ORDER`` that
-holds a non-finite value is raised at its first element.  Elements are
-independent, so this is the error ``transcript.first_non_finite`` gives over
-the whole vector, and the attribution holds no more than one block's
-transcript at a time.  A call that raises leaves ``t``, the moments and the
-parameters untouched.  The commit copies the new parameters into
-``params.values`` in place, so that array keeps its identity and a caller
-may hold it across steps.  The moments are not copied: ``state.m`` and
-``state.second_moment`` trade places with the state's buffers for the next
-ones, so the arrays they named before are written by the next step.  Read
-them from the state after each step instead of holding them.
+Every failing step is attributed the same way, whichever path found it.
+The gradient is scanned first; if it is finite, the step is transcribed
+again one block at a time, from the untouched state, and the earliest stage
+in ``FIELD_ORDER`` that holds a non-finite value is raised at its first
+element.  Elements are independent, so this is the error
+``transcript.first_non_finite`` gives over the whole vector, and the
+attribution holds no more than one block's transcript at a time.  A call
+that raises leaves ``t``, the moments and the parameters untouched.  The
+commit copies the new parameters into ``params.values`` in place, so that
+array keeps its identity and a caller may hold it across steps.  The
+moments are not copied: ``state.m`` and ``state.second_moment`` trade
+places with the state's buffers for the next ones, so the arrays they named
+before are written by the next step.  Read them from the state after each
+step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
@@ -70,7 +88,7 @@ it carries no step number (its step is ``state.t`` after the call) and is
 compared through its block with ``np.array_equal``, as trajectories are.
 ``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
 trajectory.  The core takes a destination for every quantity it computes: the
-lean step lets them share the state's four buffers, while a transcript
+block sweep lets them share the state's buffers, while a transcript
 passes its rows by field name, so each field is computed in
 place in its row and nothing is copied out; only the rows that restate
 another row or a constant (``m_bar`` without Nesterov, the momentum kernel's
@@ -148,6 +166,15 @@ class HyperParams:
 
 # elements per block of the sweep over a long vector (module docstring)
 CHUNK = 16384
+
+# The largest dim a lean step takes in Python floats (module docstring): the
+# smaller of the dims where the Python path stops being the faster one for
+# ``adaplus_step`` and ``sgdm_step``.  Per-call medians over dims 1-64
+# (2-core VM, Python 3.11, numpy 2.4), Python floats against the block sweep:
+# adaplus 8.0 vs 13.1 us at dim 10, 12.2 vs 13.0 at 18, 13.4 vs 13.1 at 21,
+# 33.6 vs 13.3 at 64; sgdm 5.8 vs 8.5 us at dim 10, 8.4 vs 8.6 at 18, 8.8 vs
+# 8.3 at 20, 21.3 vs 8.6 at 64.
+SCALAR_MAX = 18
 
 
 class OptimizerState:
@@ -260,7 +287,7 @@ def _core(theta, g, m, s, out, k, rule):
     ``out`` is ``(new_m, new_s, m_bar, m_hat, s_hat, step, new_theta)``, a
     destination for each quantity the core computes, ``step`` being the
     negated update ``-delta_theta``.  Destinations may share a buffer where
-    a quantity is dead once the next one is formed: the lean step passes the
+    a quantity is dead once the next one is formed: the block sweep passes the
     state's five buffers as ``(new_m, new_s, a, a, s_hat, a, new_theta)``,
     the transcript a row of its block for each.  ``s_hat`` outlives the core
     in both, for the finiteness check.  ``step`` and ``new_theta``
@@ -324,6 +351,57 @@ def _core(theta, g, m, s, out, k, rule):
     return step
 
 
+# bound once, as the core's ufuncs are
+_isfinite, _sqrt_float = math.isfinite, math.sqrt
+
+
+def _scalar_core(theta, g, m, s, k, rule):
+    """``_core`` over lists of Python floats, with the finiteness check: the
+    lists ``(new_theta, new_m, new_s)``, or None where a new parameter or
+    ``s_hat`` is not finite.
+
+    ``k`` holds the coefficients as floats, in ``_core``'s order, and each
+    element sees ``_core``'s operations in its order.  IEEE addition,
+    subtraction, multiplication, division and square root are correctly
+    rounded, so every value has the bits of the ufuncs'.  Python raises
+    where a ufunc gives a non-finite value: a division by zero (``eps = 0``
+    over a zero ``s_hat``) or the square root of a negative ``s_hat``, which
+    only a second moment written by hand holds.  Both count as non-finite.
+    Momentum keeps no second moment: its ``new_s`` is ``s`` and its
+    ``s_hat`` 0.
+    """
+    b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
+    momentum, apply_decay, use_belief, _, use_nesterov = rule
+    new_theta, new_m, new_s = [], [], []
+    for th, gi, mi, si in zip(theta, g, m, s):
+        if momentum:
+            step = gi * lr if use_nesterov else gi
+            mi = mi * b1 + step  # m = mu * m + lr_t * g, or mu * m + g
+            step = step + mi * b1 if use_nesterov else mi * lr  # the applied step
+            s_hat = 0.0
+        else:
+            step = gi * c1
+            mi = mi * b1 + step
+            m_bar = step + mi * b1 if use_nesterov else mi
+            r = gi - mi if use_belief else gi
+            si = r * c2 * r + si * b2
+            if recursion_eps:
+                si = si + recursion_eps
+            # 1 - b^t > 0, so only the last division and the root can raise
+            s_hat = si / bc2
+            try:
+                step = m_bar / bc1 * lr / (_sqrt_float(s_hat) + eps)
+            except (ZeroDivisionError, ValueError):
+                return None
+        th = (th * decay if apply_decay else th) - step
+        if not (_isfinite(th) and _isfinite(s_hat)):
+            return None
+        new_theta.append(th)
+        new_m.append(mi)
+        new_s.append(si)
+    return new_theta, new_m, new_s
+
+
 def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
     """One step over the elements given, as a transcript whose fields are
     the rows of one ``(9, n)`` block: the core computes into the rows, and
@@ -346,6 +424,13 @@ def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
     return tr
 
 
+# The numpy paths set numpy's error state (all errors ignored) for their own
+# call, as a decorator, which costs less per call than a ``with np.errstate``
+# block; the scalar path runs no ufunc and needs none.  Under numpy >= 2 the
+# decorator sets a context token for each call, so each thread keeps its own
+# error state.  Under numpy 1.x the saved state lives on the one shared
+# ``errstate`` instance, so there the kernels are only safe single-threaded.
+@np.errstate(all="ignore")
 def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
     """The error ``first_non_finite`` gives for the whole step, found one
     block at a time: the earliest stage over all blocks, at its first
@@ -363,11 +448,29 @@ def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
     return NonFiniteValue(FIELD_ORDER[stage], index=index, step=t)
 
 
-# The decorator costs less per call than a ``with np.errstate`` block.  Under
-# numpy >= 2 it sets a context token for each call, so each thread keeps its
-# own error state.  Under numpy 1.x the saved state lives on this one shared
-# ``errstate`` instance, so there the kernels are only safe single-threaded.
 @np.errstate(all="ignore")
+def _vector_step(state, theta, g, m, s, rule, decay_rate, transcript):
+    """The step in ufuncs over the state's buffers, from the coefficients
+    ``_step`` wrote: ``(transcript or None, new theta, whether it is finite)``."""
+    new_m, new_s, new_theta, a, sh, k = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat, state._k
+    adaptive = not rule.momentum
+    if transcript:
+        tr = _transcribe(theta, g, m, s, k, rule, decay_rate)
+        # the fields are the caller's: the state commits copies of them
+        new_m[...] = tr.m
+        new_s[...] = tr.second_moment
+        return tr, tr.theta_after, _all_finite(tr.theta_after, tr.s_hat if adaptive else None)
+    # a vector of at most CHUNK elements is one block
+    for lo in range(0, theta.size, CHUNK):
+        hi = min(lo + CHUNK, theta.size)
+        bm, bs, bt, ba, bh = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo], sh[: hi - lo]
+        _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bh, ba, bt), k, rule)
+        # checked while the block is still in cache; a failure ends the sweep
+        if not _all_finite(bt, bh if adaptive else None):
+            return None, new_theta, False
+    return None, new_theta, True
+
+
 def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
           rule: _Rule, transcript: bool) -> StepTranscript | None:
     """Validate once, run the core, check, then commit."""
@@ -382,16 +485,15 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     lr_t = as_rate("lr_t", lr_t)
     t = state.t + 1
 
-    new_m, new_s, new_theta, a, sh, k = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat, state._k
-    # each coefficient is computed in Python floats and stored exactly, so
-    # the ufuncs see the operand values of the update rules
+    # each coefficient is computed in Python floats, which the scalar path
+    # reads and the ufuncs read stored exactly, so every path sees the
+    # operand values of the update rules
     b1, b2, decay_rate = hp.beta1, hp.beta2, lr_t * hp.weight_decay
     # the bias correction 1 - b^t: where it is small, b^t's rounding is large
     # against it, so it is taken as -expm1(t log b), with b - 1 exact
     bc1 = -math.expm1(t * math.log1p(b1 - 1.0)) if t * (1.0 - b1) < 1e-3 else 1.0 - b1**t
     bc2 = -math.expm1(t * math.log1p(b2 - 1.0)) if t * (1.0 - b2) < 1e-3 else 1.0 - b2**t
-    state._coefficients[...] = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, bc1, bc2, lr_t,
-                                1.0 - decay_rate)
+    coefficients = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, bc1, bc2, lr_t, 1.0 - decay_rate)
     m, s = state.m, state.second_moment
     # every non-finite value, the gradient's included, reaches the new
     # parameter or s_hat (an inf s_hat turns the update into -0, so the
@@ -400,40 +502,31 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
     # second moment, and its check reads the parameter alone
     adaptive = not rule.momentum
-    tr = None
-    if transcript:
-        tr = _transcribe(theta, g, m, s, k, rule, decay_rate)
-        # the fields are the caller's: the state commits copies of them
-        new_m[...] = tr.m
-        new_s[...] = tr.second_moment
-        new_theta = tr.theta_after
-        finite = _all_finite(new_theta, tr.s_hat if adaptive else None)
-    elif dim <= CHUNK:
-        # no slicing: at small dims it would cost more than the arithmetic
-        _core(theta, g, m, s, (new_m, new_s, a, a, sh, a, new_theta), k, rule)
-        finite = _all_finite(new_theta, sh if adaptive else None)
+    if transcript or dim > SCALAR_MAX:
+        state._coefficients[...] = coefficients
+        tr, new_theta, finite = _vector_step(state, theta, g, m, s, rule, decay_rate, transcript)
     else:
-        for lo in range(0, dim, CHUNK):
-            hi = min(lo + CHUNK, dim)
-            bm, bs, bt, ba, bh = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo], sh[: hi - lo]
-            _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bh, ba, bt), k, rule)
-            # checked while the block is still in cache; a failure ends the sweep
-            finite = _all_finite(bt, bh if adaptive else None)
-            if not finite:
-                break
+        tr = None
+        stepped = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule)
+        finite = stepped is not None
+        if finite:
+            new_theta, state._next_m[...], new_s = stepped
+            if adaptive:
+                state._next_s[...] = new_s
     if not finite:
         # the gradient is named first when it is the cause
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
-        raise _attribute(t, theta, g, m, s, k, rule, decay_rate)
+        state._coefficients[...] = coefficients
+        raise _attribute(t, theta, g, m, s, state._k, rule, decay_rate)
 
     # the parameters are updated in place; the moments trade places with the
     # state's buffers for the next ones, which costs no copy
     theta[...] = new_theta
-    state.m, state._next_m = new_m, m
+    state.m, state._next_m = state._next_m, m
     if adaptive:
-        state.second_moment, state._next_s = new_s, s
+        state.second_moment, state._next_s = state._next_s, s
     state.t = t
     return tr
 

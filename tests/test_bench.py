@@ -508,7 +508,9 @@ class TestNormalForm:
         assert parsed.config_hash() == config.config_hash()
         assert parsed.problem_id() == config.problem_id()
         assert config.seeds == tuple(sorted(seeds)) and all(type(s) is int for s in config.seeds)
-        assert config.milestones == tuple(milestones) and all(type(m) is int for m in config.milestones)
+        # a milestone at epoch `epochs` or later passes in no epoch of the run: dropped
+        assert config.milestones == tuple(m for m in milestones if m < config.epochs)
+        assert all(type(m) is int for m in config.milestones)
         held = [config.lr, config.decay_factor, config.noise.scale, *(getattr(config.hp, f) for f in HP_FLOAT_FIELDS)]
         assert all(type(value) is float for value in held)
 
@@ -719,17 +721,17 @@ class TestRate:
     """The run's step-decay schedule: ``RunConfig.rate`` and the checks of its three keys."""
 
     def test_no_milestone_passed(self):
-        assert schedule(lr=0.01, milestones=(150,)).rate(0) == 0.01
+        assert schedule(lr=0.01, milestones=(150,), epochs=151).rate(0) == 0.01
 
     def test_decay_at_milestone(self):
         # drop by 0.1 exactly at the milestone epoch
-        assert schedule(lr=0.01, milestones=(150,)).rate(150) == pytest.approx(0.001)
+        assert schedule(lr=0.01, milestones=(150,), epochs=151).rate(150) == pytest.approx(0.001)
 
     def test_two_milestones_passed(self):
-        assert schedule(lr=1e-3, milestones=(100, 145)).rate(146) == pytest.approx(1e-5)
+        assert schedule(lr=1e-3, milestones=(100, 145), epochs=147).rate(146) == pytest.approx(1e-5)
 
     def test_factor_counts_passed_milestones(self):
-        config = schedule(lr=1.0, milestones=(2, 5, 9), decay_factor=0.5)
+        config = schedule(lr=1.0, milestones=(2, 5, 9), decay_factor=0.5, epochs=12)
         for epoch in range(12):
             k = sum(1 for m in config.milestones if m <= epoch)
             assert config.rate(epoch) == 0.5**k
@@ -768,13 +770,34 @@ class TestRate:
         with pytest.raises(ConfigError, match=f"^{field} must be a finite number, got {re.escape(repr(value))}$"):
             schedule(**{field: value})
 
+    @pytest.mark.parametrize("epoch", [-1, 3, 10])
+    def test_rate_is_defined_on_the_runs_epochs_only(self, epoch):
+        config = schedule(lr=1.0, milestones=(1, 2), decay_factor=0.5, epochs=3)
+        assert [config.rate(e) for e in range(3)] == [1.0, 0.5, 0.25]
+        with pytest.raises(ValueError, match=f"^epoch {epoch} is outside the run's epochs 0..2$"):
+            config.rate(epoch)
+
+    @pytest.mark.parametrize(
+        "schedule, same_as",
+        [("milestones = 6,8,12", "milestones = 6,8"), ("milestones = 6,8,10", "milestones = 6,8"),
+         ("decay_factor = 0.5", "")],
+        ids=["milestone-past-the-run", "milestone-at-epochs", "factor-without-milestones"],
+    )
+    def test_schedule_values_no_epoch_reads_leave_the_hash(self, schedule, same_as):
+        # quadratic_adaplus.cfg runs 10 epochs: a milestone at epoch 10 or
+        # later passes in none of them, and with no milestone the factor is
+        # never applied, so each pair runs the same steps under one hash
+        text = (CONFIGS / "quadratic_adaplus.cfg").read_text(encoding="utf-8")
+        one, other = (parse_config(text.replace("milestones = 6,8", line)) for line in (schedule, same_as))
+        assert one == other and one.config_hash() == other.config_hash()
+
     def test_int_decay_factor_steps_at_the_rate_of_its_parsed_text(self):
         # 1e-3 * 10**23 and 1e-3 * 10.0**23 differ in the last bit
-        built = schedule(milestones=tuple(range(1, 24)), decay_factor=10)
+        built = schedule(milestones=tuple(range(1, 24)), decay_factor=10, epochs=24)
         assert built.rate(23) == parse_config(config_to_text(built)).rate(23)
 
     def test_integer_milestones_are_kept_as_a_tuple_of_ints(self):
-        config = schedule(milestones=[np.int64(2), 5])
+        config = schedule(milestones=[np.int64(2), 5], epochs=6)
         assert config.milestones == (2, 5) and all(type(m) is int for m in config.milestones)
 
     @pytest.mark.parametrize(

@@ -12,6 +12,11 @@ a record that is not a function of its config.  They pin the JSON layout as
 well as the numbers: key names and order, row lists, the summary and the
 config pairs.
 
+``quadratic_adaplus.cfg`` is pinned again under each other kernel and under
+``sgdm`` without Nesterov: at its dim of 10 a lean step runs in Python
+floats (``kernels.SCALAR_MAX``), so these digests pin every kernel's scalar
+path.  They were taken when every lean step ran in ufuncs.
+
 The ``config_hash`` of every shipped config is pinned too: it is the SHA-256
 of the canonical key/value text, so a change to a key, a default or the
 text form of a value changes it.
@@ -24,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from adaplus.bench import load_config, record_to_csv, record_to_json, run
+from adaplus.kernels import HyperParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -37,6 +43,15 @@ GOLDEN_JSON_SHA256 = {
     "quadratic_adaplus.cfg": "f1cd25b15d638e61e8e6bdd06b7117ff15aecf2b2ff8ee7b4a5ce65506e1f20d",
     "ramp_adaplus.cfg": "894ea72306780ee3ed9203a962d15269f8fc1388ea5cbf453940b6d2868bc444",
     "ramp_adamw.cfg": "d09af6d516a7e130a9ccfd1a5c7a22152348aaeb105213645fcf9b13deb4b9b9",
+}
+
+# quadratic_adaplus.cfg under (optimizer, HyperParams overrides)
+KERNEL_GOLDEN_SHA256 = {
+    ("adam", ()): "eb71a74451f3a7e7b88af2f39aa7e2f9e18b805ea3a90207052c8c253a40a2ee",
+    ("nadam", ()): "439be6c9c74727d972aec75a11f970a08d49b55ea83bfb42fbead0fde0770397",
+    ("adabelief", ()): "d8923121c706a4789878f85fd9c103110eb3cec5e864d809b8410af3c31b742b",
+    ("sgdm", ()): "2c48ff3ad52d63bdc94976df5b129c117ee55464b68d157d80d9e12ceee0bfa3",
+    ("sgdm", (("use_nesterov", False),)): "9c21e2dbbd06f891bc1118e0958683c331a47ad76e98348460f0e6e1624839be",
 }
 
 CONFIG_HASHES = {
@@ -62,6 +77,16 @@ def test_shipped_config_json_matches_golden_digest(name):
     record = replace(record, summary=replace(record.summary, wall_time_s=0.0))
     digest = hashlib.sha256(record_to_json(record).encode("utf-8")).hexdigest()
     assert digest == GOLDEN_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("optimizer, overrides", sorted(KERNEL_GOLDEN_SHA256))
+def test_quadratic_config_under_each_kernel_matches_golden_digest(optimizer, overrides):
+    config = replace(load_config(CONFIGS / "quadratic_adaplus.cfg"), optimizer=optimizer,
+                     hp=HyperParams(**dict(overrides)))
+    record = run(config)
+    assert not record.summary.aborted
+    digest = hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest()
+    assert digest == KERNEL_GOLDEN_SHA256[optimizer, overrides]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_HASHES))

@@ -21,6 +21,7 @@ from adaplus.kernels import (
     KERNEL_IDS,
     KERNEL_STEPS,
     REDUCTIONS,
+    SCALAR_MAX,
     HyperParams,
     OptimizerState,
     ParamVector,
@@ -565,6 +566,35 @@ def attempt(step, state, params, g, hp, lr, **kwargs):
     return None
 
 
+def error_of(step, state, params, g, hp, lr, **kwargs):
+    """Run one step; the raised ``NonFiniteValue`` as (type, stage, step, index, message), or None."""
+    try:
+        step(state, params, g, hp, lr, **kwargs)
+    except NonFiniteValue as exc:
+        return type(exc), exc.stage, exc.step, exc.index, str(exc)
+    return None
+
+
+# signed zeros, subnormals and the ends of the range, then the non-finite values
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300)
+NON_FINITE = (np.nan, np.inf, -np.inf)
+BETA = st.floats(0.0, 1.0 - 1e-12) | st.sampled_from([0.0, 1.0 - 1e-12])
+RATE = st.floats(5e-324, 1e300) | st.sampled_from([1e-3, 1.0, 1e300])
+
+
+def vectors(dim, edges):
+    """Ordinary floats at one scale, with up to two elements set to ``edges`` values."""
+    def build(values, scale, placed):
+        values = [v * scale for v in values]
+        for index, value in placed:
+            values[index] = value
+        return values
+
+    return st.builds(build, st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim),
+                     st.sampled_from([1.0, 1e-300, 1e-150, 1e150, 1e300]),
+                     st.lists(st.tuples(st.integers(0, dim - 1), st.sampled_from(edges)), max_size=2))
+
+
 class TestLeanAndTranscriptPaths:
     """The default step and ``transcript=True`` run one core: same bits, same errors, atomic raises."""
 
@@ -609,6 +639,30 @@ class TestLeanAndTranscriptPaths:
                 finished += 1
         # the grid must reach both outcomes, or one half of the test is vacuous
         assert finished and raised, (finished, raised)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel=st.sampled_from(KERNEL_IDS), data=st.data())
+    def test_paths_agree_on_extreme_draws(self, kernel, data):
+        # dims on both sides of SCALAR_MAX, so the lean step runs in Python
+        # floats or in ufuncs while the transcript always runs in ufuncs
+        step = KERNEL_STEPS[kernel]
+        dim = data.draw(st.integers(1, 2 * SCALAR_MAX), label="dim")
+        hp = HyperParams(beta1=data.draw(BETA, label="beta1"), beta2=data.draw(BETA, label="beta2"),
+                         eps=data.draw(st.sampled_from([0.0, 1e-300, 1e-8]), label="eps"),
+                         weight_decay=data.draw(st.sampled_from([0.0, 1e-2, 1e300]), label="weight_decay"),
+                         **data.draw(st.sampled_from(TOGGLES), label="toggles"))
+        theta0 = data.draw(vectors(dim, EDGES), label="theta0")
+        lean, full = fresh(theta0), fresh(theta0)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            g = data.draw(vectors(dim, EDGES + NON_FINITE), label="g")
+            lr = data.draw(RATE, label="lr")
+            before = snapshot(*lean)
+            lean_error = error_of(step, *lean, g, hp, lr)
+            assert error_of(step, *full, g, hp, lr, transcript=True) == lean_error
+            assert snapshot(*lean) == snapshot(*full)
+            if lean_error is not None:
+                assert snapshot(*lean) == before
+                break
 
     def test_transcript_copies_the_committed_values(self):
         rng = np.random.default_rng(3)
@@ -970,7 +1024,7 @@ class TestBlockedSweep:
 class TestAllocation:
     """The state allocates every buffer a step writes when it is made."""
 
-    @pytest.mark.parametrize("dim", (CHUNK, CHUNK + 1, 2**18))
+    @pytest.mark.parametrize("dim", (1, SCALAR_MAX, CHUNK, CHUNK + 1, 2**18))
     @pytest.mark.parametrize("kernel", KERNEL_IDS)
     def test_committing_step_allocates_nothing(self, kernel, dim):
         rng = np.random.default_rng(dim)
