@@ -7,7 +7,9 @@ Subcommands:
 - ``compare --inputs <json files...> [--out <file>]``: align records for one
   problem into a comparison table.
 - ``selftest``: drive every kernel against the scalar oracle and check each
-  reduction of ``kernels.REDUCTIONS``.
+  reduction of ``kernels.REDUCTIONS``.  Its streams have dims 1-12, where a
+  step runs in Python floats (``kernels.SCALAR_MAX``), so it checks that
+  core; the test suite checks the ufunc core against the oracle too.
 
 Exit codes: 0 success; 1 for a failed selftest and, in ``main`` alone, for
 any ``ValueError``, ``OSError`` or ``MemoryError`` (one ``error:`` line; a

@@ -18,19 +18,23 @@ allocates no array.
 
 At small dims a step's cost is its calls, not its arithmetic: each of the
 core's ~20 ufunc calls costs about 0.4 us whatever the length, while a
-Python float operation costs about 20 ns.  So the lean step
-(``transcript=False``) picks one of two paths by the size of the work:
+Python float operation costs about 20 ns.  So the size of the vector alone
+picks the core, with or without a transcript:
 
-- At ``dim <= SCALAR_MAX`` it runs ``_scalar_core`` over the values as
+- At ``dim <= SCALAR_MAX`` a step runs ``_scalar_core`` over the values as
   Python floats, read with ``tolist()`` and written back by slice
   assignment.  Each element sees ``_core``'s operations in ``_core``'s order
   on the same ten coefficients, and IEEE addition, subtraction,
   multiplication, division and square root are correctly rounded in Python
   as in numpy, so every value has the bits of the ufuncs'.  Where a ufunc
   gives a non-finite value Python may raise instead (``eps = 0`` over a zero
-  ``s_hat`` divides by zero), and that counts as non-finite.
-- Above it, the block sweep runs ``_core`` over consecutive blocks of at
-  most ``CHUNK`` (16384) elements; a shorter vector is one block.
+  ``s_hat`` divides by zero), and that counts as non-finite.  A transcript
+  step also keeps each element's nine stages there, and they become its
+  block.
+- Above it, the lean step (``transcript=False``) runs the block sweep,
+  ``_core`` over consecutive blocks of at most ``CHUNK`` (16384) elements
+  (a shorter vector is one block), and a transcript step runs ``_core``
+  over the whole vector as one block, computing into the transcript's rows.
 
 In the ufunc paths every scalar operand (``b1``, ``1 - b1``, ``b2``,
 ``1 - b2``, the recursion ``eps``, ``eps``, ``1 - b1^t``, ``1 - b2^t``,
@@ -62,8 +66,7 @@ overhead).  Each element sees the same operations in the same order, so the
 bits are those of one whole-vector call.  The finiteness check is then one
 dot per block, taken while the block's new parameters and ``s_hat`` are
 still in cache instead of reading the whole parameter vector again after the
-sweep; the first block that fails it ends the sweep.  The transcript path
-runs the core over the whole vector as one block, at every dim.
+sweep; the first block that fails it ends the sweep.
 
 Every failing step is attributed the same way, whichever path found it.
 The gradient is scanned first; if it is finite, the step is transcribed
@@ -87,13 +90,15 @@ A transcript is the named rows of one ``(9, dim)`` block and nothing else:
 it carries no step number (its step is ``state.t`` after the call) and is
 compared through its block with ``np.array_equal``, as trajectories are.
 ``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
-trajectory.  The core takes a destination for every quantity it computes: the
-block sweep lets them share the state's buffers, while a transcript
-passes its rows by field name, so each field is computed in
+trajectory.  In ufuncs the core takes a destination for every quantity it
+computes: the block sweep lets them share the state's buffers, while a
+transcript passes its rows by field name, so each field is computed in
 place in its row and nothing is copied out; only the rows that restate
 another row or a constant (``m_bar`` without Nesterov, the momentum kernel's
 ``m_hat`` and zero second moment, ``decay_applied``) are filled after the
-core, and the state commits copies of the new moments.
+core.  In Python floats the nine stages of each element are kept in turn,
+with the values the ufuncs give them, and copied once into the block.
+Either way the state commits copies of the new moments.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(b1, b2, eps, wd)`` and the step's rate ``lr_t``, which the caller's
@@ -120,6 +125,7 @@ equals another bit for bit.
 """
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -167,13 +173,17 @@ class HyperParams:
 # elements per block of the sweep over a long vector (module docstring)
 CHUNK = 16384
 
-# The largest dim a lean step takes in Python floats (module docstring): the
-# smaller of the dims where the Python path stops being the faster one for
-# ``adaplus_step`` and ``sgdm_step``.  Per-call medians over dims 1-64
-# (2-core VM, Python 3.11, numpy 2.4), Python floats against the block sweep:
-# adaplus 8.0 vs 13.1 us at dim 10, 12.2 vs 13.0 at 18, 13.4 vs 13.1 at 21,
-# 33.6 vs 13.3 at 64; sgdm 5.8 vs 8.5 us at dim 10, 8.4 vs 8.6 at 18, 8.8 vs
-# 8.3 at 20, 21.3 vs 8.6 at 64.
+# The largest dim a step takes in Python floats, with or without a transcript
+# (module docstring): the smaller of the dims where the Python path stops
+# being the faster one for a lean ``adaplus_step`` and ``sgdm_step``.
+# Per-call medians over dims 1-64 (2-core VM, Python 3.11, numpy 2.4), Python
+# floats against the block sweep: adaplus 8.0 vs 13.1 us at dim 10, 12.2 vs
+# 13.0 at 18, 13.4 vs 13.1 at 21, 33.6 vs 13.3 at 64; sgdm 5.8 vs 8.5 us at
+# dim 10, 8.4 vs 8.6 at 18, 8.8 vs 8.3 at 20, 21.3 vs 8.6 at 64.  A
+# transcript in Python floats is the faster one up to dim 12 for adaplus
+# (16.0 vs 16.7 us there, 20.1 vs 16.9 at 18) and up to dim 8 for sgdm (10.9
+# vs 11.6 us; 12.2 vs 11.4 at 12).  The selftest keeps transcripts at dims
+# 1-12 only, so one size serves both.
 SCALAR_MAX = 18
 
 
@@ -352,13 +362,13 @@ def _core(theta, g, m, s, out, k, rule):
 
 
 # bound once, as the core's ufuncs are
-_isfinite, _sqrt_float = math.isfinite, math.sqrt
+_isfinite, _sqrt_float, _pack = math.isfinite, math.sqrt, struct.pack
 
 
-def _scalar_core(theta, g, m, s, k, rule):
-    """``_core`` over lists of Python floats, with the finiteness check: the
-    lists ``(new_theta, new_m, new_s)``, or None where a new parameter or
-    ``s_hat`` is not finite.
+def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
+    """``_core`` over lists of Python floats, with the finiteness check:
+    ``(new_theta, new_m, new_s, transcript)``, or None where a new parameter
+    or ``s_hat`` is not finite.
 
     ``k`` holds the coefficients as floats, in ``_core``'s order, and each
     element sees ``_core``'s operations in its order.  IEEE addition,
@@ -367,18 +377,25 @@ def _scalar_core(theta, g, m, s, k, rule):
     where a ufunc gives a non-finite value: a division by zero (``eps = 0``
     over a zero ``s_hat``) or the square root of a negative ``s_hat``, which
     only a second moment written by hand holds.  Both count as non-finite.
-    Momentum keeps no second moment: its ``new_s`` is ``s`` and its
-    ``s_hat`` 0.
+    Momentum keeps no second moment: its ``new_s`` and ``s_hat`` are 0.
+
+    Without ``decay_rate`` the first three are lists and the transcript is
+    None.  With it, each element's nine stages are kept in ``ALL_FIELDS``
+    order, with the values ``_transcribe`` gives them, and become the rows
+    of one ``(9, n)`` block: the transcript, whose rows ``theta_after``,
+    ``m`` and ``second_moment`` are the first three.
     """
     b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     momentum, apply_decay, use_belief, _, use_nesterov = rule
     new_theta, new_m, new_s = [], [], []
+    stages = None if decay_rate is None else []
     for th, gi, mi, si in zip(theta, g, m, s):
         if momentum:
             step = gi * lr if use_nesterov else gi
             mi = mi * b1 + step  # m = mu * m + lr_t * g, or mu * m + g
-            step = step + mi * b1 if use_nesterov else mi * lr  # the applied step
-            s_hat = 0.0
+            m_bar = step + mi * b1 if use_nesterov else mi
+            step = m_bar if use_nesterov else mi * lr  # the applied step
+            m_hat, si, s_hat = m_bar, 0.0, 0.0
         else:
             step = gi * c1
             mi = mi * b1 + step
@@ -389,17 +406,28 @@ def _scalar_core(theta, g, m, s, k, rule):
                 si = si + recursion_eps
             # 1 - b^t > 0, so only the last division and the root can raise
             s_hat = si / bc2
+            m_hat = m_bar / bc1
             try:
-                step = m_bar / bc1 * lr / (_sqrt_float(s_hat) + eps)
+                step = m_hat * lr / (_sqrt_float(s_hat) + eps)
             except (ZeroDivisionError, ValueError):
                 return None
-        th = (th * decay if apply_decay else th) - step
-        if not (_isfinite(th) and _isfinite(s_hat)):
+        new = (th * decay if apply_decay else th) - step
+        if not (_isfinite(new) and _isfinite(s_hat)):
             return None
-        new_theta.append(th)
-        new_m.append(mi)
-        new_s.append(si)
-    return new_theta, new_m, new_s
+        if stages is not None:
+            stages += (gi, mi, si, m_bar, m_hat, s_hat, th * decay_rate if apply_decay else 0.0, -step, new)
+        else:
+            new_theta.append(new)
+            new_m.append(mi)
+            new_s.append(si)
+    if stages is None:
+        return new_theta, new_m, new_s, None
+    # the element-major stages packed as doubles (a third of the cost of
+    # ``array("d", stages)``), read as (9, n) with row i at byte 8 i and one
+    # element every 9 doubles, then copied once into a block that owns its rows
+    packed = _pack(f"{len(stages)}d", *stages)
+    tr = StepTranscript._make(np.ndarray((9, len(g)), buffer=packed, strides=(8, 72)).copy())
+    return tr.theta_after, tr.m, tr.second_moment, tr
 
 
 def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
@@ -502,15 +530,15 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
     # second moment, and its check reads the parameter alone
     adaptive = not rule.momentum
-    if transcript or dim > SCALAR_MAX:
+    if dim > SCALAR_MAX:
         state._coefficients[...] = coefficients
         tr, new_theta, finite = _vector_step(state, theta, g, m, s, rule, decay_rate, transcript)
     else:
-        tr = None
-        stepped = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule)
+        stepped = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule,
+                               decay_rate if transcript else None)
         finite = stepped is not None
         if finite:
-            new_theta, state._next_m[...], new_s = stepped
+            new_theta, state._next_m[...], new_s, tr = stepped
             if adaptive:
                 state._next_s[...] = new_s
     if not finite:

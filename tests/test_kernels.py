@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kernel_reads import HP_FIELDS, HYPER_PARAMS, reads
 from trajectories import by_step
 
+from adaplus import kernels
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import (
     CHUNK,
@@ -471,9 +472,10 @@ class TestDriveStream:
     @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(use_nesterov=False, decoupled_decay=True)])
     @pytest.mark.parametrize("kernel", KERNEL_IDS)
     def test_transcript_fields_are_the_rows_of_one_block(self, kernel, hp):
-        # drive_stream stacks each step's block, found as the base of its g row
+        # drive_stream stacks each step's block, found as the base of its g row;
+        # the last dim is above SCALAR_MAX, where the block is the ufunc core's
         rng = np.random.default_rng(10)
-        for dim in (1, 5):
+        for dim in (1, 5, SCALAR_MAX + 1):
             stream, theta0, lrs = random_stream(rng, dim, 3)
             state, params = fresh(theta0)
             for g, lr in zip(stream, lrs):
@@ -582,6 +584,27 @@ BETA = st.floats(0.0, 1.0 - 1e-12) | st.sampled_from([0.0, 1.0 - 1e-12])
 RATE = st.floats(5e-324, 1e300) | st.sampled_from([1e-3, 1.0, 1e300])
 
 
+def draw_start(data, max_dim):
+    """A dim up to ``max_dim``, hyper-parameters at the ends of their domains and a start point."""
+    dim = data.draw(st.integers(1, max_dim), label="dim")
+    hp = HyperParams(beta1=data.draw(BETA, label="beta1"), beta2=data.draw(BETA, label="beta2"),
+                     eps=data.draw(st.sampled_from([0.0, 1e-300, 1e-8]), label="eps"),
+                     weight_decay=data.draw(st.sampled_from([0.0, 1e-2, 1e300]), label="weight_decay"),
+                     **data.draw(st.sampled_from(TOGGLES), label="toggles"))
+    return dim, hp, data.draw(vectors(dim, EDGES), label="theta0")
+
+
+def block_of(step, state, params, g, hp, lr):
+    """Run one step with a transcript; the bytes of its ``(9, dim)`` block, or the refusal as ``error_of`` gives it."""
+    try:
+        tr = step(state, params, g, hp, lr, transcript=True)
+    except NonFiniteValue as exc:
+        return type(exc), exc.stage, exc.step, exc.index, str(exc)
+    block = tr.g.base
+    assert block.shape == (9, params.dim) and block.flags.c_contiguous and block.flags.owndata
+    return block.tobytes()
+
+
 def vectors(dim, edges):
     """Ordinary floats at one scale, with up to two elements set to ``edges`` values."""
     def build(values, scale, placed):
@@ -643,15 +666,12 @@ class TestLeanAndTranscriptPaths:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kernel=st.sampled_from(KERNEL_IDS), data=st.data())
     def test_paths_agree_on_extreme_draws(self, kernel, data):
-        # dims on both sides of SCALAR_MAX, so the lean step runs in Python
-        # floats or in ufuncs while the transcript always runs in ufuncs
+        # dims on both sides of SCALAR_MAX, so both steps run in Python floats
+        # or both in ufuncs: the lean step and the step that keeps its stages
+        # commit the same values.  The Python-float transcript is checked
+        # against the ufunc one by test_python_float_transcript_is_the_ufuncs
         step = KERNEL_STEPS[kernel]
-        dim = data.draw(st.integers(1, 2 * SCALAR_MAX), label="dim")
-        hp = HyperParams(beta1=data.draw(BETA, label="beta1"), beta2=data.draw(BETA, label="beta2"),
-                         eps=data.draw(st.sampled_from([0.0, 1e-300, 1e-8]), label="eps"),
-                         weight_decay=data.draw(st.sampled_from([0.0, 1e-2, 1e300]), label="weight_decay"),
-                         **data.draw(st.sampled_from(TOGGLES), label="toggles"))
-        theta0 = data.draw(vectors(dim, EDGES), label="theta0")
+        dim, hp, theta0 = draw_start(data, 2 * SCALAR_MAX)
         lean, full = fresh(theta0), fresh(theta0)
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
             g = data.draw(vectors(dim, EDGES + NON_FINITE), label="g")
@@ -662,6 +682,26 @@ class TestLeanAndTranscriptPaths:
             assert snapshot(*lean) == snapshot(*full)
             if lean_error is not None:
                 assert snapshot(*lean) == before
+                break
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel=st.sampled_from(KERNEL_IDS), data=st.data())
+    def test_python_float_transcript_is_the_ufuncs(self, kernel, data):
+        # at dim <= SCALAR_MAX a transcript is kept in Python floats; with
+        # SCALAR_MAX at 0 the same public step runs ``_transcribe`` in ufuncs
+        step = KERNEL_STEPS[kernel]
+        dim, hp, theta0 = draw_start(data, SCALAR_MAX)
+        floats, ufuncs = fresh(theta0), fresh(theta0)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            g = data.draw(vectors(dim, EDGES + NON_FINITE), label="g")
+            lr = data.draw(RATE, label="lr")
+            got = block_of(step, *floats, g, hp, lr)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "SCALAR_MAX", 0)
+                want = block_of(step, *ufuncs, g, hp, lr)
+            # all nine rows bit for bit, or the same refusal
+            assert got == want
+            if isinstance(got, tuple):
                 break
 
     def test_transcript_copies_the_committed_values(self):
@@ -678,11 +718,12 @@ class TestLeanAndTranscriptPaths:
 
     @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(use_nesterov=False, decoupled_decay=True)])
     def test_transcript_owns_every_field(self, hp):
-        # the fields are computed in place in one block per step: no later
-        # step, lean or not, and no change to the caller's gradient touches them
+        # the fields are the rows of one block per step: no later step, lean
+        # or not, and no change to the caller's gradient touches them, in
+        # Python floats (dim 6) or in ufuncs (above SCALAR_MAX)
         rng = np.random.default_rng(4)
-        stream, theta0, lrs = random_stream(rng, 6, 8)
-        for kernel in KERNEL_IDS:
+        runs = [random_stream(rng, dim, 8) for dim in (6, SCALAR_MAX + 1)]
+        for kernel, (stream, theta0, lrs) in itertools.product(KERNEL_IDS, runs):
             state, params = fresh(theta0)
             g = stream[0].copy()
             tr = KERNEL_STEPS[kernel](state, params, g, hp, lrs[0], transcript=True)

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from trajectories import by_step
 
-from adaplus.cli import _selftest_streams
+from adaplus.cli import _selftest_streams, main
 from adaplus.errors import DimensionMismatch, NonFiniteValue, OptimizerError
 from adaplus.kernels import (
     KERNEL_IDS,
     KERNEL_STEPS,
     REDUCTIONS,
+    SCALAR_MAX,
     HyperParams,
     OptimizerState,
     ParamVector,
@@ -33,6 +34,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # trajectory's ``[t - 1]``, its nine fields in order) that ``replay`` gives
 # for the selftest's 48 streams, kernel by kernel
 ORACLE_SHA256 = "3f0589ef9ba6de40251a43e46db9a43375d38a89ab9b2dddbd7720116a8f60b7"
+# the same digest of the trajectories ``drive_stream`` gives for those streams
+KERNEL_SHA256 = "d3bfff13a39c402ddcd92a9d298161260e0f7feaf1143bd4ff766bafed0f318e"
+# SHA-256 of the stdout of ``adaplus-bench selftest``
+SELFTEST_STDOUT_SHA256 = "cbedf4b48dd4d98a20dc83c1e41a7ee2c4c96dfd93957ecc6431c6c54650f95c"
 
 getcontext().prec = 50
 
@@ -439,10 +444,27 @@ class TestPack:
         assert (exc.value.stage, exc.value.index, exc.value.step) == ("delta_theta", 2, 2)
 
 
+def selftest_digest(run):
+    """The SHA-256 of every step ``run`` gives on the selftest's 48 streams, and the count of steps."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(20240901)  # the selftest's seed
+    count = 0
+    for kernel in KERNEL_IDS:
+        for stream, theta0, lrs in _selftest_streams(rng):
+            for t, fields in enumerate(run(kernel, stream, theta0, HyperParams(), lrs), start=1):
+                digest.update(np.int64(t).tobytes())
+                digest.update(fields.tobytes())
+                count += 1
+    return digest.hexdigest(), count
+
+
+X87 = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="the digest is of x87 80-bit extended precision"
+)
+
+
 class TestOracleBits:
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).nmant != 63, reason="the digest is of x87 80-bit extended precision"
-    )
+    @X87
     def test_selftest_transcripts_match_pinned_digest(self):
         """Every bit the oracle gives on the selftest's streams, for all six kernels.
 
@@ -451,17 +473,18 @@ class TestOracleBits:
         float64 or IEEE quad precision, the replay's intermediates round
         differently, and some transcript bits differ by design.
         """
-        digest = hashlib.sha256()
-        rng = np.random.default_rng(20240901)  # the selftest's seed
-        count = 0
-        for kernel in KERNEL_IDS:
-            for stream, theta0, lrs in _selftest_streams(rng):
-                for t, fields in enumerate(replay(kernel, stream, theta0, HyperParams(), lrs), start=1):
-                    digest.update(np.int64(t).tobytes())
-                    digest.update(fields.tobytes())
-                    count += 1
-        assert count == 3765
-        assert digest.hexdigest() == ORACLE_SHA256
+        assert selftest_digest(replay) == (ORACLE_SHA256, 3765)
+
+    def test_selftest_kernel_trajectories_match_pinned_digest(self):
+        # every bit of every kernel's transcripts on the selftest's streams,
+        # whichever core steps them
+        assert selftest_digest(drive_stream) == (KERNEL_SHA256, 3765)
+
+    @X87
+    def test_selftest_stdout_matches_pinned_digest(self, capsys):
+        # the printed worst deviations read the oracle's bits, as above
+        assert main(["selftest"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SELFTEST_STDOUT_SHA256
 
 
 class TestFixtureFormat:
@@ -508,6 +531,20 @@ class TestDifferentialAgreement:
                 got = drive_stream(kernel, stream, theta0, hp, lrs)
                 want = replay(kernel, stream, theta0, hp, lrs)
                 assert scaled_deviation(got, want) <= 1e-12, kernel
+
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    def test_ufunc_core_matches_oracle(self, kernel):
+        # the other seeded streams here keep to dim <= 16, where a step runs in
+        # Python floats; above SCALAR_MAX it runs the ufunc core, transcript and all
+        rng = np.random.default_rng(110 + KERNEL_IDS.index(kernel))
+        dim = int(rng.integers(SCALAR_MAX + 1, MAX_DIM + 1))
+        steps = int(rng.integers(50, 150))
+        stream = rng.standard_normal((steps, dim)) * rng.uniform(0.2, 2.0)
+        theta0 = rng.standard_normal(dim)
+        lrs = list(rng.uniform(1e-4, 1e-2, size=steps))
+        got = drive_stream(kernel, stream, theta0, HyperParams(), lrs)
+        want = replay(kernel, stream, theta0, HyperParams(), lrs)
+        assert scaled_deviation(got, want) <= 1e-12, (kernel, dim)
 
     def test_toggled_variants_match_oracle(self):
         rng = np.random.default_rng(100)
