@@ -187,6 +187,48 @@ class TestStateAndParams:
             assert state.t == expected_t
 
 
+def state_buffers(state):
+    """The seven buffers an ``OptimizerState`` allocates, in the order of its block."""
+    return state.m, state.second_moment, state._next_m, state._next_s, state._theta, state._tmp, state._s_hat
+
+
+class TestStateLayout:
+    @pytest.mark.parametrize("kernel", KERNEL_IDS)
+    @pytest.mark.parametrize("dim", [1, SCALAR_MAX, SCALAR_MAX + 1, CHUNK, CHUNK + 1, 2**18])
+    def test_buffers_are_zeroed_apart_and_start_on_cache_lines(self, dim, kernel):
+        state, params = fresh(np.linspace(-1.0, 1.0, dim))
+        buffers = state_buffers(state)
+        assert [b.shape for b in buffers] == [(dim,)] * 5 + [(min(dim, CHUNK),)] * 2
+        for buffer in buffers:
+            assert buffer.dtype == np.float64 and buffer.flags.c_contiguous and buffer.flags.writeable
+            assert not buffer.any()
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+
+        def assert_on_cache_lines():
+            # a ufunc operand off a 64-byte boundary splits every vector load and store
+            assert [b.ctypes.data % 64 for b in state_buffers(state)] == [0] * 7
+
+        step = KERNEL_STEPS[kernel]
+        assert_on_cache_lines()
+        for _ in range(2):
+            step(state, params, np.ones(dim), HyperParams(), 1e-3)
+        assert_on_cache_lines()
+        g = np.ones(dim)
+        g[-1] = np.nan
+        with pytest.raises(NonFiniteValue):
+            step(state, params, g, HyperParams(), 1e-3)
+        assert state.t == 2
+        assert_on_cache_lines()
+
+    @pytest.mark.parametrize("dim, error", [(2**40, MemoryError), (2**61, ValueError)])
+    def test_a_state_too_large_raises_numpys_error(self, dim, error):
+        # numpy's own refusals, as for one vector of that length: the state
+        # of dim 2**40 needs more memory than the host has, and that of dim
+        # 2**61 more bytes than an index can reach; neither touches memory
+        with pytest.raises(error):
+            OptimizerState(dim)
+
+
 class TestAdaPlusStep:
     def test_zero_gradient_zero_decay_freezes_theta(self):
         state, params = fresh([1.0])
