@@ -7,9 +7,10 @@ Subcommands:
 - ``compare --inputs <json files...> [--out <file>]``: align records for one
   problem into a comparison table.
 - ``selftest``: drive every kernel against the scalar oracle and check each
-  reduction of ``kernels.REDUCTIONS``.  Its streams have dims 1-12, where a
-  step runs in Python floats (``kernels.SCALAR_MAX``), so it checks that
-  core; the test suite checks the ufunc core against the oracle too.
+  reduction of ``kernels.REDUCTIONS``.  Its transcripts, like every
+  transcript, come from the Python-float core, so it checks that core; the
+  test suite checks the ufunc core against the oracle too, through the lean
+  step's parameters and moments above ``kernels.SCALAR_MAX``.
 
 Exit codes: 0 success; 1 for a failed selftest and, in ``main`` alone, for
 any ``ValueError``, ``OSError`` or ``MemoryError`` (one ``error:`` line; a

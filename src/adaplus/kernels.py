@@ -14,29 +14,38 @@ over arrays and ``_scalar_core`` in Python floats over lists.  A step call
 validates its inputs once, computes into buffers that its ``OptimizerState``
 allocated when it was made, checks that the new parameters and ``s_hat`` are
 finite, and only then commits and increments ``t``.  A committing step
-allocates no array.
+without a transcript allocates no array.
 
 At small dims a step's cost is its calls, not its arithmetic: each of the
 core's ~20 ufunc calls costs about 0.4 us whatever the length, while a
 Python float operation costs about 20 ns.  So the size of the vector alone
-picks the core, with or without a transcript:
+picks the core of a lean step (``transcript=False``), and a transcript
+always comes from Python floats:
 
-- At ``dim <= SCALAR_MAX`` a step runs ``_scalar_core`` over the values as
-  Python floats, read with ``tolist()`` and written back by slice
-  assignment.  Each element sees ``_core``'s operations in ``_core``'s order
-  on the same ten coefficients, and IEEE addition, subtraction,
-  multiplication, division and square root are correctly rounded in Python
-  as in numpy, so every value has the bits of the ufuncs'.  Where a ufunc
-  gives a non-finite value Python may raise instead (``eps = 0`` over a zero
-  ``s_hat`` divides by zero), and that counts as non-finite.  A transcript
-  step also keeps each element's nine stages there, and they become its
-  block.
-- Above it, the lean step (``transcript=False``) runs the block sweep,
-  ``_core`` over consecutive blocks of at most ``CHUNK`` (16384) elements
-  (a shorter vector is one block), and a transcript step runs ``_core``
-  over the whole vector as one block, computing into the transcript's rows.
+- At ``dim <= SCALAR_MAX``, and at every dim with a transcript, a step runs
+  ``_scalar_core`` over the values as Python floats, read with ``tolist()``
+  and written back by slice assignment.  Each element sees ``_core``'s
+  operations in ``_core``'s order on the same ten coefficients, and IEEE
+  addition, subtraction, multiplication, division and square root are
+  correctly rounded in Python as in numpy, so every value has the bits of
+  the ufuncs'.  Where a ufunc gives a non-finite value Python may raise
+  instead (``eps = 0`` over a zero ``s_hat`` divides by zero), and that
+  counts as non-finite.  A transcript step also packs each element's nine
+  stages as doubles as it goes, and they become its block.
+- Above ``SCALAR_MAX`` a lean step runs the block sweep, ``_core`` over
+  consecutive blocks of at most ``CHUNK`` (16384) elements (a shorter
+  vector is one block), computing into the state's buffers.
 
-In the ufunc paths every scalar operand (``b1``, ``1 - b1``, ``b2``,
+A transcript is a tool for diffing against the oracle, whose runs keep to
+dim <= ``oracle.MAX_DIM``, and the selftest's to dims 1-12.  At large dims
+it costs what Python floats cost: about 0.43 us per element for
+``adaplus_step`` at dims 16,385 and 32,771 (0.25 us for ``sgdm_step``),
+0.6 s per step at dim 2^20, ten times what a whole-vector transcript in
+ufuncs took, and a peak of about 270 bytes per element (the four inputs as
+Python floats and the packed stages, then their block) against the block's
+72.
+
+In the ufuncs every scalar operand (``b1``, ``1 - b1``, ``b2``,
 ``1 - b2``, the recursion ``eps``, ``eps``, ``1 - b1^t``, ``1 - b2^t``,
 ``lr_t`` and ``1 - lr_t * wd``) is written each step into a ten-element
 float64 array owned by the state and passed to the ufuncs as a 0-d view,
@@ -45,16 +54,17 @@ as a positional argument, and the core's five ufuncs are module globals.
 The finiteness check reads the two stages that every non-finite value
 reaches: an inf or NaN in the new parameters or in ``s_hat`` (the
 parameters alone for ``sgdm``).  The scalar path tests each element; the
-ufunc paths take one dot product, ``new_theta . s_hat`` (the parameters
+sweep takes one dot product per block, ``new_theta . s_hat`` (the parameters
 with themselves for ``sgdm``), and only if it is non-finite, since finite
-terms can overflow, scan the two arrays exactly.  ``s_hat`` is read rather
+terms can overflow, scans the two arrays exactly.  ``s_hat`` is read rather
 than the second moment because it can overflow alone (it is the second
 moment divided by ``1 - b2^t`` <= 1), and then the update is -0 and the
 parameter stays finite; a finite ``s_hat`` means a finite second moment.
-The ufunc paths set numpy's error state (all errors ignored) for their own
-call, as a decorator: numpy's warnings and ``FloatingPointError`` would only
-duplicate the structured ``NonFiniteValue``, and the caller's error state is
-the same after the call.  The scalar path calls no ufunc.
+The sweep and the attribution set numpy's error state (all errors ignored)
+for their own call, as a decorator: numpy's warnings and
+``FloatingPointError`` would only duplicate the structured
+``NonFiniteValue``, and the caller's error state is the same after the
+call.  The scalar path calls no ufunc.
 
 The blocks of the sweep keep the core's ~20 elementwise passes over
 operands in L2 instead of streaming whole vectors through memory, and the
@@ -86,19 +96,24 @@ in 4 KiB pages made ``quad_d1m`` 7% slower (one advised for huge pages
 did not).
 
 Every failing step is attributed the same way, whichever path found it.
-The gradient is scanned first; if it is finite, the step is transcribed
-again one block at a time, from the untouched state, and the earliest stage
-in ``FIELD_ORDER`` that holds a non-finite value is raised at its first
-element.  Elements are independent, so this is the error
-``transcript.first_non_finite`` gives over the whole vector, and the
-attribution holds no more than one block's transcript at a time.  A call
-that raises leaves ``t``, the moments and the parameters untouched.  The
-commit copies the new parameters into ``params.values`` in place, so that
-array keeps its identity and a caller may hold it across steps.  The
-moments are not copied: ``state.m`` and ``state.second_moment`` trade
-places with the state's buffers for the next ones, so the arrays they named
-before are written by the next step.  Read them from the state after each
-step instead of holding them.
+The gradient is scanned first.  If it is finite, the sweep runs again from
+the untouched state, into the state's buffers, and flags every element
+whose new parameter or ``s_hat`` is not finite, in every block; only the
+flagged elements are transcribed, in Python floats, a thousand at a time,
+and the earliest stage in ``FIELD_ORDER`` that holds a non-finite value is
+raised at its first element.  Every non-finite stage reaches one of the two
+flagged ones and elements are independent, so this is the error
+``transcript.first_non_finite`` gives over the whole vector's transcript.
+The attribution costs a sweep and about 1 us per failing element: at dim
+2^18 a step whose every element fails took 0.24 s to name, and peaked at
+0.18 of one vector's bytes (tracemalloc).  A call that raises leaves ``t``,
+the moments and the parameters untouched.  The commit copies the new
+parameters into ``params.values`` in place, so that array keeps its
+identity and a caller may hold it across steps.  The moments are not
+copied: ``state.m`` and ``state.second_moment`` trade places with the
+state's buffers for the next ones, so the arrays they named before are
+written by the next step.  Read them from the state after each step
+instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
@@ -107,15 +122,9 @@ A transcript is the named rows of one ``(9, dim)`` block and nothing else:
 it carries no step number (its step is ``state.t`` after the call) and is
 compared through its block with ``np.array_equal``, as trajectories are.
 ``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
-trajectory.  In ufuncs the core takes a destination for every quantity it
-computes: the block sweep lets them share the state's buffers, while a
-transcript passes its rows by field name, so each field is computed in
-place in its row and nothing is copied out; only the rows that restate
-another row or a constant (``m_bar`` without Nesterov, the momentum kernel's
-``m_hat`` and zero second moment, ``decay_applied``) are filled after the
-core.  In Python floats the nine stages of each element are kept in turn,
-with the values the ufuncs give them, and copied once into the block.
-Either way the state commits copies of the new moments.
+trajectory.  ``_scalar_core`` is their one producer: it keeps the nine
+stages of each element in turn, with the values the ufuncs give them, and
+the state commits copies of the new moments from the block's rows.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(b1, b2, eps, wd)`` and the step's rate ``lr_t``, which the caller's
@@ -190,17 +199,14 @@ class HyperParams:
 # elements per block of the sweep over a long vector (module docstring)
 CHUNK = 16384
 
-# The largest dim a step takes in Python floats, with or without a transcript
-# (module docstring): the smaller of the dims where the Python path stops
-# being the faster one for a lean ``adaplus_step`` and ``sgdm_step``.
-# Per-call medians over dims 1-64 (2-core VM, Python 3.11, numpy 2.4), Python
-# floats against the block sweep: adaplus 8.0 vs 13.1 us at dim 10, 12.2 vs
-# 13.0 at 18, 13.4 vs 13.1 at 21, 33.6 vs 13.3 at 64; sgdm 5.8 vs 8.5 us at
-# dim 10, 8.4 vs 8.6 at 18, 8.8 vs 8.3 at 20, 21.3 vs 8.6 at 64.  A
-# transcript in Python floats is the faster one up to dim 12 for adaplus
-# (16.0 vs 16.7 us there, 20.1 vs 16.9 at 18) and up to dim 8 for sgdm (10.9
-# vs 11.6 us; 12.2 vs 11.4 at 12).  The selftest keeps transcripts at dims
-# 1-12 only, so one size serves both.
+# The largest dim a lean step takes in Python floats (module docstring): the
+# smaller of the dims where the Python path stops being the faster one for a
+# lean ``adaplus_step`` and ``sgdm_step``.  Per-call medians over dims 1-64
+# (2-core VM, Python 3.11, numpy 2.4), Python floats against the block sweep:
+# adaplus 8.0 vs 13.1 us at dim 10, 12.2 vs 13.0 at 18, 13.4 vs 13.1 at 21,
+# 33.6 vs 13.3 at 64; sgdm 5.8 vs 8.5 us at dim 10, 8.4 vs 8.6 at 18, 8.8 vs
+# 8.3 at 20, 21.3 vs 8.6 at 64.  A transcript step runs in Python floats at
+# every dim.
 SCALAR_MAX = 18
 
 
@@ -317,46 +323,41 @@ _multiply, _add, _subtract, _divide, _sqrt = np.multiply, np.add, np.subtract, n
 def _core(theta, g, m, s, out, k, rule):
     """Compute one step of ``theta, g, m, s`` into the ``out`` buffers; nothing else is written.
 
-    ``out`` is ``(new_m, new_s, m_bar, m_hat, s_hat, step, new_theta)``, a
-    destination for each quantity the core computes, ``step`` being the
-    negated update ``-delta_theta``.  Destinations may share a buffer where
-    a quantity is dead once the next one is formed: the block sweep passes the
-    state's five buffers as ``(new_m, new_s, a, a, s_hat, a, new_theta)``,
-    the transcript a row of its block for each.  ``s_hat`` outlives the core
-    in both, for the finiteness check.  ``step`` and ``new_theta``
-    also serve as temporaries before they get their values.  The new second
-    moment and ``m_hat`` are not written for momentum, nor ``m_bar`` where
-    it equals ``new_m`` (no Nesterov readjustment).  ``k`` holds the step
-    coefficients as 0-d arrays, in the order ``_step`` writes them.  Returns
-    the buffer holding the negated update.  The ufunc sequence keeps the
-    order of operations of the elementwise update rules in the module
-    docstring.
+    ``out`` is ``(new_m, new_s, a, s_hat, new_theta)``: the state's buffers,
+    or a block of each.  ``a`` holds each quantity that is dead once the next
+    one is formed, ``m_bar``, ``m_hat`` and the negated update
+    ``-delta_theta`` in turn, and ``new_theta`` also serves as a temporary
+    before it gets its value.  ``s_hat`` outlives the core, for the
+    finiteness check.  The new second moment and ``s_hat`` are not written
+    for momentum.  ``k`` holds the step coefficients as 0-d arrays, in the
+    order ``_step`` writes them.  The ufunc sequence keeps the order of
+    operations of the elementwise update rules in the module docstring.
     """
-    new_m, new_s, m_bar, m_hat, s_hat, step, new_theta = out
+    new_m, new_s, a, s_hat, new_theta = out
     b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     if rule.momentum:
         if rule.use_nesterov:
-            _multiply(g, lr, step)
+            _multiply(g, lr, a)
             _multiply(m, b1, new_m)
-            _add(new_m, step, new_m)  # m = mu * m + lr_t * g
+            _add(new_m, a, new_m)  # m = mu * m + lr_t * g
             _multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-            _add(step, new_theta, m_bar)  # m_bar = mu * m + lr_t * g, the applied step
-            step = m_bar
+            _add(a, new_theta, a)  # m_bar = mu * m + lr_t * g, the applied step
         else:
             _multiply(m, b1, new_m)
             _add(new_m, g, new_m)  # m = mu * m + g
-            _multiply(new_m, lr, step)  # lr_t * m, the applied step
-        _subtract(theta, step, new_theta)
-        return step
+            _multiply(new_m, lr, a)  # lr_t * m, the applied step
+        _subtract(theta, a, new_theta)
+        return
 
     # sums and products are formed as ``x + y`` where the rule reads
     # ``y + x``: IEEE addition and multiplication commute exactly
-    _multiply(g, c1, step)  # (1 - b1) * g, shared by m and m_bar
+    _multiply(g, c1, a)  # (1 - b1) * g, shared by m and m_bar
     _multiply(m, b1, new_m)
-    _add(new_m, step, new_m)  # m = b1 * m + (1 - b1) * g
+    _add(new_m, a, new_m)  # m = b1 * m + (1 - b1) * g
     if rule.use_nesterov:
         _multiply(new_m, b1, new_theta)  # new_theta is a temporary until the update
-        _add(step, new_theta, m_bar)  # m_bar = b1 * m + (1 - b1) * g
+        _add(a, new_theta, a)  # m_bar = b1 * m + (1 - b1) * g
+        m_bar = a
     else:
         m_bar = new_m
     if rule.use_belief:
@@ -370,28 +371,25 @@ def _core(theta, g, m, s, out, k, rule):
     _add(new_s, new_theta, new_s)  # s = b2 * s + the term above
     if rule.recursion_eps:
         _add(new_s, recursion_eps, new_s)
-    _divide(m_bar, bc1, m_hat)
+    _divide(m_bar, bc1, a)  # m_hat
     _divide(new_s, bc2, s_hat)
-    _multiply(m_hat, lr, step)
+    _multiply(a, lr, a)
     _sqrt(s_hat, new_theta)
     _add(new_theta, eps, new_theta)
-    _divide(step, new_theta, step)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
+    _divide(a, new_theta, a)  # lr_t * m_hat / (sqrt(s_hat) + eps), the negated update
     if rule.apply_decay:
         _multiply(theta, decay, new_theta)
-        _subtract(new_theta, step, new_theta)
+        _subtract(new_theta, a, new_theta)
     else:
-        _subtract(theta, step, new_theta)
-    return step
+        _subtract(theta, a, new_theta)
 
 
 # bound once, as the core's ufuncs are
-_isfinite, _sqrt_float, _pack = math.isfinite, math.sqrt, struct.pack
+_isfinite, _sqrt_float, _pack_stages, _NAN = math.isfinite, math.sqrt, struct.Struct("9d").pack_into, math.nan
 
 
 def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
-    """``_core`` over lists of Python floats, with the finiteness check:
-    ``(new_theta, new_m, new_s, transcript)``, or None where a new parameter
-    or ``s_hat`` is not finite.
+    """``_core`` over lists of Python floats, with the finiteness check.
 
     ``k`` holds the coefficients as floats, in ``_core``'s order, and each
     element sees ``_core``'s operations in its order.  IEEE addition,
@@ -399,19 +397,24 @@ def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
     rounded, so every value has the bits of the ufuncs'.  Python raises
     where a ufunc gives a non-finite value: a division by zero (``eps = 0``
     over a zero ``s_hat``) or the square root of a negative ``s_hat``, which
-    only a second moment written by hand holds.  Both count as non-finite.
-    Momentum keeps no second moment: its ``new_s`` and ``s_hat`` are 0.
+    only a second moment written by hand holds.  There the update is taken
+    as NaN, non-finite as the ufuncs' inf or NaN is; a step that holds it
+    fails, so its value is never returned to a caller.  Momentum keeps no
+    second moment: its ``new_s`` and ``s_hat`` are 0.
 
-    Without ``decay_rate`` the first three are lists and the transcript is
-    None.  With it, each element's nine stages are kept in ``ALL_FIELDS``
-    order, with the values ``_transcribe`` gives them, and become the rows
-    of one ``(9, n)`` block: the transcript, whose rows ``theta_after``,
-    ``m`` and ``second_moment`` are the first three.
+    Without ``decay_rate`` this is the lean step: the lists ``(new_theta,
+    new_m, new_s)``, or None where a new parameter or ``s_hat`` is not
+    finite.  With it, the transcript step: ``(transcript, finite)``, where
+    the transcript holds every element's nine stages in ``ALL_FIELDS``
+    order, finite or not, as the rows of one ``(9, n)`` block, and
+    ``finite`` says whether every new parameter and ``s_hat`` is.
     """
     b1, c1, b2, c2, recursion_eps, eps, bc1, bc2, lr, decay = k
     momentum, apply_decay, use_belief, _, use_nesterov = rule
     new_theta, new_m, new_s = [], [], []
-    stages = None if decay_rate is None else []
+    # a transcript packs each element's stages as doubles into ``stages`` at ``offset``
+    stages, offset = None if decay_rate is None else bytearray(72 * len(g)), 0
+    finite = True
     for th, gi, mi, si in zip(theta, g, m, s):
         if momentum:
             step = gi * lr if use_nesterov else gi
@@ -433,46 +436,25 @@ def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
             try:
                 step = m_hat * lr / (_sqrt_float(s_hat) + eps)
             except (ZeroDivisionError, ValueError):
-                return None
+                step = _NAN
         new = (th * decay if apply_decay else th) - step
         if not (_isfinite(new) and _isfinite(s_hat)):
-            return None
+            if stages is None:
+                return None
+            finite = False
         if stages is not None:
-            stages += (gi, mi, si, m_bar, m_hat, s_hat, th * decay_rate if apply_decay else 0.0, -step, new)
+            _pack_stages(stages, offset, gi, mi, si, m_bar, m_hat, s_hat, th * decay_rate if apply_decay else 0.0,
+                         -step, new)
+            offset += 72
         else:
             new_theta.append(new)
             new_m.append(mi)
             new_s.append(si)
     if stages is None:
-        return new_theta, new_m, new_s, None
-    # the element-major stages packed as doubles (a third of the cost of
-    # ``array("d", stages)``), read as (9, n) with row i at byte 8 i and one
-    # element every 9 doubles, then copied once into a block that owns its rows
-    packed = _pack(f"{len(stages)}d", *stages)
-    tr = StepTranscript._make(np.ndarray((9, len(g)), buffer=packed, strides=(8, 72)).copy())
-    return tr.theta_after, tr.m, tr.second_moment, tr
-
-
-def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
-    """One step over the elements given, as a transcript whose fields are
-    the rows of one ``(9, n)`` block: the core computes into the rows, and
-    the rows that restate another row or a constant are filled after it."""
-    tr = StepTranscript._make(np.empty((9, g.size)))
-    # copies are slice assignments, which at small dims cost a third of np.copyto
-    tr.g[...] = g
-    out = (tr.m, tr.second_moment, tr.m_bar, tr.m_hat, tr.s_hat, tr.delta_theta, tr.theta_after)
-    np.negative(_core(theta, g, m, s, out, k, rule), tr.delta_theta)
-    if not rule.use_nesterov:
-        tr.m_bar[...] = tr.m
-    if rule.momentum:
-        tr.m_hat[...] = tr.m_bar
-        tr.second_moment.fill(0.0)
-        tr.s_hat.fill(0.0)
-    if rule.apply_decay:
-        np.multiply(theta, decay_rate, tr.decay_applied)
-    else:
-        tr.decay_applied.fill(0.0)
-    return tr
+        return new_theta, new_m, new_s
+    # the element-major stages, read as (9, n) with row i at byte 8 i and one
+    # element every 9 doubles, copied once into a block that owns its rows
+    return StepTranscript._make(np.ndarray((9, len(g)), buffer=stages, strides=(8, 72)).copy()), finite
 
 
 # The numpy paths set numpy's error state (all errors ignored) for their own
@@ -482,44 +464,58 @@ def _transcribe(theta, g, m, s, k, rule, decay_rate) -> StepTranscript:
 # error state.  Under numpy 1.x the saved state lives on the one shared
 # ``errstate`` instance, so there the kernels are only safe single-threaded.
 @np.errstate(all="ignore")
-def _attribute(t, theta, g, m, s, k, rule, decay_rate) -> NonFiniteValue:
-    """The error ``first_non_finite`` gives for the whole step, found one
-    block at a time: the earliest stage over all blocks, at its first
-    element.  Only one block's transcript is alive at a time."""
-    found = []
-    for lo in range(0, g.size, CHUNK):
-        block = slice(lo, lo + CHUNK)
-        # the block's (9, n) transcript as a one-step trajectory; no name holds
-        # it, so it is freed before the next block's is made
-        error = first_non_finite(
-            _transcribe(theta[block], g[block], m[block], s[block], k, rule, decay_rate).g.base[None])
-        if error is not None:
-            found.append((FIELD_ORDER.index(error.stage), lo + error.index))
-    stage, index = min(found)
-    return NonFiniteValue(FIELD_ORDER[stage], index=index, step=t)
-
-
-@np.errstate(all="ignore")
-def _vector_step(state, theta, g, m, s, rule, decay_rate, transcript):
-    """The step in ufuncs over the state's buffers, from the coefficients
-    ``_step`` wrote: ``(transcript or None, new theta, whether it is finite)``."""
+def _sweep(state, theta, g, m, s, rule) -> bool:
+    """The lean step in ufuncs, block by block into the state's buffers, from
+    the coefficients ``_step`` wrote: whether every new parameter and
+    ``s_hat`` is finite.  The first block that is not ends the sweep."""
     new_m, new_s, new_theta, a, sh, k = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat, state._k
     adaptive = not rule.momentum
-    if transcript:
-        tr = _transcribe(theta, g, m, s, k, rule, decay_rate)
-        # the fields are the caller's: the state commits copies of them
-        new_m[...] = tr.m
-        new_s[...] = tr.second_moment
-        return tr, tr.theta_after, _all_finite(tr.theta_after, tr.s_hat if adaptive else None)
     # a vector of at most CHUNK elements is one block
     for lo in range(0, theta.size, CHUNK):
         hi = min(lo + CHUNK, theta.size)
-        bm, bs, bt, ba, bh = new_m[lo:hi], new_s[lo:hi], new_theta[lo:hi], a[: hi - lo], sh[: hi - lo]
-        _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (bm, bs, ba, ba, bh, ba, bt), k, rule)
-        # checked while the block is still in cache; a failure ends the sweep
+        bt, bh = new_theta[lo:hi], sh[: hi - lo]
+        _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (new_m[lo:hi], new_s[lo:hi], a[: hi - lo], bh, bt), k, rule)
+        # checked while the block is still in cache
         if not _all_finite(bt, bh if adaptive else None):
-            return None, new_theta, False
-    return None, new_theta, True
+            return False
+    return True
+
+
+@np.errstate(all="ignore")
+def _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate) -> NonFiniteValue:
+    """The error ``first_non_finite`` gives for the whole step's transcript.
+
+    The sweep runs again into the state's buffers, which nothing has
+    committed, and flags every element whose new parameter or ``s_hat``
+    (the parameter alone for momentum) is not finite, in every block.  Only
+    the flagged elements are transcribed, in Python floats, and the earliest
+    stage over them is raised at its first element.  Every non-finite stage
+    reaches one of the two flagged ones (``_step``) and elements are
+    independent, so the unflagged elements hold no non-finite stage.
+    """
+    new_m, new_s, new_theta, a, sh = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat
+    adaptive = not rule.momentum
+    found = []
+    # blocks of 1024 elements: the transcription of one block's flagged
+    # elements holds at most 0.3 MB (their inputs as Python floats and their
+    # packed stages), where a block of CHUNK elements would hold 4.5 MB
+    for lo in range(0, theta.size, 1024):
+        hi = min(lo + 1024, theta.size)
+        bt, bh = new_theta[lo:hi], sh[: hi - lo]
+        _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (new_m[lo:hi], new_s[lo:hi], a[: hi - lo], bh, bt),
+              state._k, rule)
+        finite = np.isfinite(bt)
+        if adaptive:
+            finite &= np.isfinite(bh)
+        flagged = lo + np.flatnonzero(~finite)
+        if flagged.size:
+            tr, _ = _scalar_core(theta[flagged].tolist(), g[flagged].tolist(), m[flagged].tolist(),
+                                 s[flagged].tolist(), coefficients, rule, decay_rate)
+            # the flagged elements' (9, n) block as a one-step trajectory
+            error = first_non_finite(tr.g.base[None])
+            found.append((FIELD_ORDER.index(error.stage), int(flagged[error.index])))
+    stage, index = min(found)
+    return NonFiniteValue(FIELD_ORDER[stage], index=index, step=t)
 
 
 def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr_t: float,
@@ -553,25 +549,30 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
     # second moment, and its check reads the parameter alone
     adaptive = not rule.momentum
-    if dim > SCALAR_MAX:
+    if transcript:
+        tr, finite = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule, decay_rate)
+        stepped = tr.theta_after, tr.m, tr.second_moment
+    elif dim > SCALAR_MAX:
         state._coefficients[...] = coefficients
-        tr, new_theta, finite = _vector_step(state, theta, g, m, s, rule, decay_rate, transcript)
+        # the sweep computes into the state's buffers
+        tr, stepped, finite = None, None, _sweep(state, theta, g, m, s, rule)
     else:
-        stepped = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule,
-                               decay_rate if transcript else None)
+        tr, stepped = None, _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule)
         finite = stepped is not None
-        if finite:
-            new_theta, state._next_m[...], new_s, tr = stepped
-            if adaptive:
-                state._next_s[...] = new_s
     if not finite:
         # the gradient is named first when it is the cause
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
         state._coefficients[...] = coefficients
-        raise _attribute(t, theta, g, m, s, state._k, rule, decay_rate)
+        raise _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate)
 
+    if stepped is None:
+        new_theta = state._theta
+    else:
+        new_theta, state._next_m[...], new_s = stepped
+        if adaptive:
+            state._next_s[...] = new_s
     # the parameters are updated in place; the moments trade places with the
     # state's buffers for the next ones, which costs no copy
     theta[...] = new_theta

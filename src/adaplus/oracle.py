@@ -18,10 +18,11 @@ until the trajectory is cast: steps x dim x 9 scalars, with dim <=
 ``MAX_DIM``.  The whole trajectory is then rounded in a single call to one
 ``(steps, 9, dim)`` float64 array, the form ``kernels.drive_stream``
 returns, which rounds each element exactly as converting it alone would.
-The vectorized kernels are expected to reproduce every transcript field
-within 1e-12 (scaled relative deviation, see
-``transcript.scaled_deviation``); they may reassociate arithmetic, the
-oracle must not.
+The kernels are expected to reproduce every transcript field within 1e-12
+(scaled relative deviation, see ``transcript.scaled_deviation``): their
+transcripts come from the Python-float core, and above
+``kernels.SCALAR_MAX`` the ufunc sweep's parameters and moments are held to
+the same bound.  They may reassociate arithmetic, the oracle must not.
 
 The bound's domain is betas of 0 and of 0.01 up to 1, which the tests
 try on a grid and on drawn runs; the belief kernels also need a beta2

@@ -17,6 +17,10 @@ config pairs.
 floats (``kernels.SCALAR_MAX``), so these digests pin every kernel's scalar
 path.  They were taken when every lean step ran in ufuncs.
 
+A short quadratic run under ``gaussian_additive`` noise is pinned as well:
+its draws come from numpy's generator without ``exp``, so its bytes are
+fixed for one numpy version, and the digest pins the noise's values.
+
 The ``config_hash`` of every shipped config is pinned too: it is the SHA-256
 of the canonical key/value text, so a change to a key, a default or the
 text form of a value changes it.
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from adaplus.bench import load_config, record_to_csv, record_to_json, run
+from adaplus.bench import load_config, parse_config, record_to_csv, record_to_json, run
 from adaplus.kernels import HyperParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,6 +57,21 @@ KERNEL_GOLDEN_SHA256 = {
     ("sgdm", ()): "2c48ff3ad52d63bdc94976df5b129c117ee55464b68d157d80d9e12ceee0bfa3",
     ("sgdm", (("use_nesterov", False),)): "9c21e2dbbd06f891bc1118e0958683c331a47ad76e98348460f0e6e1624839be",
 }
+
+NOISY_QUADRATIC = """
+problem = quadratic
+problem.dim = 6
+problem.condition_number = 10
+optimizer = adaplus
+epochs = 2
+steps_per_epoch = 25
+seeds = 1,2
+log_every = 10
+noise = gaussian_additive
+noise.scale = 0.5
+noise.seed = 3
+"""
+NOISY_QUADRATIC_SHA256 = "e821c006b3762232db8ed9e37b2753deb9ba3c2b01500ab35359d2704ec6083e"
 
 CONFIG_HASHES = {
     "logistic_adaplus.cfg": "015e33d3f7a21e6d8a48a89f282d8ba80b5f74536b5459d26cecdbbd49b3af47",
@@ -87,6 +106,13 @@ def test_quadratic_config_under_each_kernel_matches_golden_digest(optimizer, ove
     assert not record.summary.aborted
     digest = hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest()
     assert digest == KERNEL_GOLDEN_SHA256[optimizer, overrides]
+
+
+def test_noisy_quadratic_run_matches_golden_digest():
+    # the noise is the noiseless gradient plus scale times standard normal draws
+    record = run(parse_config(NOISY_QUADRATIC))
+    assert not record.summary.aborted
+    assert hashlib.sha256(record_to_csv(record).encode("utf-8")).hexdigest() == NOISY_QUADRATIC_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_HASHES))

@@ -534,17 +534,24 @@ class TestDifferentialAgreement:
 
     @pytest.mark.parametrize("kernel", KERNEL_IDS)
     def test_ufunc_core_matches_oracle(self, kernel):
-        # the other seeded streams here keep to dim <= 16, where a step runs in
-        # Python floats; above SCALAR_MAX it runs the ufunc core, transcript and all
+        # every transcript steps in Python floats, so drive_stream never runs
+        # the ufunc core: a lean step above SCALAR_MAX sweeps it, and after
+        # each step its parameters and moments are read against the oracle's
         rng = np.random.default_rng(110 + KERNEL_IDS.index(kernel))
         dim = int(rng.integers(SCALAR_MAX + 1, MAX_DIM + 1))
         steps = int(rng.integers(50, 150))
         stream = rng.standard_normal((steps, dim)) * rng.uniform(0.2, 2.0)
         theta0 = rng.standard_normal(dim)
         lrs = list(rng.uniform(1e-4, 1e-2, size=steps))
-        got = drive_stream(kernel, stream, theta0, HyperParams(), lrs)
-        want = replay(kernel, stream, theta0, HyperParams(), lrs)
-        assert scaled_deviation(got, want) <= 1e-12, (kernel, dim)
+        params = ParamVector(theta0)
+        state = OptimizerState(dim)
+        got = []
+        for g, lr in zip(stream, lrs):
+            assert KERNEL_STEPS[kernel](state, params, g, HyperParams(), lr) is None
+            got.append((params.values.copy(), state.m.copy(), state.second_moment.copy()))
+        rows = [ALL_FIELDS.index(f) for f in ("theta_after", "m", "second_moment")]
+        want = replay(kernel, stream, theta0, HyperParams(), lrs)[:, rows]
+        assert scaled_deviation(np.array(got), want) <= 1e-12, (kernel, dim)
 
     def test_toggled_variants_match_oracle(self):
         rng = np.random.default_rng(100)

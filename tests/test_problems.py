@@ -138,6 +138,23 @@ class TestLogisticRegressionSynthetic:
         theta = rng.standard_normal(8)
         assert 0.0 <= accuracy(theta) <= 1.0
 
+    def test_each_sample_sits_margin_further_along_the_true_direction(self):
+        # the generator's draws in its order: the true direction, then the
+        # standard normal samples.  Each sample moves by margin along the
+        # direction, to its own side, so |x . w*| >= margin
+        n, dim, margin, seed = 200, 8, 0.5, 9
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+        raw = rng.standard_normal((n, dim))
+        distance = np.abs(logistic_regression_synthetic(n, dim, margin, seed).features @ direction)
+        assert (distance >= margin).all()
+        np.testing.assert_allclose(distance, np.abs(raw @ direction) + margin, rtol=1e-12)
+
+    def test_two_samples_are_enough(self):
+        p = logistic_regression_synthetic(2, 3, 0.5, seed=1)
+        assert p.n_samples == 2 and p.features.shape == (2, 3)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             logistic_regression_synthetic(1, 3, 0.5)
