@@ -60,11 +60,10 @@ terms can overflow, scans the two arrays exactly.  ``s_hat`` is read rather
 than the second moment because it can overflow alone (it is the second
 moment divided by ``1 - b2^t`` <= 1), and then the update is -0 and the
 parameter stays finite; a finite ``s_hat`` means a finite second moment.
-The sweep and the attribution set numpy's error state (all errors ignored)
-for their own call, as a decorator: numpy's warnings and
-``FloatingPointError`` would only duplicate the structured
-``NonFiniteValue``, and the caller's error state is the same after the
-call.  The scalar path calls no ufunc.
+The sweep sets numpy's error state (all errors ignored) for its own call,
+as a decorator: numpy's warnings and ``FloatingPointError`` would only
+duplicate the structured ``NonFiniteValue``, and the caller's error state is
+the same after the call.  The scalar path calls no ufunc.
 
 The blocks of the sweep keep the core's ~20 elementwise passes over
 operands in L2 instead of streaming whole vectors through memory, and the
@@ -95,25 +94,25 @@ the kernel to back large arrays with transparent huge pages, and a mapping
 in 4 KiB pages made ``quad_d1m`` 7% slower (one advised for huge pages
 did not).
 
-Every failing step is attributed the same way, whichever path found it.
-The gradient is scanned first.  If it is finite, the sweep runs again from
-the untouched state, into the state's buffers, and flags every element
-whose new parameter or ``s_hat`` is not finite, in every block; only the
-flagged elements are transcribed, in Python floats, a thousand at a time,
-and the earliest stage in ``FIELD_ORDER`` that holds a non-finite value is
-raised at its first element.  Every non-finite stage reaches one of the two
-flagged ones and elements are independent, so this is the error
-``transcript.first_non_finite`` gives over the whole vector's transcript.
-The attribution costs a sweep and about 1 us per failing element: at dim
-2^18 a step whose every element fails took 0.24 s to name, and peaked at
-0.18 of one vector's bytes (tracemalloc).  A call that raises leaves ``t``,
-the moments and the parameters untouched.  The commit copies the new
-parameters into ``params.values`` in place, so that array keeps its
-identity and a caller may hold it across steps.  The moments are not
-copied: ``state.m`` and ``state.second_moment`` trade places with the
-state's buffers for the next ones, so the arrays they named before are
-written by the next step.  Read them from the state after each step
-instead of holding them.
+A failing step names the error that one whole-vector transcript would.
+The gradient is scanned first.  If it is finite, a transcript step raises
+from the transcript it already holds: the earliest stage in ``FIELD_ORDER``
+with a non-finite value, at its first element (``first_non_finite``).  A
+lean step resumes the sweep at the block where it failed (element 0 after a
+failure in Python floats), in blocks of 1024 elements, into the state's
+buffers; only the blocks that fail the check are transcribed, in Python
+floats, and the earliest stage over them is raised at its first element.
+Every non-finite stage reaches one of the two checked ones and elements are
+independent, so a block that passed holds none, and none is computed again.
+At dim 2^20 a lean step whose last element fails makes 80 core calls, 64 for
+the sweep and 16 for the attribution of its last block, and took 17-20 ms to
+raise on a 2-core VM.  A call that raises leaves ``t``, the moments and the
+parameters untouched.  The commit copies the new parameters into
+``params.values`` in place, so that array keeps its identity and a caller
+may hold it across steps.  The moments are not copied: ``state.m`` and
+``state.second_moment`` trade places with the state's buffers for the next
+ones, so the arrays they named before are written by the next step.  Read
+them from the state after each step instead of holding them.
 
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
@@ -457,63 +456,56 @@ def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
     return StepTranscript._make(np.ndarray((9, len(g)), buffer=stages, strides=(8, 72)).copy()), finite
 
 
-# The numpy paths set numpy's error state (all errors ignored) for their own
-# call, as a decorator, which costs less per call than a ``with np.errstate``
-# block; the scalar path runs no ufunc and needs none.  Under numpy >= 2 the
+# The sweep, the one numpy path, sets numpy's error state (all errors ignored)
+# for its own call, as a decorator, cheaper per call than ``with np.errstate``;
+# the scalar path runs no ufunc and needs none.  Under numpy >= 2 the
 # decorator sets a context token for each call, so each thread keeps its own
 # error state.  Under numpy 1.x the saved state lives on the one shared
 # ``errstate`` instance, so there the kernels are only safe single-threaded.
 @np.errstate(all="ignore")
-def _sweep(state, theta, g, m, s, rule) -> bool:
-    """The lean step in ufuncs, block by block into the state's buffers, from
-    the coefficients ``_step`` wrote: whether every new parameter and
-    ``s_hat`` is finite.  The first block that is not ends the sweep."""
+def _sweep(state, theta, g, m, s, rule, start=0, size=CHUNK) -> int:
+    """The lean step in ufuncs, in blocks of ``size`` elements from element
+    ``start`` into the state's buffers, from the coefficients ``_step``
+    wrote: the start of the first block whose new parameters or ``s_hat``
+    are not all finite, which ends the sweep, or ``theta.size``.  Attribution
+    resumes it from there."""
     new_m, new_s, new_theta, a, sh, k = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat, state._k
     adaptive = not rule.momentum
-    # a vector of at most CHUNK elements is one block
-    for lo in range(0, theta.size, CHUNK):
-        hi = min(lo + CHUNK, theta.size)
+    # a vector of at most ``size`` elements is one block
+    for lo in range(start, theta.size, size):
+        hi = min(lo + size, theta.size)
         bt, bh = new_theta[lo:hi], sh[: hi - lo]
         _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (new_m[lo:hi], new_s[lo:hi], a[: hi - lo], bh, bt), k, rule)
         # checked while the block is still in cache
         if not _all_finite(bt, bh if adaptive else None):
-            return False
-    return True
+            return lo
+    return theta.size
 
 
-@np.errstate(all="ignore")
-def _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate) -> NonFiniteValue:
+def _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate, start) -> NonFiniteValue:
     """The error ``first_non_finite`` gives for the whole step's transcript.
 
-    The sweep runs again into the state's buffers, which nothing has
-    committed, and flags every element whose new parameter or ``s_hat``
-    (the parameter alone for momentum) is not finite, in every block.  Only
-    the flagged elements are transcribed, in Python floats, and the earliest
-    stage over them is raised at its first element.  Every non-finite stage
-    reaches one of the two flagged ones (``_step``) and elements are
-    independent, so the unflagged elements hold no non-finite stage.
+    Every block before ``start``, where the failing step's sweep stopped
+    (element 0 after a failure in Python floats), passed its check.  From
+    there the sweep resumes in blocks of 1024 elements into the state's
+    buffers, which nothing has committed; each block it returns is
+    transcribed in Python floats, and the earliest stage over those
+    transcripts is raised at its first element.  Every non-finite stage
+    reaches one of the two checked ones (``_step``) and elements are
+    independent, so a block that passes holds none.  A transcript of 1024
+    elements holds at most 0.3 MB (the inputs as Python floats and the
+    packed stages), where one of ``CHUNK`` elements would hold 4.5 MB.
     """
-    new_m, new_s, new_theta, a, sh = state._next_m, state._next_s, state._theta, state._tmp, state._s_hat
-    adaptive = not rule.momentum
     found = []
-    # blocks of 1024 elements: the transcription of one block's flagged
-    # elements holds at most 0.3 MB (their inputs as Python floats and their
-    # packed stages), where a block of CHUNK elements would hold 4.5 MB
-    for lo in range(0, theta.size, 1024):
-        hi = min(lo + 1024, theta.size)
-        bt, bh = new_theta[lo:hi], sh[: hi - lo]
-        _core(theta[lo:hi], g[lo:hi], m[lo:hi], s[lo:hi], (new_m[lo:hi], new_s[lo:hi], a[: hi - lo], bh, bt),
-              state._k, rule)
-        finite = np.isfinite(bt)
-        if adaptive:
-            finite &= np.isfinite(bh)
-        flagged = lo + np.flatnonzero(~finite)
-        if flagged.size:
-            tr, _ = _scalar_core(theta[flagged].tolist(), g[flagged].tolist(), m[flagged].tolist(),
-                                 s[flagged].tolist(), coefficients, rule, decay_rate)
-            # the flagged elements' (9, n) block as a one-step trajectory
-            error = first_non_finite(tr.g.base[None])
-            found.append((FIELD_ORDER.index(error.stage), int(flagged[error.index])))
+    lo = _sweep(state, theta, g, m, s, rule, start, 1024)
+    while lo < theta.size:
+        hi = lo + 1024
+        tr, _ = _scalar_core(theta[lo:hi].tolist(), g[lo:hi].tolist(), m[lo:hi].tolist(), s[lo:hi].tolist(),
+                             coefficients, rule, decay_rate)
+        # the block's (9, n) transcript as a one-step trajectory
+        error = first_non_finite(tr.g.base[None])
+        found.append((FIELD_ORDER.index(error.stage), lo + error.index))
+        lo = _sweep(state, theta, g, m, s, rule, hi, 1024)
     stage, index = min(found)
     return NonFiniteValue(FIELD_ORDER[stage], index=index, step=t)
 
@@ -549,13 +541,16 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
     # second moment, and its check reads the parameter alone
     adaptive = not rule.momentum
+    # where a failing lean step's attribution starts: the sweep's failing block
+    failed = 0
     if transcript:
         tr, finite = _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule, decay_rate)
         stepped = tr.theta_after, tr.m, tr.second_moment
     elif dim > SCALAR_MAX:
         state._coefficients[...] = coefficients
         # the sweep computes into the state's buffers
-        tr, stepped, finite = None, None, _sweep(state, theta, g, m, s, rule)
+        failed = _sweep(state, theta, g, m, s, rule)
+        tr, stepped, finite = None, None, failed == dim
     else:
         tr, stepped = None, _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule)
         finite = stepped is not None
@@ -564,8 +559,12 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
         bad = np.flatnonzero(~np.isfinite(g))
         if bad.size:
             raise NonFiniteValue("gradient", index=int(bad[0]), step=t)
-        state._coefficients[...] = coefficients
-        raise _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate)
+        if tr is None:
+            state._coefficients[...] = coefficients
+            raise _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate, failed)
+        # a transcript step names its failure from the transcript it holds
+        error = first_non_finite(tr.g.base[None])
+        raise NonFiniteValue(error.stage, index=error.index, step=t)
 
     if stepped is None:
         new_theta = state._theta

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kernel_reads import HP_FIELDS, HYPER_PARAMS, reads
 from trajectories import by_step
 
+from adaplus import kernels
 from adaplus.errors import DimensionMismatch, NonFiniteValue
 from adaplus.kernels import (
     CHUNK,
@@ -1039,33 +1040,58 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("transcript", (False, True))
     @pytest.mark.parametrize("kernel", [k for k in KERNEL_IDS if k != "sgdm"])
     def test_earliest_stage_wins_across_blocks(self, kernel, transcript):
-        # with eps = 0 a zero gradient element in block 0 makes its update
-        # 0/0, and a gradient of 1e200 in the last block overflows its second
-        # moment: the earlier stage is raised, at its global index, although
-        # the block holding it is attributed after the other one
+        # with eps = 0 a zero gradient element in block 0, or in block 1 after
+        # block 0 has passed, makes its update 0/0, and a gradient of 1e200 in
+        # the last block overflows its second moment: the earlier stage is
+        # raised, at its global index, although the block holding it is
+        # attributed after the other one, on a sweep resumed past both
         dim = 2 * CHUNK + 3
-        for hp_kwargs in TOGGLES:
+        for zero_block, hp_kwargs in itertools.product((0, 1), TOGGLES):
             rng = np.random.default_rng(6)
             state, params = fresh(rng.standard_normal(dim))
             g = rng.standard_normal(dim)
-            g[int(rng.integers(CHUNK))] = 0.0
+            g[zero_block * CHUNK + int(rng.integers(CHUNK))] = 0.0
             index = int(rng.integers(2 * CHUNK, dim))
             g[index] = 1e200
             before = snapshot(state, params)
             error = attempt(KERNEL_STEPS[kernel], state, params, g, HyperParams(eps=0.0, **hp_kwargs), 1e-3,
                             transcript=transcript)
-            assert error == ("second_moment", 1, index), hp_kwargs
+            assert error == ("second_moment", 1, index), (zero_block, hp_kwargs)
             assert snapshot(state, params) == before
+
+    @pytest.mark.parametrize("dim, transcript, calls", [(2**18, True, 0), (2**20, False, 2**20 // CHUNK + 16)])
+    def test_failure_is_named_without_redoing_a_passed_block(self, monkeypatch, dim, transcript, calls):
+        # a 0/0 (eps = 0) in the last element only.  A transcript step names
+        # it from the transcript it holds, with no ufunc core.  The lean sweep
+        # fails in its last block, and attribution resumes there in blocks of
+        # 1024 elements: one core per CHUNK block, then the 16 of the last
+        # one, none for a block that passed its check
+        counted = []
+
+        def counting(*args):
+            counted.append(None)
+            return core(*args)
+
+        core = kernels._core
+        monkeypatch.setattr(kernels, "_core", counting)
+        state, params = fresh(np.linspace(-1.0, 1.0, dim))
+        g = np.full(dim, 0.5)
+        g[-1] = 0.0
+        before = snapshot(state, params)
+        error = attempt(adaplus_step, state, params, g, HyperParams(eps=0.0), 1e-3, transcript=transcript)
+        assert error == ("delta_theta", 1, dim - 1)
+        assert len(counted) == calls
+        assert snapshot(state, params) == before
 
     @pytest.mark.parametrize("dim, failing", [(2**18, "one"), (2**16, "all")])
     def test_failing_step_peaks_under_one_vector(self, dim, failing):
-        # attribution transcribes only the elements that fail, a piece at a
-        # time, so a failing step on a fresh state peaks under one full-size
-        # vector whether one element fails or all of them.  A transcript of
-        # one CHUNK of elements would be 2.25 vectors at dim 2**18 and 9 at
-        # 2**16, where the all-failing case runs: tracemalloc traces every
-        # float the transcription makes, and at 2**18 the case took 5.7 s on
-        # a 2-core VM
+        # attribution transcribes only the blocks of 1024 elements that fail,
+        # one at a time, so a failing step on a fresh state peaks under one
+        # full-size vector whether one element fails or all of them.  A
+        # transcript of one CHUNK of elements would be 2.25 vectors at dim
+        # 2**18 and 9 at 2**16, where the all-failing case runs: tracemalloc
+        # traces every float the transcription makes, and at 2**18 the case
+        # took 5.7 s on a 2-core VM
         state, params = fresh(np.linspace(-1.0, 1.0, dim))
         g = np.full(dim, 0.5) if failing == "one" else np.zeros(dim)
         index = dim // 2 if failing == "one" else 0
