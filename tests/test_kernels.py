@@ -1066,13 +1066,12 @@ class TestBlockedSweep:
         # fails in its last block, and attribution resumes there in blocks of
         # 1024 elements: one core per CHUNK block, then the 16 of the last
         # one, none for a block that passed its check
-        counted = []
+        core, counted = kernels._core, []
 
         def counting(*args):
             counted.append(None)
             return core(*args)
 
-        core = kernels._core
         monkeypatch.setattr(kernels, "_core", counting)
         state, params = fresh(np.linspace(-1.0, 1.0, dim))
         g = np.full(dim, 0.5)
