@@ -117,13 +117,15 @@ them from the state after each step instead of holding them.
 Transcripts are opt-in.  By default a step returns ``None``.  With
 ``transcript=True`` it returns a ``StepTranscript``, for diffing
 trajectories against the independent scalar reference in ``adaplus.oracle``.
-A transcript is the named rows of one ``(9, dim)`` block and nothing else:
-it carries no step number (its step is ``state.t`` after the call) and is
-compared through its block with ``np.array_equal``, as trajectories are.
-``drive_stream`` stacks the steps' blocks into one ``(steps, 9, dim)``
-trajectory.  ``_scalar_core`` is their one producer: it keeps the nine
-stages of each element in turn, with the values the ufuncs give them, and
-the state commits copies of the new moments from the block's rows.
+A transcript holds one C-contiguous ``(9, dim)`` float64 block,
+``tr.block``, and nothing else; each of its nine names reads its row of the
+block as a view.  It carries no step number (its step is ``state.t`` after
+the call) and is compared through its block with ``np.array_equal``, as
+trajectories are.  ``drive_stream`` stacks the steps' blocks into one
+``(steps, 9, dim)`` trajectory.  ``_scalar_core`` is their one producer: it
+keeps the nine stages of each element in turn, with the values the ufuncs
+give them, and the state commits copies of the new moments from the block's
+rows.
 
 One step of the full kernel, elementwise, with hyper-parameters
 ``(b1, b2, eps, wd)`` and the step's rate ``lr_t``, which the caller's
@@ -453,7 +455,7 @@ def _scalar_core(theta, g, m, s, k, rule, decay_rate=None):
         return new_theta, new_m, new_s
     # the element-major stages, read as (9, n) with row i at byte 8 i and one
     # element every 9 doubles, copied once into a block that owns its rows
-    return StepTranscript._make(np.ndarray((9, len(g)), buffer=stages, strides=(8, 72)).copy()), finite
+    return StepTranscript(np.ndarray((9, len(g)), buffer=stages, strides=(8, 72)).copy()), finite
 
 
 # The sweep, the one numpy path, sets numpy's error state (all errors ignored)
@@ -503,7 +505,7 @@ def _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate, start) 
         tr, _ = _scalar_core(theta[lo:hi].tolist(), g[lo:hi].tolist(), m[lo:hi].tolist(), s[lo:hi].tolist(),
                              coefficients, rule, decay_rate)
         # the block's (9, n) transcript as a one-step trajectory
-        error = first_non_finite(tr.g.base[None])
+        error = first_non_finite(tr.block[None])
         found.append((FIELD_ORDER.index(error.stage), lo + error.index))
         lo = _sweep(state, theta, g, m, s, rule, hi, 1024)
     stage, index = min(found)
@@ -534,13 +536,6 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     bc2 = -math.expm1(t * math.log1p(b2 - 1.0)) if t * (1.0 - b2) < 1e-3 else 1.0 - b2**t
     coefficients = (b1, 1.0 - b1, b2, 1.0 - b2, rule.recursion_eps, hp.eps, bc1, bc2, lr_t, 1.0 - decay_rate)
     m, s = state.m, state.second_moment
-    # every non-finite value, the gradient's included, reaches the new
-    # parameter or s_hat (an inf s_hat turns the update into -0, so the
-    # parameter alone can hide one), so the finiteness check, which reads
-    # those two stages, covers every stage.  A finite s_hat means a finite
-    # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
-    # second moment, and its check reads the parameter alone
-    adaptive = not rule.momentum
     # where a failing lean step's attribution starts: the sweep's failing block
     failed = 0
     if transcript:
@@ -554,6 +549,12 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
     else:
         tr, stepped = None, _scalar_core(theta.tolist(), g.tolist(), m.tolist(), s.tolist(), coefficients, rule)
         finite = stepped is not None
+    # every non-finite value, the gradient's included, reaches the new
+    # parameter or s_hat (an inf s_hat turns the update into -0, so the
+    # parameter alone can hide one), so the finiteness check, which reads
+    # those two stages, covers every stage.  A finite s_hat means a finite
+    # second moment, which is s_hat times 1 - b2^t <= 1.  Momentum keeps no
+    # second moment, and its check reads the parameter alone
     if not finite:
         # the gradient is named first when it is the cause
         bad = np.flatnonzero(~np.isfinite(g))
@@ -563,20 +564,19 @@ def _step(state: OptimizerState, params: ParamVector, grads, hp: HyperParams, lr
             state._coefficients[...] = coefficients
             raise _attribute(state, t, theta, g, m, s, coefficients, rule, decay_rate, failed)
         # a transcript step names its failure from the transcript it holds
-        error = first_non_finite(tr.g.base[None])
+        error = first_non_finite(tr.block[None])
         raise NonFiniteValue(error.stage, index=error.index, step=t)
 
     if stepped is None:
         new_theta = state._theta
     else:
-        new_theta, state._next_m[...], new_s = stepped
-        if adaptive:
-            state._next_s[...] = new_s
+        # momentum's new second moment is all zeros, written to a buffer it never commits
+        new_theta, state._next_m[...], state._next_s[...] = stepped
     # the parameters are updated in place; the moments trade places with the
     # state's buffers for the next ones, which costs no copy
     theta[...] = new_theta
     state.m, state._next_m = state._next_m, m
-    if adaptive:
+    if not rule.momentum:
         state.second_moment, state._next_s = state._next_s, s
     state.t = t
     return tr
@@ -681,8 +681,9 @@ def read_stream(stream, theta0, lrs) -> tuple[np.ndarray, ParamVector, list[floa
     different lengths; the first bad gradient row in step order, a wrong
     length raising ``DimensionMismatch("gradient at step k", ...)`` and a
     non-finite element ``NonFiniteValue("gradient", index, step)``; then each
-    rate, read as ``lr at step k`` by ``as_rate``.  Returns the gradients as
-    one ``(steps, dim)`` float64 array, the parameters and the rates as floats.
+    rate, by ``as_rate``, the first one it refuses named ``lr at step k``.
+    Returns the gradients as one ``(steps, dim)`` float64 array, the
+    parameters and the rates as floats.
     """
     params = ParamVector(theta0)
     if not len(stream):
@@ -701,7 +702,12 @@ def read_stream(stream, theta0, lrs) -> tuple[np.ndarray, ParamVector, list[floa
         raise NonFiniteValue("gradient", index=index, step=step + 1)
     if n < len(rows):
         raise DimensionMismatch(f"gradient at step {n + 1}", dim, rows[n].size)
-    return grads, params, [as_rate(f"lr at step {k}", lr) for k, lr in enumerate(lrs, start=1)]
+    try:
+        return grads, params, [as_rate("lr", lr) for lr in lrs]
+    except ValueError:
+        # only a refused rate pays for its step's name: read again under it,
+        # the first refused one raises the error that names its step
+        return grads, params, [as_rate(f"lr at step {k}", lr) for k, lr in enumerate(lrs, start=1)]
 
 
 def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.ndarray:
@@ -718,6 +724,6 @@ def drive_stream(kernel_id: str, stream, theta0, hp: HyperParams, lrs) -> np.nda
     grads, params, lrs = read_stream(stream, theta0, lrs)
     state = OptimizerState(params.dim)
     step = KERNEL_STEPS[kernel_id]
-    # one public step per stream step; a transcript's fields are the rows of
-    # one (9, dim) block, its ``g`` row's base, and the blocks are stacked once
-    return np.stack([step(state, params, g, hp, lr, transcript=True).g.base for g, lr in zip(grads, lrs)])
+    # one public step per stream step; each transcript's (9, dim) block is
+    # stacked once
+    return np.stack([step(state, params, g, hp, lr, transcript=True).block for g, lr in zip(grads, lrs)])

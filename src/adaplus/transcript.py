@@ -3,10 +3,13 @@
 A transcript records every quantity an update rule computes on the way from
 ``theta_{t-1}`` to ``theta_t``, one value per parameter element: the nine
 fields of ``StepTranscript``, in ``ALL_FIELDS`` order.  A public kernel step
-returns one when asked, and it is nothing but the named rows of one
-``(9, dim)`` float64 block.  It carries no step number: a transcript is of
-the step that left its state at ``state.t``, as a trajectory's step is its
-position.  Two transcripts are compared through their blocks with
+returns one when asked.  It holds one C-contiguous ``(9, dim)`` float64
+block, ``tr.block``, and nothing else: ``ALL_FIELDS`` is the one source of
+its row order, and each field name reads its row as a view of the block
+(``tr.m`` is ``tr.block[1]``).  It carries no step number: a transcript is
+of the step that left its state at ``state.t``, as a trajectory's step is
+its position, and ``StepTranscript(trajectory[t - 1])`` names the rows of
+step ``t``.  Two transcripts are compared through their blocks with
 ``np.array_equal``, as trajectories are.
 
 A trajectory is one C-contiguous ``(steps, 9, dim)`` float64 array:
@@ -27,8 +30,16 @@ import numpy as np
 from .errors import NonFiniteValue
 
 
+# Every per-element field, in the order of its row in a step's block
+ALL_FIELDS = ("g", "m", "second_moment", "m_bar", "m_hat", "s_hat", "decay_applied", "delta_theta", "theta_after")
+
+
 class StepTranscript(NamedTuple):
     """All intermediates of one optimizer step, per parameter element.
+
+    ``block`` is the step's C-contiguous ``(9, dim)`` float64 array, and
+    each name in ``ALL_FIELDS`` reads its row as a view, made when it is
+    read; a name cannot be assigned.
 
     Field semantics follow the adaptive-family update: ``m`` is the gradient
     EMA after the step, ``second_moment`` the belief/variance EMA, ``m_bar``
@@ -41,23 +52,16 @@ class StepTranscript(NamedTuple):
     For the momentum kernel ``m`` holds the velocity, ``m_bar``/``m_hat``
     hold the applied update direction, and the second-moment fields are zero.
 
-    Compare two transcripts with ``np.array_equal``: a tuple's own ``==``
-    would compare the arrays elementwise.
+    Compare two transcripts through their blocks with ``np.array_equal``: a
+    tuple's own ``==`` would compare the arrays elementwise.
     """
 
-    g: np.ndarray
-    m: np.ndarray
-    second_moment: np.ndarray
-    m_bar: np.ndarray
-    m_hat: np.ndarray
-    s_hat: np.ndarray
-    decay_applied: np.ndarray
-    delta_theta: np.ndarray
-    theta_after: np.ndarray
+    block: np.ndarray
 
 
-# Every per-element field, in constructor order, including the decay amount
-ALL_FIELDS = StepTranscript._fields
+# each name in ALL_FIELDS is a read-only property returning its row of the block
+for _row, _field in enumerate(ALL_FIELDS):
+    setattr(StepTranscript, _field, property(lambda tr, row=_row: tr.block[row]))
 
 # Pipeline order of the computed fields, in which the earliest stage that
 # holds a non-finite value is reported, and their rows in a step's block.

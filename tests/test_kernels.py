@@ -509,22 +509,25 @@ class TestDriveStream:
         state, params = fresh(theta0)
         for t, (g, lr) in enumerate(zip(stream, lrs), start=1):
             tr = KERNEL_STEPS[kernel](state, params, g, HyperParams(), lr, transcript=True)
-            assert trajectory[t - 1].tobytes() == np.array(tr).tobytes(), t
+            # step t's block, byte for byte
+            assert trajectory[t - 1].tobytes() == tr.block.tobytes(), t
 
     @pytest.mark.parametrize("hp", [HyperParams(), HyperParams(use_nesterov=False, decoupled_decay=True)])
     @pytest.mark.parametrize("kernel", KERNEL_IDS)
     def test_transcript_fields_are_the_rows_of_one_block(self, kernel, hp):
-        # drive_stream stacks each step's block, found as the base of its g row;
-        # the last dim is above SCALAR_MAX, where a lean step runs the sweep
-        # but a transcript step still packs its Python floats into the block
+        # drive_stream stacks each step's block; the last dim is above
+        # SCALAR_MAX, where a lean step runs the sweep but a transcript step
+        # still packs its Python floats into the block
         rng = np.random.default_rng(10)
         for dim in (1, 5, SCALAR_MAX + 1):
             stream, theta0, lrs = random_stream(rng, dim, 3)
             state, params = fresh(theta0)
             for g, lr in zip(stream, lrs):
                 tr = KERNEL_STEPS[kernel](state, params, g, hp, lr, transcript=True)
-                block = tr.g.base
+                block = tr.block
                 assert block.shape == (9, dim) and block.dtype == np.float64 and block.flags.c_contiguous
+                # the block owns its data: it holds no view of the packed stages
+                assert block.flags.owndata and block.base is None
                 for row, field in enumerate(ALL_FIELDS):
                     # the same memory, shape and strides: the field is that row
                     assert getattr(tr, field).__array_interface__ == block[row].__array_interface__, field
@@ -588,12 +591,12 @@ class TestKernelProperties:
 
     @pytest.mark.parametrize("row, field", enumerate(ALL_FIELDS))
     def test_each_field_is_its_row_of_one_block(self, row, field):
-        # drive_stream stacks each transcript's g.base, so every field must be a view of that block's row
+        # drive_stream stacks each transcript's block, so every field must be a view of that block's row
         rng = np.random.default_rng(32)
         for kernel in KERNEL_IDS:
             state, params = fresh(rng.standard_normal(5))
             tr = KERNEL_STEPS[kernel](state, params, rng.standard_normal(5), HyperParams(), 1e-3, transcript=True)
-            block = tr.g.base
+            block = tr.block
             assert block.shape == (9, 5) and getattr(tr, field).base is block, kernel
             assert getattr(tr, field).ctypes.data == block[row].ctypes.data, kernel
 

@@ -51,7 +51,7 @@ def parse_transcripts(text: str) -> list[StepTranscript]:
 
     The steps must run 1..n, as a transcript's step is its position.  The
     format does not carry the decay column; parsed transcripts get an
-    all-zero ``decay_applied``.
+    all-zero ``decay_applied`` row.
     """
     per_step: dict[int, list[list[float]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,10 +72,13 @@ def parse_transcripts(text: str) -> list[StepTranscript]:
     transcripts = []
     for t in sorted(per_step):
         cols = np.array(per_step[t], dtype=np.float64)
-        arrays = {name: cols[:, j].copy() for j, name in enumerate(FIELD_ORDER)}
-        if not np.isfinite(arrays["theta_after"]).all():
+        # the columns in FIELD_ORDER become their rows of a block, decay_applied's left zero
+        block = np.zeros((len(ALL_FIELDS), cols.shape[0]))
+        block[[ALL_FIELDS.index(name) for name in FIELD_ORDER]] = cols.T
+        tr = StepTranscript(block)
+        if not np.isfinite(tr.theta_after).all():
             raise ValueError(f"fixture step {t}: non-finite theta")
-        transcripts.append(StepTranscript(decay_applied=np.zeros(cols.shape[0]), **arrays))
+        transcripts.append(tr)
     return transcripts
 
 
@@ -183,6 +186,17 @@ class TestReplayBasics:
         adamw = replay("adamw", stream, theta0, HyperParams(weight_decay=0.0), lrs)
         assert np.array_equal(adam, adamw)
 
+    @pytest.mark.parametrize("label, left, right", REDUCTIONS, ids=[label for label, _, _ in REDUCTIONS])
+    def test_replays_hold_each_reduction_bit_for_bit(self, label, left, right):
+        # the six restatements agree exactly where the kernels do.  At beta1 = 0.999 every step's
+        # t * (1 - beta1) lies in [1e-3, 0.3], where the bias correction is 1 - beta1**t: a replay
+        # that took it another way would round some m_hat differently from its partner
+        rng = np.random.default_rng(43)
+        stream, theta0, lrs = [rng.standard_normal(8) for _ in range(300)], rng.standard_normal(8), [1e-3] * 300
+        left_run, right_run = (replay(kernel, stream, theta0, HyperParams(beta1=0.999, **overrides), lrs)
+                               for kernel, overrides in (left, right))
+        assert np.array_equal(left_run, right_run), label
+
     def test_replay_is_pure(self):
         rng = np.random.default_rng(42)
         stream = [rng.standard_normal(2) for _ in range(20)]
@@ -228,6 +242,12 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match="dim"):
             replay("adam", [np.ones(dim)], np.zeros(dim), HyperParams(), [1e-3])
 
+    def test_dim_cap_is_the_documented_64(self):
+        # the README promises oracle runs of up to 64 elements: 64 replays, 65 is refused by name
+        assert replay("adam", [np.ones(64)], np.zeros(64), HyperParams(), [1e-3]).shape == (1, 9, 64)
+        with pytest.raises(ValueError, match="^replay supports dim <= 64, got 65$"):
+            replay("adam", [np.ones(65)], np.zeros(65), HyperParams(), [1e-3])
+
     def test_non_finite_gradient_reports_step_and_index(self):
         with pytest.raises(NonFiniteValue) as exc:
             replay("adam", [[1.0, 1.0], [1.0, np.nan]], [0.0, 0.0], HyperParams(), [1e-3, 1e-3])
@@ -258,6 +278,14 @@ class TestReplayValidation:
         message = f"^lr at step 1 must be a positive finite real, got {re.escape(repr(bad)[:80])}$"
         with pytest.raises(ValueError, match=message):
             replay("adam", [[1.0]] * 3, [0.0], HyperParams(), [bad] * 3)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, "0.1", True], ids=["zero", "nan", "str", "bool"])
+    def test_a_bad_last_rate_of_sixty_is_named_by_its_step(self, bad):
+        # the rates are read under one name; only a refused one is read again under its step's name
+        message = f"^lr at step 60 must be a positive finite real, got {re.escape(repr(bad))}$"
+        for run in (replay, drive_stream):
+            with pytest.raises(ValueError, match=message):
+                run("adam", [[1.0]] * 60, [0.0], HyperParams(), [1e-3] * 59 + [bad])
 
     def test_rates_of_any_real_type_are_accepted(self):
         stream = [[0.5, -0.5]] * 3

@@ -142,13 +142,25 @@ class TestFirstNonFinite:
 
 
 class TestStepTranscript:
-    """A transcript is the nine named rows of one block, in ``ALL_FIELDS`` order, and nothing else."""
+    """A transcript holds one block and names its nine rows, in ``ALL_FIELDS`` order; it holds nothing else."""
 
     def test_fields_cannot_be_assigned(self):
-        tr = StepTranscript._make(np.ones((9, 2)))
-        assert tr._fields == ALL_FIELDS and len(ALL_FIELDS) == 9
-        with pytest.raises(AttributeError):
-            tr.theta_after = np.zeros(2)
+        tr = StepTranscript(np.ones((9, 2)))
+        assert tr._fields == ("block",) and len(ALL_FIELDS) == 9
+        for field in ALL_FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(tr, field, np.zeros(2))
+
+    def test_names_the_rows_of_a_trajectory_row(self):
+        # a transcript made from step t's row of a trajectory reads that step's fields, as views of it
+        trajectory = np.arange(3 * 9 * 4, dtype=np.float64).reshape(3, 9, 4)
+        for t in (1, 2, 3):
+            step = trajectory[t - 1]
+            tr = StepTranscript(step)
+            assert tr.block is step
+            for row, field in enumerate(ALL_FIELDS):
+                # the same memory, shape and strides: the field is that row
+                assert getattr(tr, field).__array_interface__ == step[row].__array_interface__, field
 
     def test_defines_no_equality_of_its_own(self):
         # a tuple's == compares the arrays elementwise, so transcripts are compared through their blocks

@@ -4,7 +4,7 @@ from adaplus.transcript import StepTranscript
 
 
 def by_step(trajectory):
-    """One ``StepTranscript`` of views per leading row of a ``(steps, 9, dim)``
-    array, fields in ``ALL_FIELDS`` order: ``by_step(trajectory)[t - 1]`` is step
-    ``t``."""
-    return [StepTranscript._make(fields) for fields in trajectory]
+    """One ``StepTranscript`` per leading row of a ``(steps, 9, dim)`` array,
+    naming that row's nine rows in ``ALL_FIELDS`` order: ``by_step(trajectory)[t - 1]``
+    is step ``t``."""
+    return [StepTranscript(block) for block in trajectory]
